@@ -52,9 +52,7 @@ def _require_mode(f: Poly, cfg: CalculusConfig) -> None:
 @lru_cache(maxsize=None)
 def _alpha_power(alpha: CycQ, m: int) -> CycQ:
     # memoized because products re-twist the same scalars constantly
-    if m == 0:
-        return CycQ(1)
-    return _alpha_power(alpha, m - 1) * alpha
+    return alpha**m
 
 
 @lru_cache(maxsize=None)
@@ -62,9 +60,9 @@ def q_number(k: int, alpha: CycQ) -> CycQ:
     """The alpha-integer 1 + alpha + ... + alpha**(k-1); k itself at alpha == 1."""
     if k < 0:
         raise ValueError("q_number needs k >= 0")
-    if k == 0:
-        return CycQ(0)
-    return q_number(k - 1, alpha) + _alpha_power(alpha, k - 1)
+    if alpha == 1:
+        return CycQ(k)
+    return (_alpha_power(alpha, k) - 1) / (alpha - 1)  # geometric sum
 
 
 def twist(f: Poly, cfg: CalculusConfig) -> Poly:

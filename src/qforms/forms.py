@@ -178,12 +178,11 @@ class Form:
         """Product reduced to normal form.
 
         Each pair of terms (f, dx**k d2x**m) * (g, dx**j d2x**n) reduces by
-          1. pushing g left through the m copies of d2x, branching into a
-             twisted term and a q-bracket term per copy,
-          2. pushing the residues left through the k copies of dx,
-          3. swapping stray dx factors left past d2x, a factor q**2 each,
-          4. dropping any word whose dx power reaches 3,
-          5. multiplying the collected left coefficients by f.
+          1. pushing g left through dx**k * d2x**m in closed form, which
+             leaves at most two words (see _push_left),
+          2. swapping stray dx factors left past d2x, a factor q**2 each,
+          3. dropping any word whose dx power reaches 3,
+          4. multiplying the collected left coefficients by f.
         """
         self._require_same_mode(other)
         if self._truncated != cfg.anyonic:
@@ -260,28 +259,29 @@ def swap_scalar(d2x_power: int, dx_power: int) -> CycQ:
 
 
 def _push_left(k: int, m: int, g: Poly, cfg: CalculusConfig) -> list[tuple[FormMonomial, Poly]]:
-    """Normal form of dx**k * d2x**m * g as left-coefficient terms.
+    """Normal form of dx**k * d2x**m * g: at most two left-coefficient words.
 
-    Recurses on the innermost d2x factor; the recursion terminates because m
-    strictly decreases and each branch only appends generator powers.
+    Each d2x that g passes yields a twisted word and a q-bracket word carrying
+    dx**2. A bracket word dies at the next bracket (dx**4 == 0) and under any
+    dx in front (k >= 1), so at most one bracket is ever taken and only
+    twist**(m+k)(g) * dx**k * d2x**m and, when k == 0, one dx**2 * d2x**(m-1)
+    word come out. Taking the bracket at copy i from the right leaves
+    alpha**i * q**(m-1-i) * twist**(m-1)(q_bracket(g)) on that word: alpha**i
+    because q_bracket(twist(f)) == alpha * twist(q_bracket(f)), and q per copy
+    further left because d2x * dx**2 == q**4 * dx**2 * d2x and q**3 == 1.
     """
-    if g.is_zero():
-        return []
-    if m == 0:
-        for _ in range(k):
-            g = twist(g, cfg)  # dx * g == twist(g) * dx, once per factor
-        return [(FormMonomial(k, 0), g)]
-    out: list[tuple[FormMonomial, Poly]] = []
-    # d2x * g == twist(g) * d2x + q_bracket(g) * dx**2 on the innermost copy
-    for mon, poly in _push_left(k, m - 1, twist(g, cfg), cfg):
-        out.append((FormMonomial(mon.dx, mon.d2x + 1), poly))
-    for mon, poly in _push_left(k, m - 1, q_bracket(g, cfg), cfg):
-        placed = _append_word(mon, 2, 0)
-        if placed is None:
-            continue
-        new_mon, scalar = placed
-        out.append((new_mon, scalar * poly))
-    return out
+    top = g
+    for _ in range(m + k):
+        top = twist(top, cfg)
+    words = [(FormMonomial(k, m), top)]
+    if k == 0 and m:
+        low = q_bracket(g, cfg)  # zero whenever alpha == q
+        if low:
+            for _ in range(m - 1):
+                low = twist(low, cfg)
+            scale = sum((cfg.alpha**i * q_power(m - 1 - i) for i in range(m)), CycQ(0))
+            words.append((FormMonomial(2, m - 1), scale * low))
+    return words
 
 
 def _append_word(mon: FormMonomial, j: int, n: int) -> tuple[FormMonomial, CycQ] | None:

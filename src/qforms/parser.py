@@ -22,7 +22,7 @@ from fractions import Fraction
 from .calculus import CalculusConfig
 from .cyclotomic import CycQ, Q
 from .forms import Form, FormMonomial
-from .polynomial import Poly, _product_text
+from .polynomial import Poly, product_text
 
 
 class ParseError(Exception):
@@ -212,12 +212,16 @@ def render(u: Form) -> str:
     return "".join(rendered)
 
 
+def _power_text(name: str, power: int) -> str:
+    return name if power == 1 else f"{name}^{power}"
+
+
 def _monomial_text(mon: FormMonomial) -> str:
     parts: list[str] = []
     if mon.dx:
-        parts.append("dx" if mon.dx == 1 else f"dx^{mon.dx}")
+        parts.append(_power_text("dx", mon.dx))
     if mon.d2x:
-        parts.append("d2x" if mon.d2x == 1 else f"d2x^{mon.d2x}")
+        parts.append(_power_text("d2x", mon.d2x))
     return "*".join(parts)
 
 
@@ -235,22 +239,8 @@ def _poly_pieces(poly: Poly) -> list[tuple[str, str]]:
                 mag = abs(coeff.b)
                 pieces.append((sign, "q" if mag == 1 else f"{mag}*q"))
         else:
-            pieces.append(_product_text(coeff, degree))
+            pieces.append(product_text(coeff, _power_text("x", degree)))
     return pieces
-
-
-def _scalar_piece(coeff: CycQ, tail: str) -> tuple[str, str]:
-    """Signed piece for coeff * tail with a bare word tail."""
-    if coeff.a and coeff.b:
-        return "+", f"({coeff})*{tail}"
-    if coeff.b:
-        sign = "+" if coeff.b > 0 else "-"
-        mag = abs(coeff.b)
-        qtext = "q" if mag == 1 else f"{mag}*q"
-        return sign, f"{qtext}*{tail}"
-    sign = "+" if coeff.a > 0 else "-"
-    mag = abs(coeff.a)
-    return sign, tail if mag == 1 else f"{mag}*{tail}"
 
 
 def _term_piece(poly: Poly, mon: FormMonomial) -> tuple[str, str]:
@@ -259,7 +249,6 @@ def _term_piece(poly: Poly, mon: FormMonomial) -> tuple[str, str]:
     if len(terms) > 1:
         return "+", f"({poly})*{word}"
     degree, coeff = terms[0]
-    if degree == 0:
-        return _scalar_piece(coeff, word)
-    sign, text = _product_text(coeff, degree)
-    return sign, f"{text}*{word}"
+    if degree:
+        word = f"{_power_text('x', degree)}*{word}"
+    return product_text(coeff, word)

@@ -147,7 +147,7 @@ class Poly:
                 # ascending order puts the constant first, so its own sign leads
                 out.append(str(coeff))
                 continue
-            sign, text = _product_text(coeff, degree)
+            sign, text = product_text(coeff, "x" if degree == 1 else f"x^{degree}")
             if not out:
                 out.append(text if sign == "+" else "-" + text)
             else:
@@ -158,17 +158,16 @@ class Poly:
         return f"Poly({self.__str__()!r}, truncated={self._truncated})"
 
 
-def _product_text(coeff: CycQ, degree: int) -> tuple[str, str]:
-    """Sign character and unsigned text for coeff * x**degree, degree >= 1."""
-    xpart = "x" if degree == 1 else f"x^{degree}"
+def product_text(coeff: CycQ, tail: str) -> tuple[str, str]:
+    """Sign character and unsigned text for coeff * tail, tail a nonempty word."""
     if coeff.a and coeff.b:
         # mixed scalars keep their own signs inside parentheses
-        return "+", f"({coeff})*{xpart}"
+        return "+", f"({coeff})*{tail}"
     if coeff.b:
         sign = "+" if coeff.b > 0 else "-"
         mag = abs(coeff.b)
         qtext = "q" if mag == 1 else f"{mag}*q"
-        return sign, f"{qtext}*{xpart}"
+        return sign, f"{qtext}*{tail}"
     sign = "+" if coeff.a > 0 else "-"
     mag = abs(coeff.a)
-    return sign, xpart if mag == 1 else f"{mag}*{xpart}"
+    return sign, tail if mag == 1 else f"{mag}*{tail}"

@@ -100,6 +100,13 @@ class TestDerivative:
         cfg = CalculusConfig(Q)
         assert derivative(Poly.monomial(3), cfg).is_zero()
 
+    def test_long_powers_need_no_recursion(self):
+        # degrees past the interpreter's recursion limit
+        x1500 = Poly.monomial(1500)
+        image = derivative(x1500, CalculusConfig(CycQ(2)))
+        assert image == Poly.monomial(1499, 2**1500 - 1)
+        assert twist(x1500, CalculusConfig(CycQ(3))) == Poly.monomial(1500, 3**1500)
+
     @pytest.mark.parametrize("alpha", ALPHAS, ids=ALPHA_IDS)
     @given(a=coeff_maps, b=coeff_maps)
     def test_twisted_leibniz_rule(self, alpha, a, b):

@@ -66,6 +66,11 @@ class TestDiff:
     def test_times_long_flag(self, run_cli):
         assert run_cli(["diff", "--times", "2", "x"]) == (0, "d2x\n")
 
+    def test_long_power(self, run_cli):
+        code, out = run_cli(["diff", "x^1500", "--alpha", "2"])
+        assert code == 0
+        assert out == f"{2**1500 - 1}*x^1499*dx\n"
+
 
 class TestGrade:
     def test_text_lines(self, run_cli):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from qforms.calculus import CalculusConfig, twist
+from qforms import calculus, forms
+from qforms.calculus import CalculusConfig, q_bracket, twist
 from qforms.checks import random_form, random_homogeneous_form, random_poly
 from qforms.cyclotomic import ONE, Q, CycQ, q_power
 from qforms.forms import Form, FormMonomial, swap_scalar
@@ -15,6 +17,46 @@ from qforms.polynomial import ModeMismatchError, Poly
 CFG_Q = CalculusConfig(Q)
 CFG_1 = CalculusConfig(ONE)
 CFG_ANY = CalculusConfig(Q, anyonic=True)
+
+KERNEL_CFGS = [
+    CFG_Q,
+    CFG_ANY,
+    CalculusConfig(CycQ(2)),
+    CalculusConfig(CycQ(1, 1)),
+    CFG_1,
+    CalculusConfig(CycQ(1, 2)),
+    CalculusConfig(CycQ(Fraction(-3, 7), Fraction(5, 7))),
+]
+KERNEL_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7"]
+
+
+def recursive_push_left(k, m, g, cfg):
+    """Reference rewriter: dx**k * d2x**m * g by recursing on the innermost d2x.
+
+    Branches into a twisted and a q-bracket word per copy, 2**(m+1) - 1 calls
+    in all; the product kernel must agree with it exactly.
+    """
+    if g.is_zero():
+        return []
+    if m == 0:
+        for _ in range(k):
+            g = twist(g, cfg)
+        return [(FormMonomial(k, 0), g)]
+    out = []
+    for mon, poly in recursive_push_left(k, m - 1, twist(g, cfg), cfg):
+        out.append((FormMonomial(mon.dx, mon.d2x + 1), poly))
+    for mon, poly in recursive_push_left(k, m - 1, q_bracket(g, cfg), cfg):
+        if mon.dx == 0:  # dx**3 == 0
+            out.append((FormMonomial(mon.dx + 2, mon.d2x), q_power(4 * mon.d2x) * poly))
+    return out
+
+
+def collect(words, truncated):
+    """Sum (monomial, coefficient) words, repeats included, into one Form."""
+    out = Form.zero(truncated)
+    for mon, poly in words:
+        out = out + Form({mon: poly}, truncated)
+    return out
 
 
 class TestMonomials:
@@ -168,6 +210,57 @@ class TestProductLaws:
         for _ in range(25):
             u, v, w = (random_form(rng, CFG_1) for _ in range(3))
             assert (u + v).mul(w, CFG_1) == u.mul(w, CFG_1) + v.mul(w, CFG_1)
+
+
+class TestPushLeft:
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_matches_the_recursive_rewriter(self, cfg):
+        rng = random.Random(29)
+        for _ in range(40):
+            k, m = rng.randint(0, 2), rng.randint(0, 7)
+            g = random_poly(rng, cfg.anyonic)
+            words = forms._push_left(k, m, g, cfg)
+            assert len(words) <= 2
+            assert len({mon for mon, _ in words}) == len(words)
+            expected = collect(recursive_push_left(k, m, g, cfg), cfg.anyonic)
+            assert collect(words, cfg.anyonic) == expected
+
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_d2x_power_past_x_power_closed_form(self, cfg):
+        # d2x^m x^n == alpha^(mn) x^n d2x^m + c x^(n-1) dx^2 d2x^(m-1) with
+        # c == [n] alpha^(n-1) (alpha-q) sum_{i<m} alpha^(ni) alpha^((n-1)(m-1-i)) q^(m-1-i)
+        alpha, t = cfg.alpha, cfg.anyonic
+        for m in range(7):
+            for n in range(6):
+                product = Form.basis(0, m, t).mul(Form.from_poly(Poly.monomial(n, truncated=t)), cfg)
+                expected = Form({(0, m): Poly.monomial(n, alpha ** (m * n), t)}, t)
+                if m and n:
+                    total = CycQ(0)
+                    for i in range(m):
+                        total += alpha ** (n * i) * alpha ** ((n - 1) * (m - 1 - i)) * q_power(m - 1 - i)
+                    alpha_integer = sum((alpha**j for j in range(n)), CycQ(0))
+                    c = alpha_integer * alpha ** (n - 1) * (alpha - Q) * total
+                    expected = expected + Form({(2, m - 1): Poly.monomial(n - 1, c, t)}, t)
+                assert product == expected
+
+    def test_calculus_calls_grow_linearly_in_the_d2x_power(self, monkeypatch):
+        calls = 0
+
+        def counted(fn):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                if calls > 1000:
+                    raise RuntimeError("the product kernel made over 1000 calculus calls")
+                return fn(*args)
+
+            return wrapper
+
+        for name in ("twist", "q_bracket"):
+            monkeypatch.setattr(forms, name, counted(getattr(calculus, name)))
+        m = 16
+        Form.basis(0, m).mul(Form.from_poly(Poly.monomial(m)), CalculusConfig(CycQ(2)))
+        assert calls <= 2 * m + 1
 
 
 class TestSwapOracle:
