@@ -49,13 +49,18 @@ def _require_mode(f: Poly, cfg: CalculusConfig) -> None:
         raise ModeMismatchError("polynomial mode does not match the configuration")
 
 
-@lru_cache(maxsize=None)
+# Entries pile up per alpha and per degree for the life of the process, so the
+# caches are bounded; a long run of mixed CLI requests fills a few hundred.
+_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _alpha_power(alpha: CycQ, m: int) -> CycQ:
     # memoized because products re-twist the same scalars constantly
     return alpha**m
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def q_number(k: int, alpha: CycQ) -> CycQ:
     """The alpha-integer 1 + alpha + ... + alpha**(k-1); k itself at alpha == 1."""
     if k < 0:

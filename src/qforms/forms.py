@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import CalculusConfig, q_bracket, twist
-from .cyclotomic import CycQ, as_cycq, q_power
+from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
 from .polynomial import ModeMismatchError, Poly
 
 
@@ -222,16 +222,30 @@ class Form:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Form:
+        """Inverse of to_dict; repeated words add up.
+
+        Raises ValueError for an unknown mode, for a dx, d2x, degree,
+        numerator or denominator that is not an int (bool and float
+        included), for a zero denominator, for a dx power outside {0, 1, 2}
+        or a negative d2x power or degree, and, in anyonic mode, for a
+        degree of 3 or more, which x**3 == 0 would silently drop.
+        """
         mode = data.get("mode")
         if mode not in ("generic", "anyonic"):
             raise ValueError(f"unknown mode {mode!r}")
         truncated = mode == "anyonic"
         terms: dict[FormMonomial, Poly] = {}
         for entry in data.get("terms", ()):
-            mon = FormMonomial(entry["dx"], entry["d2x"])
+            mon = FormMonomial(_json_int(entry["dx"]), _json_int(entry["d2x"]))
             coeffs: dict[int, CycQ] = {}
-            for degree, (a_num, a_den, b_num, b_den) in entry["coeff"]:
-                coeffs[degree] = CycQ(Fraction(a_num, a_den), Fraction(b_num, b_den))
+            for degree, quadruple in entry["coeff"]:
+                degree = _json_int(degree)
+                if truncated and degree >= 3:
+                    raise ValueError(f"degree {degree} does not exist in anyonic mode")
+                a_num, a_den, b_num, b_den = map(_json_int, quadruple)
+                if not a_den or not b_den:
+                    raise ValueError("zero denominator")
+                coeffs[degree] = from_ratios(a_num, a_den, b_num, b_den)
             poly = Poly(coeffs, truncated)
             if mon in terms:
                 poly = terms[mon] + poly
@@ -243,6 +257,12 @@ class Form:
 
         mode = "anyonic" if self._truncated else "generic"
         return f"<Form {render(self)!r} mode={mode}>"
+
+
+def _json_int(value: object) -> int:
+    if type(value) is not int:
+        raise ValueError(f"expected an int, got {value!r}")
+    return value
 
 
 def swap_scalar(d2x_power: int, dx_power: int) -> CycQ:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .cyclotomic import CycQ, as_cycq
+from .cyclotomic import ZERO, CycQ, as_cycq
 
 
 class ModeMismatchError(Exception):
@@ -82,7 +82,7 @@ class Poly:
         return bool(self._coeffs)
 
     def coefficient(self, degree: int) -> CycQ:
-        return self._coeffs.get(degree, CycQ(0))
+        return self._coeffs.get(degree, ZERO)
 
     def terms(self) -> list[tuple[int, CycQ]]:
         """(degree, coefficient) pairs in ascending degree order."""
@@ -106,7 +106,7 @@ class Poly:
         self._require_same_mode(other)
         out = dict(self._coeffs)
         for degree, coeff in other._coeffs.items():
-            out[degree] = out.get(degree, CycQ(0)) + coeff
+            out[degree] = out.get(degree, ZERO) + coeff
         return Poly(out, self._truncated)
 
     def __sub__(self, other: Poly) -> Poly:
@@ -126,7 +126,7 @@ class Poly:
                 degree = d1 + d2
                 if self._truncated and degree >= 3:
                     continue
-                out[degree] = out.get(degree, CycQ(0)) + c1 * c2
+                out[degree] = out.get(degree, ZERO) + c1 * c2
         return Poly(out, self._truncated)
 
     def __rmul__(self, other: CycQ | int | Fraction) -> Poly:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from qforms import calculus
 from qforms.calculus import (
     CalculusConfig,
     check_homogeneity,
@@ -72,6 +73,12 @@ class TestQNumber:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             q_number(-1, Q)
+
+    @pytest.mark.parametrize("cached", [calculus.q_number, calculus._alpha_power])
+    def test_scalar_caches_are_bounded(self, cached):
+        # finite, yet above the ~500 entries a long mixed CLI run fills
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 500
 
 
 class TestDerivative:

@@ -327,3 +327,41 @@ class TestSerialization:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             Form.from_dict({"mode": "other", "terms": []})
+
+    @staticmethod
+    def one_term(mode="generic", dx=0, d2x=0, degree=0, quadruple=(1, 1, 0, 1)):
+        entry = {"dx": dx, "d2x": d2x, "coeff": [[degree, list(quadruple)]]}
+        return {"mode": mode, "terms": [entry]}
+
+    def test_scalars_come_from_the_integer_quadruple(self):
+        u = Form.from_dict(self.one_term(degree=2, quadruple=(6, -4, 1, 3)))
+        assert u == Form({(0, 0): Poly.monomial(2, CycQ(Fraction(-3, 2), Fraction(1, 3)))})
+        assert u.to_dict() == self.one_term(degree=2, quadruple=(-3, 2, 1, 3))
+
+    @pytest.mark.parametrize("quadruple", [(1, 0, 0, 1), (1, 1, 2, 0), (0, 0, 0, 0)])
+    def test_zero_denominator_rejected(self, quadruple):
+        with pytest.raises(ValueError, match="zero denominator"):
+            Form.from_dict(self.one_term(quadruple=quadruple))
+
+    def test_anyonic_degree_three_rejected(self):
+        assert Form.from_dict(self.one_term("anyonic", degree=2)).truncated
+        with pytest.raises(ValueError, match="anyonic"):
+            Form.from_dict(self.one_term("anyonic", degree=3))
+        # the same entry is a plain x**3 term in generic mode
+        assert not Form.from_dict(self.one_term(degree=3)).is_zero()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("quadruple", ("1", 1, 0, 1)),
+            ("quadruple", (1, 1.0, 0, 1)),
+            ("quadruple", (1, 1, Fraction(1, 2), 1)),
+            ("quadruple", (True, 1, 0, 1)),
+            ("degree", 1.0),
+            ("dx", "1"),
+            ("d2x", None),
+        ],
+    )
+    def test_non_int_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match="expected an int"):
+            Form.from_dict(self.one_term(**{field: value}))
