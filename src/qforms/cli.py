@@ -8,6 +8,7 @@ QFORMS_OUTPUT environment variable overrides --output when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,7 +30,14 @@ class _ConfigError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    parse_args keeps no state between calls, so one parser serves every
+    main() in the process; everything that depends on the environment is
+    read per call in _configure.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--alpha",

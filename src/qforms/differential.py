@@ -28,7 +28,7 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
         acc = out.get(mon)
         out[mon] = poly if acc is None else acc + poly
 
-    for mon, f in u.terms():
+    for mon, f in u.items():
         if mon.dx == 0:
             add(FormMonomial(1, mon.d2x), derivative(f, cfg))
         elif mon.dx == 1:

@@ -16,7 +16,7 @@ Addition, scaling by polynomials from the left, and grading do not.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,6 +108,10 @@ class Form:
     def terms(self) -> list[tuple[FormMonomial, Poly]]:
         """(monomial, coefficient) pairs in canonical order."""
         return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
+
+    def items(self) -> ItemsView[FormMonomial, Poly]:
+        """(monomial, coefficient) pairs in no particular order; terms() sorts."""
+        return self._terms.items()
 
     def coefficient(self, mon: FormMonomial | tuple[int, int]) -> Poly:
         if not isinstance(mon, FormMonomial):

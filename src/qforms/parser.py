@@ -10,9 +10,16 @@ Grammar (whitespace insignificant):
 
 A leading '-' reads as 0 - term. '^' binds tighter than '*', which binds
 tighter than '+' and '-'; '*' evaluates left to right through the form
-product, so re-associating a product cannot change the parsed value. The
-renderer emits deterministic canonical text that parses back to the same
-form under the same configuration.
+product, so re-associating a product cannot change the parsed value.
+'base^N' is computed by repeated squaring, O(log N) form products; the
+product is associative and exact, so the value is that of N left-to-right
+factors. The renderer emits deterministic canonical text that parses back
+to the same form under the same configuration.
+
+Limits, each raising ParseError at the offending token: an exponent token
+may not exceed MAX_EXPONENT, and parentheses may nest at most MAX_DEPTH
+levels deep. The exponent cap is per '^' token; a nested power such as
+'(x^9999)^9999' is not capped.
 """
 
 from __future__ import annotations
@@ -34,6 +41,12 @@ class ParseError(Exception):
 
 
 _NAMES = frozenset({"x", "dx", "d2x", "q"})
+
+MAX_EXPONENT = 10_000
+"""Largest exponent token accepted after '^'."""
+
+MAX_DEPTH = 100
+"""Deepest parenthesis nesting accepted; each level costs four stack frames."""
 
 Token = tuple[str, str, int]  # kind, text, position
 
@@ -77,6 +90,7 @@ class _Parser:
         self._tokens = tokens
         self._pos = 0
         self._cfg = cfg
+        self._depth = 0
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -121,10 +135,11 @@ class _Parser:
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            out = Form.one(self._cfg.anyonic)
-            for _ in range(int(text)):
-                out = out.mul(base, self._cfg)
-            return out
+            digits = text.lstrip("0") or "0"
+            # the length test keeps int() off tokens too long for it to convert
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
+            return _power(base, int(digits), self._cfg)
         return base
 
     def base(self) -> Form:
@@ -152,13 +167,29 @@ class _Parser:
                 return Form.basis(1, 0, truncated)
             return Form.basis(0, 1, truncated)  # d2x
         if kind == "op" and text == "(":
+            if self._depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", pos)
+            self._depth += 1
             value = self.expr()
             kind, text, pos = self.peek()
             if not (kind == "op" and text == ")"):
                 raise ParseError("expected ')'", pos)
             self.advance()
+            self._depth -= 1
             return value
         raise ParseError("expected 'x', 'dx', 'd2x', 'q', a rational, or '('", pos)
+
+
+def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
+    """base^n by square-and-multiply: at most 2*log2(n) form products."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out.mul(base, cfg)
+        n >>= 1
+        if not n:
+            return Form.one(cfg.anyonic) if out is None else out
+        base = base.mul(base, cfg)
 
 
 def parse(text: str, cfg: CalculusConfig) -> Form:

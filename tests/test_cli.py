@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qforms.cli as cli
 from qforms.checks import SuiteResult
+from qforms.parser import MAX_EXPONENT
 
 
 @pytest.fixture(autouse=True)
@@ -189,3 +197,105 @@ class TestFailureModes:
         code, _ = run_cli(["reduce", "x^"])
         assert code == 2
         assert "position 2" in capsys.readouterr().err
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "expr", [f"x^{MAX_EXPONENT + 1}", "(" * 3000 + "x" + ")" * 3000], ids=["power", "nesting"]
+    )
+    def test_limits_exit_two_with_one_line(self, run_cli, expr, capsys):
+        code, out = run_cli(["reduce", expr])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("qforms:")
+        assert err.count("\n") == 1
+
+    def test_nesting_in_alpha_is_a_configuration_error(self, run_cli, capsys):
+        code, _ = run_cli(["reduce", "x", "--alpha", "(" * 3000 + "2" + ")" * 3000])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qforms: bad --alpha value")
+        assert err.count("\n") == 1
+
+
+def run_isolated(argv):
+    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    def test_parser_is_built_once_per_process(self, run_cli, monkeypatch):
+        built = [0]
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        run_cli(["reduce", "x"])
+        once = built[0]
+        for _ in range(9):
+            run_cli(["diff", "x"])
+        assert once > 0
+        assert built[0] == once
+
+    def test_importing_builds_no_parser(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import qforms.cli as c; print(c._build_parser.cache_info().currsize)"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+    def test_calls_leave_no_state_behind(self, monkeypatch):
+        # (argv, QFORMS_OUTPUT or None); neighbours differ in one setting
+        steps = [
+            (["reduce", "dx*x", "--output", "json"], None),
+            (["reduce", "dx*x"], None),
+            (["reduce", "x^3", "--anyonic"], None),
+            (["reduce", "x^3"], None),
+            (["reduce", "d2x*x", "--alpha", "2"], None),
+            (["reduce", "d2x*x"], None),
+            (["diff", "-n", "2", "x*dx"], None),
+            (["diff", "x*dx"], None),
+            (["grade", "x + dx"], "json"),
+            (["grade", "x + dx"], None),
+            (["reduce", "x^"], None),
+            (["reduce", "x"], None),
+            (["reduce", "x", "--alpha", "1+"], None),
+            (["reduce", "x"], None),
+            (["diff", "-n", "two", "x"], None),
+            (["diff", "x"], None),
+            (["closed", "x*d2x + dx^2", "--output", "json"], None),
+            (["closed", "x"], None),
+        ]
+
+        def run_step(argv, env):
+            if env is None:
+                monkeypatch.delenv("QFORMS_OUTPUT", raising=False)
+            else:
+                monkeypatch.setenv("QFORMS_OUTPUT", env)
+            return run_isolated(argv)
+
+        interleaved = [run_step(argv, env) for argv, env in steps]
+        alone = []
+        for argv, env in steps:
+            cli._build_parser.cache_clear()
+            alone.append(run_step(argv, env))
+        assert interleaved == alone
+        codes = [code for code, _, _ in alone]
+        assert {0, 2, 3} <= set(codes)
+        usage_error = alone[steps.index((["diff", "-n", "two", "x"], None))]
+        assert usage_error[0] == 2
+        assert usage_error[2].startswith("usage: qforms diff")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import string
+from fractions import Fraction
 
 import pytest
 
@@ -11,12 +12,46 @@ from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
 from qforms.forms import Form
-from qforms.parser import ParseError, parse, parse_scalar, render
+from qforms.parser import MAX_DEPTH, MAX_EXPONENT, ParseError, parse, parse_scalar, render
 from qforms.polynomial import Poly
 
 CFG_Q = CalculusConfig(Q)
 CFG_1 = CalculusConfig(ONE)
 CFG_ANY = CalculusConfig(Q, anyonic=True)
+
+POWER_CFGS = [
+    CFG_Q,
+    CFG_ANY,
+    CalculusConfig(CycQ(2)),
+    CalculusConfig(CycQ(1, 1)),
+    CFG_1,
+    CalculusConfig(CycQ(1, 2)),
+    CalculusConfig(CycQ(Fraction(-3, 7), Fraction(5, 7))),
+    CalculusConfig(CycQ(-1)),
+]
+POWER_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7", "-1"]
+
+
+def repeated_product(base, n, cfg):
+    """Reference power: n form products, left to right from 1."""
+    out = Form.one(cfg.anyonic)
+    for _ in range(n):
+        out = out.mul(base, cfg)
+    return out
+
+
+@pytest.fixture
+def count_form_products(monkeypatch):
+    """Count Form.mul calls; returns a one-element list holding the count."""
+    calls = [0]
+    mul = Form.mul
+
+    def counting_mul(self, other, cfg):
+        calls[0] += 1
+        return mul(self, other, cfg)
+
+    monkeypatch.setattr(Form, "mul", counting_mul)
+    return calls
 
 
 class TestParseExamples:
@@ -113,6 +148,57 @@ class TestParseErrors:
             except ParseError:
                 continue
             assert isinstance(result, Form)
+
+
+class TestPowers:
+    @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
+    def test_matches_the_repeated_product(self, cfg):
+        rng = random.Random(61)
+        multi_term = words = 0
+        for _ in range(8):
+            u = random_form(rng, cfg, max_degree=1, max_d2x=1, max_terms=2)
+            n = rng.randint(0, 20)
+            multi_term += any(len(poly.terms()) > 1 for _, poly in u.terms())
+            words += any(mon.dx or mon.d2x for mon, _ in u.terms())
+            assert parse(f"({render(u)})^{n}", cfg) == repeated_product(u, n, cfg)
+        assert multi_term and words  # the samples exercise both
+
+    def test_products_grow_logarithmically(self, count_form_products):
+        # square-and-multiply: 7 squarings; the repeated product makes 128
+        assert parse("x^128", CFG_Q) == Form.from_poly(Poly.monomial(128))
+        assert count_form_products[0] <= 15
+
+    def test_exponent_at_the_cap(self):
+        u = parse(f"x^{MAX_EXPONENT}", CFG_Q)
+        assert u == Form.from_poly(Poly.monomial(MAX_EXPONENT))
+
+    def test_exponent_past_the_cap_computes_nothing(self, count_form_products):
+        with pytest.raises(ParseError, match="exponent") as err:
+            parse(f"x^{MAX_EXPONENT + 1}", CFG_Q)
+        assert err.value.position == 2
+        assert count_form_products[0] == 0
+
+    def test_exponent_tokens_of_any_length(self):
+        assert parse("x^" + "0" * 5000 + "3", CFG_Q) == parse("x^3", CFG_Q)
+        with pytest.raises(ParseError, match="exponent"):
+            parse("x^" + "9" * 5000, CFG_Q)
+
+
+class TestNesting:
+    def test_at_the_depth_limit(self):
+        text = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        assert parse(text, CFG_Q) == parse("x", CFG_Q)
+
+    @pytest.mark.parametrize("levels", [MAX_DEPTH + 1, 3000])
+    def test_past_the_depth_limit(self, levels):
+        text = "(" * levels + "x" + ")" * levels
+        with pytest.raises(ParseError, match="nest") as err:
+            parse(text, CFG_Q)
+        assert err.value.position == MAX_DEPTH  # the first '(' past the limit
+
+    def test_sequential_groups_do_not_add_up(self):
+        group = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        assert parse(f"{group}*{group}", CFG_Q) == parse("x^2", CFG_Q)
 
 
 class TestScalars:
