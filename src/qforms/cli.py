@@ -15,7 +15,6 @@ import sys
 
 from .calculus import CalculusConfig
 from .checks import SUITE_NAMES, run_suites
-from .cyclotomic import Q
 from .differential import differential_power, is_closed
 from .parser import ParseError, parse, parse_scalar, render
 from .polynomial import ModeMismatchError
@@ -92,8 +91,6 @@ def _configure(args: argparse.Namespace) -> tuple[CalculusConfig, str]:
         alpha = parse_scalar(args.alpha)
     except (ParseError, ValueError) as exc:
         raise _ConfigError(f"bad --alpha value: {exc}") from exc
-    if args.anyonic and alpha != Q:
-        raise _ConfigError("--anyonic requires alpha = q")
     if args.seed < 0:
         raise _ConfigError("--seed must be nonnegative")
     if args.samples < 1:
@@ -115,12 +112,8 @@ def _emit_form(form, output: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # CalculusConfig raises ModeMismatchError for --anyonic off alpha = q
         cfg, output = _configure(args)
-    except _ConfigError as exc:
-        print(f"qforms: {exc}", file=sys.stderr)
-        return EXIT_MODE_ERROR
-
-    try:
         if args.command == "reduce":
             _emit_form(parse(args.expr, cfg), output)
             return EXIT_OK
@@ -147,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"qforms: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except ModeMismatchError as exc:
+    except (_ConfigError, ModeMismatchError) as exc:
         print(f"qforms: {exc}", file=sys.stderr)
         return EXIT_MODE_ERROR
 

@@ -8,6 +8,7 @@ denominator, in canonical form: d > 0, gcd(a, b, d) == 1, and zero is
 (0, 0, 1). Almost every scalar the engine meets is an Eisenstein integer
 (d == 1), for which arithmetic is a handful of int operations and the gcd
 is skipped. The properties a and b give the rational parts as Fractions.
+The text of a scalar comes from parser.scalar_text.
 """
 
 from __future__ import annotations
@@ -36,10 +37,6 @@ class CycQ:
     @property
     def b(self) -> Fraction:
         return Fraction(self._b, self._d)
-
-    @classmethod
-    def from_int(cls, n: int) -> CycQ:
-        return cls(n, 0)
 
     def is_zero(self) -> bool:
         return not self._a and not self._b
@@ -139,19 +136,9 @@ class CycQ:
         return out
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        a, b = self.a, self.b
-        if not b:
-            return str(a)
-        if not a:
-            if b == 1:
-                return "q"
-            if b == -1:
-                return "-q"
-            return f"{b}*q"
-        sign = "+" if b > 0 else "-"
-        return f"{a}{sign}{abs(b)}*q"
+        from .parser import scalar_text  # local import avoids a module cycle
+
+        return scalar_text(self)
 
     def __repr__(self) -> str:
         return f"CycQ({self.a}, {self.b})"

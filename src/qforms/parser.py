@@ -1,4 +1,4 @@
-"""Text front end for forms: parsing and canonical rendering.
+"""Text front end: parsing, and the canonical text of every value.
 
 Grammar (whitespace insignificant):
 
@@ -13,12 +13,19 @@ tighter than '+' and '-'; '*' evaluates left to right through the form
 product, so re-associating a product cannot change the parsed value.
 'base^N' is computed by repeated squaring, O(log N) form products; the
 product is associative and exact, so the value is that of N left-to-right
-factors. The renderer emits deterministic canonical text that parses back
-to the same form under the same configuration.
+factors.
 
-Limits, each raising ParseError at the offending token: an exponent token
-may not exceed MAX_EXPONENT, and parentheses may nest at most MAX_DEPTH
-levels deep. The exponent cap is per '^' token; a nested power such as
+All canonical text is written here: render for forms, poly_text for
+coefficient polynomials (Poly.__str__) and scalar_text for scalars
+(CycQ.__str__). Each is built from one primitive, the sign and unsigned
+text of coeff * tail, where an empty tail is a bare scalar, and one join:
+' + '/' - ' between form terms, '+'/'-' inside a coefficient. Rendered text
+parses back to the same form under the same configuration.
+
+Limits, each raising ParseError at the offending token: an integer literal
+may have at most MAX_DIGITS significant digits, an exponent token may not
+exceed MAX_EXPONENT, and parentheses may nest at most MAX_DEPTH levels
+deep. The exponent cap is per '^' token; a nested power such as
 '(x^9999)^9999' is not capped.
 """
 
@@ -29,7 +36,7 @@ from fractions import Fraction
 from .calculus import CalculusConfig
 from .cyclotomic import CycQ, Q
 from .forms import Form, FormMonomial
-from .polynomial import Poly, product_text
+from .polynomial import Poly
 
 
 class ParseError(Exception):
@@ -48,6 +55,9 @@ MAX_EXPONENT = 10_000
 MAX_DEPTH = 100
 """Deepest parenthesis nesting accepted; each level costs four stack frames."""
 
+MAX_DIGITS = 4_300
+"""Most significant digits in an integer literal; CPython's default int/str limit."""
+
 Token = tuple[str, str, int]  # kind, text, position
 
 
@@ -59,9 +69,9 @@ def _tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -146,7 +156,7 @@ class _Parser:
         truncated = self._cfg.anyonic
         kind, text, pos = self.advance()
         if kind == "int":
-            numerator = int(text)
+            numerator = _literal(text, pos)
             kind, slash, _ = self.peek()
             if kind == "op" and slash == "/":
                 self.advance()
@@ -154,9 +164,10 @@ class _Parser:
                 if kind != "int":
                     raise ParseError("expected a denominator", denom_pos)
                 self.advance()
-                if int(denom_text) == 0:
+                denominator = _literal(denom_text, denom_pos)
+                if not denominator:
                     raise ParseError("zero denominator", denom_pos)
-                return Form.scalar(Fraction(numerator, int(denom_text)), truncated)
+                return Form.scalar(Fraction(numerator, denominator), truncated)
             return Form.scalar(numerator, truncated)
         if kind == "name":
             if text == "x":
@@ -178,6 +189,14 @@ class _Parser:
             self._depth -= 1
             return value
         raise ParseError("expected 'x', 'dx', 'd2x', 'q', a rational, or '('", pos)
+
+
+def _literal(text: str, pos: int) -> int:
+    """The value of an integer token, checked against MAX_DIGITS before int() sees it."""
+    digits = text.lstrip("0") or "0"
+    if len(digits) > MAX_DIGITS:
+        raise ParseError(f"integer literal exceeds the limit of {MAX_DIGITS} digits", pos)
+    return int(digits)
 
 
 def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
@@ -230,56 +249,68 @@ def render(u: Form) -> str:
     """
     pieces: list[tuple[str, str]] = []
     for mon, poly in u.terms():
-        if mon.dx == 0 and mon.d2x == 0:
-            pieces.extend(_poly_pieces(poly))
-        else:
-            pieces.append(_term_piece(poly, mon))
+        terms = poly.terms()
+        if (mon.dx or mon.d2x) and len(terms) > 1:
+            pieces.append(("+", f"({poly_text(poly)})*{_word(0, mon.dx, mon.d2x)}"))
+            continue
+        for degree, coeff in terms:
+            tail = _word(degree, mon.dx, mon.d2x)
+            if tail:
+                pieces.append(_piece(coeff, tail))
+                continue
+            # a constant at the empty word splits into its rational and q parts
+            if coeff.a:
+                pieces.append(_signed(coeff.a, ""))
+            if coeff.b:
+                pieces.append(_signed(coeff.b, "q"))
+    return _join(pieces, " ")
+
+
+def poly_text(poly: Poly) -> str:
+    """Canonical text of a coefficient polynomial, e.g. '1-1*q+x^2'."""
+    return _join([_piece(coeff, _word(degree)) for degree, coeff in poly.terms()], "")
+
+
+def scalar_text(value: CycQ) -> str:
+    """Canonical text of a scalar, e.g. '-1/2', 'q' or '1-1*q'."""
+    return _join([_piece(value, "")], "")
+
+
+def _join(pieces: list[tuple[str, str]], gap: str) -> str:
+    """Signed pieces as one sum; gap pads the signs after the first piece."""
     if not pieces:
         return "0"
     sign, text = pieces[0]
-    rendered = [("-" + text) if sign == "-" else text]
-    for sign, text in pieces[1:]:
-        rendered.append(f" {sign} {text}")
-    return "".join(rendered)
+    out = ["-" + text if sign == "-" else text]
+    out.extend(f"{gap}{sign}{gap}{text}" for sign, text in pieces[1:])
+    return "".join(out)
 
 
-def _power_text(name: str, power: int) -> str:
-    return name if power == 1 else f"{name}^{power}"
+def _piece(coeff: CycQ, tail: str) -> tuple[str, str]:
+    """Sign and unsigned text of coeff * tail; an empty tail is a bare scalar."""
+    a, b = coeff.a, coeff.b
+    if not b:
+        return _signed(a, tail)
+    if not a:
+        return _signed(b, f"q*{tail}" if tail else "q")
+    # a mixed scalar shows both magnitudes, 1 included, and is parenthesized
+    # before a tail: 1-1*q, (1-1*q)*x
+    text = f"{a}{'-' if b < 0 else '+'}{abs(b)}*q"
+    if tail:
+        return "+", f"({text})*{tail}"
+    return ("-", text[1:]) if a < 0 else ("+", text)
 
 
-def _monomial_text(mon: FormMonomial) -> str:
-    parts: list[str] = []
-    if mon.dx:
-        parts.append(_power_text("dx", mon.dx))
-    if mon.d2x:
-        parts.append(_power_text("d2x", mon.d2x))
-    return "*".join(parts)
+def _signed(value: Fraction, tail: str) -> tuple[str, str]:
+    """Sign and unsigned text of value * tail for a rational value."""
+    mag = abs(value)
+    sign = "-" if value < 0 else "+"
+    if not tail:
+        return sign, str(mag)
+    return sign, tail if mag == 1 else f"{mag}*{tail}"
 
 
-def _poly_pieces(poly: Poly) -> list[tuple[str, str]]:
-    """Signed pieces of a grade-0 coefficient, spliced into the form-level sum."""
-    pieces: list[tuple[str, str]] = []
-    for degree, coeff in poly.terms():
-        if degree == 0:
-            # mixed constants split into their rational and q-multiple parts
-            if coeff.a:
-                sign = "+" if coeff.a > 0 else "-"
-                pieces.append((sign, str(abs(coeff.a))))
-            if coeff.b:
-                sign = "+" if coeff.b > 0 else "-"
-                mag = abs(coeff.b)
-                pieces.append((sign, "q" if mag == 1 else f"{mag}*q"))
-        else:
-            pieces.append(product_text(coeff, _power_text("x", degree)))
-    return pieces
-
-
-def _term_piece(poly: Poly, mon: FormMonomial) -> tuple[str, str]:
-    word = _monomial_text(mon)
-    terms = poly.terms()
-    if len(terms) > 1:
-        return "+", f"({poly})*{word}"
-    degree, coeff = terms[0]
-    if degree:
-        word = f"{_power_text('x', degree)}*{word}"
-    return product_text(coeff, word)
+def _word(degree: int, dx: int = 0, d2x: int = 0) -> str:
+    """Text of the word x^degree * dx^dx * d2x^d2x without its zero powers; '' if all are 0."""
+    powers = (("x", degree), ("dx", dx), ("d2x", d2x))
+    return "*".join(name if n == 1 else f"{name}^{n}" for name, n in powers if n)

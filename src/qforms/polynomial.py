@@ -4,7 +4,7 @@ A Poly carries a truncation flag: truncated values live in the quotient by
 x**3 == 0 and degrees of three or more are discarded on construction and
 multiplication. Values of different modes never mix; combining them raises
 ModeMismatchError. Instances are immutable and stored canonically (no zero
-coefficients, no negative degrees).
+coefficients, no negative degrees). Their text comes from parser.poly_text.
 """
 
 from __future__ import annotations
@@ -139,35 +139,9 @@ class Poly:
         return Poly({d: factor * c for d, c in self._coeffs.items()}, self._truncated)
 
     def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        out: list[str] = []
-        for degree, coeff in self.terms():
-            if degree == 0:
-                # ascending order puts the constant first, so its own sign leads
-                out.append(str(coeff))
-                continue
-            sign, text = product_text(coeff, "x" if degree == 1 else f"x^{degree}")
-            if not out:
-                out.append(text if sign == "+" else "-" + text)
-            else:
-                out.append(sign + text)
-        return "".join(out)
+        from .parser import poly_text  # local import avoids a module cycle
+
+        return poly_text(self)
 
     def __repr__(self) -> str:
         return f"Poly({self.__str__()!r}, truncated={self._truncated})"
-
-
-def product_text(coeff: CycQ, tail: str) -> tuple[str, str]:
-    """Sign character and unsigned text for coeff * tail, tail a nonempty word."""
-    if coeff.a and coeff.b:
-        # mixed scalars keep their own signs inside parentheses
-        return "+", f"({coeff})*{tail}"
-    if coeff.b:
-        sign = "+" if coeff.b > 0 else "-"
-        mag = abs(coeff.b)
-        qtext = "q" if mag == 1 else f"{mag}*q"
-        return sign, f"{qtext}*{tail}"
-    sign = "+" if coeff.a > 0 else "-"
-    mag = abs(coeff.a)
-    return sign, tail if mag == 1 else f"{mag}*{tail}"

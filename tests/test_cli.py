@@ -15,7 +15,7 @@ import pytest
 
 import qforms.cli as cli
 from qforms.checks import SuiteResult
-from qforms.parser import MAX_EXPONENT
+from qforms.parser import MAX_DIGITS, MAX_EXPONENT
 
 
 @pytest.fixture(autouse=True)
@@ -201,7 +201,15 @@ class TestFailureModes:
 
 class TestLimits:
     @pytest.mark.parametrize(
-        "expr", [f"x^{MAX_EXPONENT + 1}", "(" * 3000 + "x" + ")" * 3000], ids=["power", "nesting"]
+        "expr",
+        [
+            f"x^{MAX_EXPONENT + 1}",
+            "(" * 3000 + "x" + ")" * 3000,
+            "1" * (MAX_DIGITS + 1),
+            "\u00b2",
+            "x^\u00b2",
+        ],
+        ids=["power", "nesting", "literal", "superscript", "superscript-exponent"],
     )
     def test_limits_exit_two_with_one_line(self, run_cli, expr, capsys):
         code, out = run_cli(["reduce", expr])
@@ -216,6 +224,14 @@ class TestLimits:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("qforms: bad --alpha value")
+        assert err.count("\n") == 1
+
+    def test_long_literal_in_alpha_is_a_configuration_error(self, run_cli, capsys):
+        code, _ = run_cli(["reduce", "x", "--alpha", "1/" + "1" * (MAX_DIGITS + 1)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("qforms: bad --alpha value")
+        assert "position 2" in err
         assert err.count("\n") == 1
 
 

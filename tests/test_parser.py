@@ -11,8 +11,17 @@ import pytest
 from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
-from qforms.forms import Form
-from qforms.parser import MAX_DEPTH, MAX_EXPONENT, ParseError, parse, parse_scalar, render
+from qforms.differential import differential
+from qforms.forms import Form, FormMonomial
+from qforms.parser import (
+    MAX_DEPTH,
+    MAX_DIGITS,
+    MAX_EXPONENT,
+    ParseError,
+    parse,
+    parse_scalar,
+    render,
+)
 from qforms.polynomial import Poly
 
 CFG_Q = CalculusConfig(Q)
@@ -38,6 +47,115 @@ def repeated_product(base, n, cfg):
     for _ in range(n):
         out = out.mul(base, cfg)
     return out
+
+
+# The renderer as three modules wrote it before the text path was merged:
+# CycQ.__str__, Poly.__str__, polynomial.product_text and the parser's
+# render helpers. The reference for TestAgainstLegacyRenderer.
+
+
+def legacy_scalar_str(c):
+    if c.is_zero():
+        return "0"
+    a, b = c.a, c.b
+    if not b:
+        return str(a)
+    if not a:
+        if b == 1:
+            return "q"
+        if b == -1:
+            return "-q"
+        return f"{b}*q"
+    sign = "+" if b > 0 else "-"
+    return f"{a}{sign}{abs(b)}*q"
+
+
+def legacy_product_text(coeff, tail):
+    if coeff.a and coeff.b:
+        return "+", f"({legacy_scalar_str(coeff)})*{tail}"
+    if coeff.b:
+        sign = "+" if coeff.b > 0 else "-"
+        mag = abs(coeff.b)
+        qtext = "q" if mag == 1 else f"{mag}*q"
+        return sign, f"{qtext}*{tail}"
+    sign = "+" if coeff.a > 0 else "-"
+    mag = abs(coeff.a)
+    return sign, tail if mag == 1 else f"{mag}*{tail}"
+
+
+def legacy_poly_str(poly):
+    if poly.is_zero():
+        return "0"
+    out = []
+    for degree, coeff in poly.terms():
+        if degree == 0:
+            out.append(legacy_scalar_str(coeff))
+            continue
+        sign, text = legacy_product_text(coeff, "x" if degree == 1 else f"x^{degree}")
+        if not out:
+            out.append(text if sign == "+" else "-" + text)
+        else:
+            out.append(sign + text)
+    return "".join(out)
+
+
+def legacy_power_text(name, power):
+    return name if power == 1 else f"{name}^{power}"
+
+
+def legacy_monomial_text(mon):
+    parts = []
+    if mon.dx:
+        parts.append(legacy_power_text("dx", mon.dx))
+    if mon.d2x:
+        parts.append(legacy_power_text("d2x", mon.d2x))
+    return "*".join(parts)
+
+
+def legacy_poly_pieces(poly):
+    pieces = []
+    for degree, coeff in poly.terms():
+        if degree == 0:
+            if coeff.a:
+                pieces.append(("+" if coeff.a > 0 else "-", str(abs(coeff.a))))
+            if coeff.b:
+                mag = abs(coeff.b)
+                pieces.append(("+" if coeff.b > 0 else "-", "q" if mag == 1 else f"{mag}*q"))
+        else:
+            pieces.append(legacy_product_text(coeff, legacy_power_text("x", degree)))
+    return pieces
+
+
+def legacy_term_piece(poly, mon):
+    word = legacy_monomial_text(mon)
+    terms = poly.terms()
+    if len(terms) > 1:
+        return "+", f"({legacy_poly_str(poly)})*{word}"
+    degree, coeff = terms[0]
+    if degree:
+        word = f"{legacy_power_text('x', degree)}*{word}"
+    return legacy_product_text(coeff, word)
+
+
+def legacy_render(u):
+    pieces = []
+    for mon, poly in u.terms():
+        if mon.dx == 0 and mon.d2x == 0:
+            pieces.extend(legacy_poly_pieces(poly))
+        else:
+            pieces.append(legacy_term_piece(poly, mon))
+    if not pieces:
+        return "0"
+    sign, text = pieces[0]
+    rendered = [("-" + text) if sign == "-" else text]
+    for sign, text in pieces[1:]:
+        rendered.append(f" {sign} {text}")
+    return "".join(rendered)
+
+
+def legacy_form_repr(u):
+    mode = "anyonic" if u.truncated else "generic"
+    return f"<Form {legacy_render(u)!r} mode={mode}>"
 
 
 @pytest.fixture
@@ -126,6 +244,8 @@ class TestParseErrors:
             ("", 0),
             ("x^", 2),
             ("2 x", 2),
+            ("\u00b2", 0),
+            ("x^\u00b2", 2),
         ],
     )
     def test_positioned_errors(self, text, position):
@@ -136,6 +256,22 @@ class TestParseErrors:
     def test_messages_name_the_position(self):
         with pytest.raises(ParseError, match=r"at position 2"):
             parse("x^-2", CFG_Q)
+
+    def test_literal_at_the_digit_limit(self):
+        digits = "7" * MAX_DIGITS
+        assert parse(digits, CFG_Q) == Form.scalar(int(digits))
+        assert parse(f"1/{digits}", CFG_Q) == Form.scalar(Fraction(1, int(digits)))
+        assert parse("0" * 5000 + "3", CFG_Q) == Form.scalar(3)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("7" * (MAX_DIGITS + 1), 0), ("1/" + "7" * (MAX_DIGITS + 1), 2)],
+        ids=["numerator", "denominator"],
+    )
+    def test_literal_past_the_digit_limit(self, text, position):
+        with pytest.raises(ParseError, match="digits") as err:
+            parse(text, CFG_Q)
+        assert err.value.position == position
 
     def test_totality_under_fuzz(self):
         # parsing either returns a form or raises ParseError, never crashes
@@ -237,6 +373,102 @@ class TestRender:
         for text in ["-1 - q", "(1+x)*dx", "q*x*dx - dx^2", "1/2*x^2*d2x^2"]:
             u = parse(text, CFG_1)
             assert parse(render(u), CFG_1) == u
+
+
+def random_scalar(rng):
+    """A scalar of one of five shapes: zero, rational, q-multiple, mixed with |b| = 1, mixed."""
+    shape = rng.randrange(5)
+    part = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 1, 2, 3, 7]))
+    if shape == 0:
+        return CycQ(0)
+    if shape == 1:
+        return CycQ(part)
+    if shape == 2:
+        return CycQ(0, part)
+    if shape == 3:
+        return CycQ(part, rng.choice([-1, 1]))
+    return CycQ(part, Fraction(rng.randint(-9, 9) or 1, rng.choice([1, 2, 5])))
+
+
+def random_text_poly(rng, truncated):
+    degrees = rng.sample(range(5), rng.randint(0, 3))
+    return Poly({d: random_scalar(rng) for d in degrees}, truncated)
+
+
+def random_text_form(rng, truncated):
+    words = [(k, m) for k in range(3) for m in range(3)]
+    chosen = rng.sample(words, rng.randint(0, 3))
+    return Form({w: random_text_poly(rng, truncated) for w in chosen}, truncated)
+
+
+class TestAgainstLegacyRenderer:
+    """The merged text path writes exactly what the three old renderers wrote."""
+
+    def test_scalars(self):
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(500):
+            c = random_scalar(rng)
+            assert str(c) == legacy_scalar_str(c)
+            a, b = c.a, c.b
+            seen.add("zero" if not c else "negative" if (a or b) < 0 else "positive")
+            if a.denominator > 1 or b.denominator > 1:
+                seen.add("fraction part")
+            if a and abs(b) == 1:
+                seen.add("mixed, |b| = 1")
+        assert seen == {"zero", "negative", "positive", "fraction part", "mixed, |b| = 1"}
+
+    def test_polynomials(self):
+        rng = random.Random(73)
+        seen = set()
+        for _ in range(500):
+            poly = random_text_poly(rng, rng.random() < 0.3)
+            assert str(poly) == legacy_poly_str(poly)
+            assert repr(poly) == f"Poly({legacy_poly_str(poly)!r}, truncated={poly.truncated})"
+            if legacy_poly_str(poly).startswith("-"):
+                seen.add("negative leading term")
+            constant = poly.coefficient(0)
+            if constant.a and constant.b:
+                seen.add("mixed constant")
+        assert seen == {"negative leading term", "mixed constant"}
+
+    def test_forms(self):
+        rng = random.Random(79)
+        seen = set()
+        for _ in range(500):
+            u = random_text_form(rng, rng.random() < 0.3)
+            assert render(u) == legacy_render(u)
+            assert repr(u) == legacy_form_repr(u)
+            for mon, poly in u.terms():
+                if mon != FormMonomial(0, 0) and len(poly.terms()) > 1:
+                    seen.add("multi-term coefficient on a word")
+                constant = poly.coefficient(0)
+                if mon == FormMonomial(0, 0) and constant.a and constant.b:
+                    seen.add("split constant")
+            if legacy_render(u).startswith("-"):
+                seen.add("negative leading term")
+            if u.is_zero():
+                seen.add("zero")
+        assert seen == {
+            "multi-term coefficient on a word",
+            "split constant",
+            "negative leading term",
+            "zero",
+        }
+
+    @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
+    def test_products_and_differentials(self, cfg):
+        rng = random.Random(83)
+        for _ in range(40):
+            u = random_form(rng, cfg, max_degree=3, max_d2x=2)
+            v = random_form(rng, cfg, max_degree=3, max_d2x=2)
+            for w in (u.mul(v, cfg), differential(u, cfg)):
+                assert render(w) == legacy_render(w)
+                assert repr(w) == legacy_form_repr(w)
+                for _, poly in w.terms():
+                    assert str(poly) == legacy_poly_str(poly)
+                    for _, coeff in poly.terms():
+                        assert str(coeff) == legacy_scalar_str(coeff)
 
 
 @pytest.mark.parametrize(
