@@ -6,11 +6,18 @@ Leibniz rule
 
     derivative(f*g) == derivative(f)*g + twist(f)*derivative(g).
 
-On monomials this collapses to derivative(x**m) == q_number(m, alpha) *
-x**(m-1) where q_number(m, alpha) is the geometric sum 1 + alpha + ... +
+Both are diagonal on monomials, so every map here is one pass over the
+coefficients:
+
+    twist_power(x**m, n) == alpha**(m*n) * x**m     (twist applied n times)
+    derivative(x**m)     == q_number(m, alpha) * x**(m-1)
+
+where q_number(m, alpha) is the geometric sum 1 + alpha + ... +
 alpha**(m-1). The q-bracket measures how far the derivative is from scaling
-homogeneously under the twist; it vanishes identically exactly when
-alpha == q.
+homogeneously under the twist. On monomials it is
+q_number(m, alpha) * alpha**(m-1) * (alpha - q) * x**(m-1), so it vanishes
+identically exactly when alpha == q; q_bracket itself keeps the definition
+so that the Proposition 2 check evaluates it.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ class CalculusConfig:
     def truncated(self) -> bool:
         return self.anyonic
 
+    def alpha_power(self, n: int) -> CycQ:
+        """alpha**n, from the shared cache."""
+        return _alpha_power(self.alpha, n)
+
 
 def _require_mode(f: Poly, cfg: CalculusConfig) -> None:
     if f.truncated != cfg.anyonic:
@@ -72,16 +83,28 @@ def q_number(k: int, alpha: CycQ) -> CycQ:
 
 def twist(f: Poly, cfg: CalculusConfig) -> Poly:
     """Apply the endomorphism x -> alpha*x, scaling degree m by alpha**m."""
+    return twist_power(f, 1, cfg)
+
+
+def twist_power(f: Poly, n: int, cfg: CalculusConfig) -> Poly:
+    """Apply the twist n >= 0 times in one pass, x**m -> alpha**(m*n) * x**m."""
     _require_mode(f, cfg)
+    if n < 0:
+        raise ValueError("twist_power needs n >= 0")
+    if n == 0:
+        return f
     alpha = cfg.alpha
-    return Poly({m: _alpha_power(alpha, m) * c for m, c in f.terms()}, f.truncated)
+    return Poly._trusted(
+        {m: _alpha_power(alpha, m * n) * c for m, c in f.items()}, f.truncated
+    )
 
 
 def derivative(f: Poly, cfg: CalculusConfig) -> Poly:
     """Twisted derivative, x**m -> q_number(m, alpha) * x**(m-1)."""
     _require_mode(f, cfg)
-    return Poly(
-        {m - 1: q_number(m, cfg.alpha) * c for m, c in f.terms() if m >= 1},
+    alpha = cfg.alpha
+    return Poly._trusted(
+        {m - 1: q_number(m, alpha) * c for m, c in f.items() if m >= 1},
         f.truncated,
     )
 

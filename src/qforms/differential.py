@@ -40,10 +40,15 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
 
 
 def differential_power(u: Form, n: int, cfg: CalculusConfig) -> Form:
-    """Apply the differential n times; n == 0 returns u unchanged."""
+    """Apply the differential n times; n == 0 returns u unchanged.
+
+    Stops once the form is zero (d(0) == 0), so a large n costs nothing extra.
+    """
     if n < 0:
         raise ValueError("cannot apply the differential a negative number of times")
     for _ in range(n):
+        if u.is_zero():
+            break
         u = differential(u, cfg)
     return u
 

@@ -20,7 +20,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .calculus import CalculusConfig, q_bracket, twist
+from .calculus import CalculusConfig, derivative, twist_power
 from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
 from .polynomial import ModeMismatchError, Poly
 
@@ -228,25 +228,30 @@ class Form:
     def from_dict(cls, data: Mapping) -> Form:
         """Inverse of to_dict; repeated words add up.
 
-        Raises ValueError for an unknown mode, for a dx, d2x, degree,
-        numerator or denominator that is not an int (bool and float
-        included), for a zero denominator, for a dx power outside {0, 1, 2}
-        or a negative d2x power or degree, and, in anyonic mode, for a
-        degree of 3 or more, which x**3 == 0 would silently drop.
+        Raises ValueError, and no other exception, for any input that is not
+        such an encoding: a top level or term that is not a mapping, a missing
+        field, terms or coeff that is not a list, a coefficient entry that is
+        not a [degree, quadruple] pair or a quadruple without four entries,
+        an unknown mode, a dx, d2x, degree, numerator or denominator that is
+        not an int (bool and float included), a zero denominator, a dx power
+        outside {0, 1, 2} or a negative d2x power or degree, and, in anyonic
+        mode, a degree of 3 or more, which x**3 == 0 would silently drop.
         """
-        mode = data.get("mode")
+        mode = _json_field(data, "mode")
         if mode not in ("generic", "anyonic"):
             raise ValueError(f"unknown mode {mode!r}")
         truncated = mode == "anyonic"
         terms: dict[FormMonomial, Poly] = {}
-        for entry in data.get("terms", ()):
-            mon = FormMonomial(_json_int(entry["dx"]), _json_int(entry["d2x"]))
+        for entry in _json_list(data.get("terms", [])):
+            dx, d2x = _json_field(entry, "dx"), _json_field(entry, "d2x")
+            mon = FormMonomial(_json_int(dx), _json_int(d2x))
             coeffs: dict[int, CycQ] = {}
-            for degree, quadruple in entry["coeff"]:
+            for pair in _json_list(_json_field(entry, "coeff")):
+                degree, quadruple = _json_list(pair, 2)
                 degree = _json_int(degree)
                 if truncated and degree >= 3:
                     raise ValueError(f"degree {degree} does not exist in anyonic mode")
-                a_num, a_den, b_num, b_den = map(_json_int, quadruple)
+                a_num, a_den, b_num, b_den = map(_json_int, _json_list(quadruple, 4))
                 if not a_den or not b_den:
                     raise ValueError("zero denominator")
                 coeffs[degree] = from_ratios(a_num, a_den, b_num, b_den)
@@ -269,6 +274,22 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _json_list(value: object, length: int | None = None) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"expected a list of {length} entries, got {value!r}")
+    return value
+
+
+def _json_field(data: object, key: str) -> object:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a mapping, got {data!r}")
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
 def swap_scalar(d2x_power: int, dx_power: int) -> CycQ:
     """Scalar with d2x**r * dx**j == scalar * dx**j * d2x**r, namely q**(2*r*j).
 
@@ -287,24 +308,26 @@ def _push_left(k: int, m: int, g: Poly, cfg: CalculusConfig) -> list[tuple[FormM
 
     Each d2x that g passes yields a twisted word and a q-bracket word carrying
     dx**2. A bracket word dies at the next bracket (dx**4 == 0) and under any
-    dx in front (k >= 1), so at most one bracket is ever taken and only
-    twist**(m+k)(g) * dx**k * d2x**m and, when k == 0, one dx**2 * d2x**(m-1)
-    word come out. Taking the bracket at copy i from the right leaves
-    alpha**i * q**(m-1-i) * twist**(m-1)(q_bracket(g)) on that word: alpha**i
-    because q_bracket(twist(f)) == alpha * twist(q_bracket(f)), and q per copy
-    further left because d2x * dx**2 == q**4 * dx**2 * d2x and q**3 == 1.
+    dx in front (k >= 1), so at most one bracket is ever taken. The twisted
+    word is twist**(m+k)(g) * dx**k * d2x**m. When k == 0, taking the bracket
+    at copy i from the right leaves alpha**i * q**(m-1-i) *
+    twist**(m-1)(q_bracket(g)) on dx**2 * d2x**(m-1): alpha**i because
+    q_bracket(twist(f)) == alpha * twist(q_bracket(f)), and q per copy further
+    left because d2x * dx**2 == q**4 * dx**2 * d2x and q**3 == 1. Since
+    q_bracket(f) == (alpha - q) * twist(derivative(f)) and the sum over i is
+    (alpha**m - q**m) / (alpha - q), that word is
+
+        (alpha**m - q**m) * twist**m(derivative(g)),
+
+    whose factor is zero at alpha == q (and at alpha == q**2 when 3 | m).
     """
-    top = g
-    for _ in range(m + k):
-        top = twist(top, cfg)
-    words = [(FormMonomial(k, m), top)]
+    words = [(FormMonomial(k, m), twist_power(g, m + k, cfg))]
     if k == 0 and m:
-        low = q_bracket(g, cfg)  # zero whenever alpha == q
-        if low:
-            for _ in range(m - 1):
-                low = twist(low, cfg)
-            scale = sum((cfg.alpha**i * q_power(m - 1 - i) for i in range(m)), CycQ(0))
-            words.append((FormMonomial(2, m - 1), scale * low))
+        scale = cfg.alpha_power(m) - q_power(m)
+        if scale:
+            low = derivative(g, cfg)
+            if low:
+                words.append((FormMonomial(2, m - 1), twist_power(low, m, cfg).scale(scale)))
     return words
 
 

@@ -7,6 +7,7 @@ Grammar (whitespace insignificant):
     factor   := base ('^' uint)?
     base     := 'x' | 'dx' | 'd2x' | 'q' | rational | '(' expr ')'
     rational := uint ('/' uint)?
+    uint     := one or more of the ASCII digits 0123456789
 
 A leading '-' reads as 0 - term. '^' binds tighter than '*', which binds
 tighter than '+' and '-'; '*' evaluates left to right through the form
@@ -69,9 +70,9 @@ def _tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdecimal():
+        if "0" <= ch <= "9":  # ASCII only; str.isdecimal takes every script's digits
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j

@@ -9,10 +9,13 @@ coefficients, no negative degrees). Their text comes from parser.poly_text.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 
 from .cyclotomic import ZERO, CycQ, as_cycq
+
+
+_new = object.__new__
 
 
 class ModeMismatchError(Exception):
@@ -40,6 +43,18 @@ class Poly:
                 canonical[degree] = coeff
         self._coeffs = canonical
         self._truncated = truncated
+
+    @classmethod
+    def _trusted(cls, coeffs: Mapping[int, CycQ], truncated: bool) -> Poly:
+        """Build from CycQ values at nonnegative degrees without the checks of
+        __init__; still drops zeros and, when truncated, degrees of three or more."""
+        out = _new(cls)
+        if truncated:
+            out._coeffs = {d: c for d, c in coeffs.items() if d < 3 and c}
+        else:
+            out._coeffs = {d: c for d, c in coeffs.items() if c}
+        out._truncated = truncated
+        return out
 
     @classmethod
     def zero(cls, truncated: bool = False) -> Poly:
@@ -88,6 +103,10 @@ class Poly:
         """(degree, coefficient) pairs in ascending degree order."""
         return sorted(self._coeffs.items())
 
+    def items(self) -> ItemsView[int, CycQ]:
+        """(degree, coefficient) pairs in no particular order; terms() sorts."""
+        return self._coeffs.items()
+
     def _require_same_mode(self, other: Poly) -> None:
         if self._truncated != other._truncated:
             raise ModeMismatchError("cannot combine plain and x**3 == 0 polynomials")
@@ -98,7 +117,7 @@ class Poly:
         return self._truncated == other._truncated and self._coeffs == other._coeffs
 
     def __neg__(self) -> Poly:
-        return Poly({d: -c for d, c in self._coeffs.items()}, self._truncated)
+        return Poly._trusted({d: -c for d, c in self._coeffs.items()}, self._truncated)
 
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
@@ -107,7 +126,7 @@ class Poly:
         out = dict(self._coeffs)
         for degree, coeff in other._coeffs.items():
             out[degree] = out.get(degree, ZERO) + coeff
-        return Poly(out, self._truncated)
+        return Poly._trusted(out, self._truncated)
 
     def __sub__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
@@ -127,7 +146,7 @@ class Poly:
                 if self._truncated and degree >= 3:
                     continue
                 out[degree] = out.get(degree, ZERO) + c1 * c2
-        return Poly(out, self._truncated)
+        return Poly._trusted(out, self._truncated)
 
     def __rmul__(self, other: CycQ | int | Fraction) -> Poly:
         if isinstance(other, (CycQ, int, Fraction)):
@@ -136,7 +155,7 @@ class Poly:
 
     def scale(self, factor: CycQ | int | Fraction) -> Poly:
         factor = as_cycq(factor)
-        return Poly({d: factor * c for d, c in self._coeffs.items()}, self._truncated)
+        return Poly._trusted({d: factor * c for d, c in self._coeffs.items()}, self._truncated)
 
     def __str__(self) -> str:
         from .parser import poly_text  # local import avoids a module cycle

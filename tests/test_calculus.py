@@ -13,6 +13,7 @@ from qforms.calculus import (
     q_bracket,
     q_number,
     twist,
+    twist_power,
 )
 from qforms.cyclotomic import ONE, Q, CycQ
 from qforms.polynomial import ModeMismatchError, Poly
@@ -23,6 +24,21 @@ coeff_maps = st.dictionaries(st.integers(0, 5), scalars, max_size=4)
 
 ALPHAS = [Q, ONE, CycQ(2), CycQ(1, 1)]
 ALPHA_IDS = ["q", "1", "2", "1+q"]
+
+TWIST_CFGS = [CalculusConfig(alpha) for alpha in ALPHAS + [CycQ(0), CycQ(-1), CycQ(-1, -1)]]
+TWIST_CFGS.append(CalculusConfig(Q, anyonic=True))
+TWIST_IDS = ALPHA_IDS + ["0", "-1", "q^2", "anyonic"]
+
+
+def substitute_alpha_x(f: Poly, alpha: CycQ) -> Poly:
+    """f(alpha*x) from Poly sums and products alone: sum_m c_m * (alpha*x)**m."""
+    t = f.truncated
+    step = Poly.monomial(1, alpha, t)
+    out, power = Poly.zero(t), Poly.one(t)
+    for m in range(f.degree + 1 if f else 0):
+        out = out + power * f.coefficient(m)
+        power = power * step
+    return out
 
 
 class TestConfig:
@@ -57,6 +73,37 @@ class TestTwist:
         f, g = Poly(a), Poly(b)
         assert twist(f * g, cfg) == twist(f, cfg) * twist(g, cfg)
         assert twist(f + g, cfg) == twist(f, cfg) + twist(g, cfg)
+
+
+class TestTwistPower:
+    @pytest.mark.parametrize("cfg", TWIST_CFGS, ids=TWIST_IDS)
+    @given(a=coeff_maps, n=st.integers(0, 6))
+    def test_matches_repeated_substitution(self, cfg, a, n):
+        f = Poly(a, cfg.anyonic)
+        expected = f
+        for _ in range(n):
+            expected = substitute_alpha_x(expected, cfg.alpha)
+        assert twist_power(f, n, cfg) == expected
+
+    def test_power_zero_is_the_identity(self):
+        f = Poly({0: 3, 2: Q})
+        assert twist_power(f, 0, CalculusConfig(CycQ(0))) is f
+
+    def test_alpha_zero_keeps_only_the_constant(self):
+        cfg = CalculusConfig(CycQ(0))
+        assert twist_power(Poly({0: 3, 1: 1, 4: 2}), 2, cfg) == Poly.constant(3)
+
+    def test_twist_is_the_first_power(self):
+        f = Poly({0: 1, 1: 2, 5: Q})
+        for alpha in ALPHAS:
+            cfg = CalculusConfig(alpha)
+            assert twist(f, cfg) == twist_power(f, 1, cfg) == substitute_alpha_x(f, alpha)
+
+    def test_rejects_a_negative_power_and_a_mode_mismatch(self):
+        with pytest.raises(ValueError):
+            twist_power(Poly.x(), -1, CalculusConfig(Q))
+        with pytest.raises(ModeMismatchError):
+            twist_power(Poly.x(), 2, CalculusConfig(Q, anyonic=True))
 
 
 class TestQNumber:

@@ -219,6 +219,16 @@ class TestLimits:
         assert err.startswith("qforms:")
         assert err.count("\n") == 1
 
+    def test_non_ascii_digits_are_unexpected_characters(self, run_cli, capsys):
+        # Arabic-Indic three: a decimal digit to str.isdecimal, not to the grammar
+        code, out = run_cli(["reduce", "\u0663*x"])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert "unexpected character" in err
+        assert "position 0" in err
+        assert err.count("\n") == 1
+
     def test_nesting_in_alpha_is_a_configuration_error(self, run_cli, capsys):
         code, _ = run_cli(["reduce", "x", "--alpha", "(" * 3000 + "2" + ")" * 3000])
         assert code == 3

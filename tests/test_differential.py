@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
@@ -18,6 +19,9 @@ from qforms.cyclotomic import ONE, Q, CycQ, q_power
 from qforms.differential import differential, differential_power, is_closed
 from qforms.forms import Form, FormMonomial
 from qforms.polynomial import ModeMismatchError, Poly
+
+# the package re-exports the function differential under the module's name
+differential_module = importlib.import_module("qforms.differential")
 
 CFG_Q = CalculusConfig(Q)
 CFG_1 = CalculusConfig(ONE)
@@ -50,6 +54,27 @@ class TestExamples:
         assert differential_power(xf, 2, CFG_Q) == Form.basis(0, 1)
         assert differential_power(xf, 3, CFG_Q).is_zero()
         assert differential_power(Form.from_poly(Poly.monomial(2)), 3, CFG_1).is_zero()
+
+    def test_iteration_stops_once_the_form_is_zero(self, monkeypatch):
+        calls = 0
+
+        def counting(u, cfg):
+            nonlocal calls
+            calls += 1
+            return differential(u, cfg)
+
+        monkeypatch.setattr(differential_module, "differential", counting)
+        # x -> dx -> d2x -> 0, then nothing is left to differentiate
+        assert differential_power(Form.from_poly(Poly.x()), 100_000, CFG_Q).is_zero()
+        assert calls == 3
+        calls = 0
+        assert differential_power(Form.zero(), 100_000, CFG_Q).is_zero()
+        assert calls == 0
+        # d^3 still differentiates a form whose first two images are nonzero
+        calls = 0
+        u = Form.from_poly(Poly.monomial(4))
+        assert differential_power(u, 3, CFG_Q).is_zero()
+        assert calls == 3
 
     def test_negative_iteration_rejected(self):
         with pytest.raises(ValueError):

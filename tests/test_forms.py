@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
 from qforms import calculus, forms
-from qforms.calculus import CalculusConfig, q_bracket, twist
-from qforms.checks import random_form, random_homogeneous_form, random_poly
+from qforms.calculus import CalculusConfig, derivative, q_bracket, q_number, twist, twist_power
+from qforms.checks import random_form, random_homogeneous_form, random_poly, run_suites
 from qforms.cyclotomic import ONE, Q, CycQ, q_power
 from qforms.forms import Form, FormMonomial, swap_scalar
 from qforms.polynomial import ModeMismatchError, Poly
@@ -26,8 +27,11 @@ KERNEL_CFGS = [
     CFG_1,
     CalculusConfig(CycQ(1, 2)),
     CalculusConfig(CycQ(Fraction(-3, 7), Fraction(5, 7))),
+    CalculusConfig(CycQ(-1, -1)),
+    CalculusConfig(CycQ(0)),
+    CalculusConfig(CycQ(-1)),
 ]
-KERNEL_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7"]
+KERNEL_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7", "q^2", "0", "-1"]
 
 
 def recursive_push_left(k, m, g, cfg):
@@ -243,7 +247,30 @@ class TestPushLeft:
                     expected = expected + Form({(2, m - 1): Poly.monomial(n - 1, c, t)}, t)
                 assert product == expected
 
-    def test_calculus_calls_grow_linearly_in_the_d2x_power(self, monkeypatch):
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_bracket_word_is_the_summed_bracket(self, cfg):
+        # (alpha^m - q^m) twist^m(dg) == sum_{i<m} alpha^i q^(m-1-i) twist^(m-1)(q_bracket(g))
+        rng = random.Random(31)
+        alpha = cfg.alpha
+        for m in range(1, 8):
+            for _ in range(6):
+                g = random_poly(rng, cfg.anyonic)
+                summed = q_bracket(g, cfg)
+                for _ in range(m - 1):
+                    summed = twist(summed, cfg)
+                total = sum((alpha**i * q_power(m - 1 - i) for i in range(m)), CycQ(0))
+                closed = twist_power(derivative(g, cfg), m, cfg).scale(alpha**m - q_power(m))
+                assert closed == summed.scale(total)
+
+    def test_calculus_calls_per_word_pair_are_constant(self, monkeypatch):
+        # every calculus function that forms imports is counted, so a kernel
+        # that reaches calculus under a new name cannot escape the guard
+        names = [
+            name
+            for name, obj in vars(forms).items()
+            if inspect.isfunction(obj) and obj.__module__ == calculus.__name__
+        ]
+        assert {"twist_power", "derivative"} <= set(names)
         calls = 0
 
         def counted(fn):
@@ -256,11 +283,47 @@ class TestPushLeft:
 
             return wrapper
 
-        for name in ("twist", "q_bracket"):
-            monkeypatch.setattr(forms, name, counted(getattr(calculus, name)))
+        for name in names:
+            monkeypatch.setattr(forms, name, counted(getattr(forms, name)))
+        cfg = CalculusConfig(CycQ(2))
         m = 16
-        Form.basis(0, m).mul(Form.from_poly(Poly.monomial(m)), CalculusConfig(CycQ(2)))
-        assert calls <= 2 * m + 1
+        Form.basis(0, m).mul(Form.from_poly(Poly.monomial(m)), cfg)
+        assert 1 <= calls <= 3
+        calls = 0
+        u = Form({(k, m): Poly.monomial(m) for k in range(3)})
+        v = Form({(0, 0): Poly.monomial(m), (1, 2): Poly.x(), (0, m): Poly.one()})
+        u.mul(v, cfg)
+        assert 1 <= calls <= 3 * len(u.items()) * len(v.items())
+
+
+class TestScalarProductBudget:
+    """Counts Q(q) products through the property suites, a deterministic
+    stand-in for the cost of the product kernel."""
+
+    @pytest.mark.parametrize(
+        "cfg, budget",
+        [(CalculusConfig(CycQ(2)), 3_800), (CFG_ANY, 2_300)],
+        ids=["2", "anyonic"],
+    )
+    def test_suites_stay_within_the_product_budget(self, monkeypatch, cfg, budget):
+        calculus._alpha_power.cache_clear()
+        q_number.cache_clear()
+        made = 0
+
+        def counting(fn):
+            def wrapper(self, other):
+                nonlocal made
+                made += 1
+                return fn(self, other)
+
+            return wrapper
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(CycQ, name, counting(getattr(CycQ, name)))
+        results = run_suites(("assoc", "leibniz", "d3"), cfg, 7, 20, 6)
+        monkeypatch.undo()
+        assert all(r.passed for r in results)
+        assert made <= budget
 
 
 class TestSwapOracle:
@@ -365,3 +428,28 @@ class TestSerialization:
     def test_non_int_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match="expected an int"):
             Form.from_dict(self.one_term(**{field: value}))
+
+    def test_missing_field_rejected(self):
+        data = self.one_term()
+        del data["terms"][0]["d2x"]
+        with pytest.raises(ValueError, match="missing field 'd2x'"):
+            Form.from_dict(data)
+
+    def test_coefficient_entry_must_be_a_pair(self):
+        data = self.one_term()
+        data["terms"][0]["coeff"] = [5]
+        with pytest.raises(ValueError, match="expected a list"):
+            Form.from_dict(data)
+
+    def test_terms_must_be_a_list(self):
+        with pytest.raises(ValueError, match="expected a list"):
+            Form.from_dict({"mode": "generic", "terms": 5})
+
+    def test_quadruple_needs_four_entries(self):
+        with pytest.raises(ValueError, match="expected a list of 4 entries"):
+            Form.from_dict(self.one_term(quadruple=(1, 1, 0)))
+
+    @pytest.mark.parametrize("data", [5, ["generic"], {"mode": "generic", "terms": [5]}])
+    def test_non_mapping_rejected(self, data):
+        with pytest.raises(ValueError, match="expected a mapping"):
+            Form.from_dict(data)

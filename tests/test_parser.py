@@ -246,6 +246,9 @@ class TestParseErrors:
             ("2 x", 2),
             ("\u00b2", 0),
             ("x^\u00b2", 2),
+            ("\u0663*x", 0),
+            ("x^\u0663", 2),
+            ("1\u0663", 1),
         ],
     )
     def test_positioned_errors(self, text, position):

@@ -99,3 +99,21 @@ def test_canonical_text():
     assert str(Poly({0: -1, 2: CycQ(0, -1)})) == "-1-q*x^2"
     assert str(Poly({1: CycQ(1, -1)})) == "(1-1*q)*x"
     assert str(Poly({2: -2})) == "-2*x^2"
+
+
+@given(
+    coeffs=st.dictionaries(st.integers(0, 6), st.one_of(st.just(CycQ(0)), scalars), max_size=6),
+    truncated=st.booleans(),
+)
+def test_trusted_builder_matches_the_checked_constructor(coeffs, truncated):
+    built = Poly._trusted(coeffs, truncated)
+    assert built == Poly(coeffs, truncated)
+    assert all(c for _, c in built.items())
+    assert built.truncated == truncated
+
+
+def test_trusted_builder_drops_zeros_and_truncated_high_degrees():
+    coeffs = {0: CycQ(0), 1: CycQ(2), 3: CycQ(1), 4: CycQ(0)}
+    assert Poly._trusted(coeffs, True) == Poly.monomial(1, 2, truncated=True)
+    assert Poly._trusted(coeffs, False) == Poly({1: 2, 3: 1})
+    assert Poly._trusted({}, False).is_zero()
