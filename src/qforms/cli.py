@@ -15,6 +15,7 @@ import sys
 
 from .calculus import CalculusConfig
 from .checks import SUITE_NAMES, run_suites
+from .cyclotomic import Q
 from .differential import differential_power, is_closed
 from .parser import ParseError, parse, parse_scalar, render
 from .polynomial import ModeMismatchError
@@ -88,7 +89,8 @@ def _configure(args: argparse.Namespace) -> tuple[CalculusConfig, str]:
             raise _ConfigError(f"QFORMS_OUTPUT must be 'text' or 'json', not {env!r}")
         output = env  # the environment wins over the flag
     try:
-        alpha = parse_scalar(args.alpha)
+        # the default, exactly "q", needs no parse
+        alpha = Q if args.alpha == "q" else parse_scalar(args.alpha)
     except (ParseError, ValueError) as exc:
         raise _ConfigError(f"bad --alpha value: {exc}") from exc
     if args.seed < 0:

@@ -12,6 +12,12 @@ relations
 
 which depend on the twist scalar, so multiplication takes a CalculusConfig.
 Addition, scaling by polynomials from the left, and grading do not.
+
+Form.mul applies them in closed form, one fused pass over the term pairs: a
+pair leaves at most two words, the words dx**3 == 0 kills are skipped before
+anything is computed, and the products of the left coefficients with the
+pushed right ones are added straight into one degree -> scalar map per
+output word.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from fractions import Fraction
 
 from .calculus import CalculusConfig, derivative, twist_power
 from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
-from .polynomial import ModeMismatchError, Poly
+from .polynomial import ModeMismatchError, Poly, _mul_into
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,15 @@ class Form:
                 canonical[mon] = poly
         self._terms = canonical
         self._truncated = truncated
+
+    @classmethod
+    def _trusted(cls, terms: Mapping[FormMonomial, Poly], truncated: bool) -> Form:
+        """Build from FormMonomial keys and coefficients of the given mode
+        without the checks of __init__; still drops zero coefficients."""
+        out = object.__new__(cls)
+        out._terms = {mon: poly for mon, poly in terms.items() if poly}
+        out._truncated = truncated
+        return out
 
     @classmethod
     def zero(cls, truncated: bool = False) -> Form:
@@ -179,30 +194,79 @@ class Form:
         return NotImplemented
 
     def mul(self, other: Form, cfg: CalculusConfig) -> Form:
-        """Product reduced to normal form.
+        """Product reduced to normal form, in one fused pass over term pairs.
 
-        Each pair of terms (f, dx**k d2x**m) * (g, dx**j d2x**n) reduces by
-          1. pushing g left through dx**k * d2x**m in closed form, which
-             leaves at most two words (see _push_left),
-          2. swapping stray dx factors left past d2x, a factor q**2 each,
-          3. dropping any word whose dx power reaches 3,
-          4. multiplying the collected left coefficients by f.
+        A pair (f, dx**k d2x**m) * (g, dx**j d2x**n) leaves at most two words,
+        and whether each lives is decided from (k, m, j) before it is computed:
+
+          top      f * q**(2mj) * twist**(m+k)(g) on dx**(k+j) d2x**(m+n),
+                   alive while k + j < 3;
+          bracket  f * (alpha**m - q**m) * twist**m(derivative(g)) on
+                   dx**2 d2x**(m-1+n), alive only when k == 0, m >= 1, j == 0
+                   and the factor is nonzero.
+
+        The top word pushes g through every dx and d2x, then swaps the dx**j
+        left past d2x**m at q**2 per crossing. Each d2x that g passes also
+        yields a q-bracket word carrying dx**2, which dies at a second bracket
+        (dx**4 == 0), under any dx in front (k >= 1) and under any dx behind
+        (j >= 1). Taking the bracket at copy i from the right leaves
+
+            alpha**i * q**(m-1-i) * twist**(m-1)(q_bracket(g))
+
+        on dx**2 * d2x**(m-1): alpha**i because q_bracket(twist(f)) ==
+        alpha * twist(q_bracket(f)), and q per copy further left because
+        d2x * dx**2 == q**4 * dx**2 * d2x and q**3 == 1. Since q_bracket(f) ==
+        (alpha - q) * twist(derivative(f)) and the sum over i is
+        (alpha**m - q**m) / (alpha - q), those words add up to the bracket
+        word above, whose factor is zero at alpha == q (and at alpha == q**2
+        when 3 | m).
+
+        Each twist**t(g) and derivative(g) is computed once per right-hand
+        term, the bracket piece once per (right-hand term, m) with its factor
+        folded in, and f times each swap scalar once per left-hand term. The
+        products of those coefficients go straight into one degree -> scalar
+        map per output word, which becomes a Poly only at the end.
         """
         self._require_same_mode(other)
-        if self._truncated != cfg.anyonic:
+        truncated = self._truncated
+        if truncated != cfg.anyonic:
             raise ModeMismatchError("form mode does not match the configuration")
-        out: dict[FormMonomial, Poly] = {}
-        for mon_u, f in self._terms.items():
-            for mon_v, g in other._terms.items():
-                for mon, poly in _push_left(mon_u.dx, mon_u.d2x, g, cfg):
-                    placed = _append_word(mon, mon_v.dx, mon_v.d2x)
-                    if placed is None:
-                        continue
-                    new_mon, scalar = placed
-                    coeff = f * (scalar * poly)
-                    acc = out.get(new_mon)
-                    out[new_mon] = coeff if acc is None else acc + coeff
-        return Form(out, self._truncated)
+        lefts = []
+        for mon, f in self._terms.items():
+            k, m = mon.dx, mon.d2x
+            factor = cfg.alpha_power(m) - q_power(m) if k == 0 and m else None
+            lefts.append((k, m, f, factor, {0: f.items()}))
+        out: dict[tuple[int, int], dict[int, CycQ]] = {}
+        for mon, g in other._terms.items():
+            j, n = mon.dx, mon.d2x
+            twisted: dict[int, ItemsView[int, CycQ]] = {}
+            brackets: dict[int, ItemsView[int, CycQ]] = {}
+            low = None
+            for k, m, f, factor, swapped in lefts:
+                if k + j < 3:
+                    pushed = twisted.get(m + k)
+                    if pushed is None:
+                        pushed = twisted[m + k] = twist_power(g, m + k, cfg).items()
+                    e = 2 * m * j % 3  # the swap scalar is q**e
+                    left = swapped.get(e)
+                    if left is None:
+                        left = swapped[e] = f.scale(q_power(e)).items()
+                    _mul_into(out.setdefault((k + j, m + n), {}), left, pushed, truncated)
+                if factor and not j:
+                    if low is None:
+                        low = derivative(g, cfg)
+                    if low:
+                        pushed = brackets.get(m)
+                        if pushed is None:
+                            pushed = brackets[m] = twist_power(low, m, cfg).scale(factor).items()
+                        _mul_into(out.setdefault((2, m - 1 + n), {}), f.items(), pushed, truncated)
+        return Form._trusted(
+            {
+                FormMonomial(*word): Poly._trusted(coeffs, truncated)
+                for word, coeffs in out.items()
+            },
+            truncated,
+        )
 
     def to_dict(self) -> dict:
         """JSON-ready encoding with terms and coefficients in canonical order."""
@@ -226,7 +290,8 @@ class Form:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Form:
-        """Inverse of to_dict; repeated words add up.
+        """Inverse of to_dict; repeated words, and repeated degrees within a
+        word's coeff list, add up.
 
         Raises ValueError, and no other exception, for any input that is not
         such an encoding: a top level or term that is not a mapping, a missing
@@ -254,7 +319,9 @@ class Form:
                 a_num, a_den, b_num, b_den = map(_json_int, _json_list(quadruple, 4))
                 if not a_den or not b_den:
                     raise ValueError("zero denominator")
-                coeffs[degree] = from_ratios(a_num, a_den, b_num, b_den)
+                value = from_ratios(a_num, a_den, b_num, b_den)
+                acc = coeffs.get(degree)
+                coeffs[degree] = value if acc is None else acc + value
             poly = Poly(coeffs, truncated)
             if mon in terms:
                 poly = terms[mon] + poly
@@ -301,38 +368,3 @@ def swap_scalar(d2x_power: int, dx_power: int) -> CycQ:
     if not 0 <= dx_power <= 2:
         raise ValueError("dx power must lie in {0, 1, 2}")
     return q_power(2 * d2x_power * dx_power)
-
-
-def _push_left(k: int, m: int, g: Poly, cfg: CalculusConfig) -> list[tuple[FormMonomial, Poly]]:
-    """Normal form of dx**k * d2x**m * g: at most two left-coefficient words.
-
-    Each d2x that g passes yields a twisted word and a q-bracket word carrying
-    dx**2. A bracket word dies at the next bracket (dx**4 == 0) and under any
-    dx in front (k >= 1), so at most one bracket is ever taken. The twisted
-    word is twist**(m+k)(g) * dx**k * d2x**m. When k == 0, taking the bracket
-    at copy i from the right leaves alpha**i * q**(m-1-i) *
-    twist**(m-1)(q_bracket(g)) on dx**2 * d2x**(m-1): alpha**i because
-    q_bracket(twist(f)) == alpha * twist(q_bracket(f)), and q per copy further
-    left because d2x * dx**2 == q**4 * dx**2 * d2x and q**3 == 1. Since
-    q_bracket(f) == (alpha - q) * twist(derivative(f)) and the sum over i is
-    (alpha**m - q**m) / (alpha - q), that word is
-
-        (alpha**m - q**m) * twist**m(derivative(g)),
-
-    whose factor is zero at alpha == q (and at alpha == q**2 when 3 | m).
-    """
-    words = [(FormMonomial(k, m), twist_power(g, m + k, cfg))]
-    if k == 0 and m:
-        scale = cfg.alpha_power(m) - q_power(m)
-        if scale:
-            low = derivative(g, cfg)
-            if low:
-                words.append((FormMonomial(2, m - 1), twist_power(low, m, cfg).scale(scale)))
-    return words
-
-
-def _append_word(mon: FormMonomial, j: int, n: int) -> tuple[FormMonomial, CycQ] | None:
-    """Right-multiply a normal word by dx**j * d2x**n; None once dx**3 appears."""
-    if mon.dx + j >= 3:
-        return None
-    return FormMonomial(mon.dx + j, mon.d2x + n), q_power(2 * mon.d2x * j)

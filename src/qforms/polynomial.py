@@ -9,7 +9,7 @@ coefficients, no negative degrees). Their text comes from parser.poly_text.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Iterable, ItemsView, Mapping
 from fractions import Fraction
 
 from .cyclotomic import ZERO, CycQ, as_cycq
@@ -125,7 +125,8 @@ class Poly:
         self._require_same_mode(other)
         out = dict(self._coeffs)
         for degree, coeff in other._coeffs.items():
-            out[degree] = out.get(degree, ZERO) + coeff
+            acc = out.get(degree)
+            out[degree] = coeff if acc is None else acc + coeff
         return Poly._trusted(out, self._truncated)
 
     def __sub__(self, other: Poly) -> Poly:
@@ -140,12 +141,7 @@ class Poly:
             return NotImplemented
         self._require_same_mode(other)
         out: dict[int, CycQ] = {}
-        for d1, c1 in self._coeffs.items():
-            for d2, c2 in other._coeffs.items():
-                degree = d1 + d2
-                if self._truncated and degree >= 3:
-                    continue
-                out[degree] = out.get(degree, ZERO) + c1 * c2
+        _mul_into(out, self._coeffs.items(), other._coeffs.items(), self._truncated)
         return Poly._trusted(out, self._truncated)
 
     def __rmul__(self, other: CycQ | int | Fraction) -> Poly:
@@ -164,3 +160,23 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.__str__()!r}, truncated={self._truncated})"
+
+
+def _mul_into(
+    out: dict[int, CycQ],
+    left: Iterable[tuple[int, CycQ]],
+    right: ItemsView[int, CycQ],
+    truncated: bool,
+) -> None:
+    """Add the product of two coefficient sequences into the degree map out.
+
+    The one double loop behind Poly.__mul__ and Form.mul; truncated skips the
+    degrees of three or more. Zero sums stay in out, for Poly._trusted to drop.
+    """
+    for d1, c1 in left:
+        for d2, c2 in right:
+            degree = d1 + d2
+            if truncated and degree >= 3:
+                continue
+            acc = out.get(degree)
+            out[degree] = c1 * c2 if acc is None else acc + c1 * c2

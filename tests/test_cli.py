@@ -245,6 +245,20 @@ class TestLimits:
         assert err.count("\n") == 1
 
 
+class TestDefaultAlpha:
+    def test_default_alpha_is_not_parsed(self, run_cli, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "parse_scalar", lambda text: parsed.append(text))
+        assert run_cli(["reduce", "d2x*x"]) == (0, "q*x*d2x\n")
+        assert run_cli(["check", "d3", "--samples", "1", "--alpha", "q"])[0] == 0
+        assert parsed == []
+
+    @pytest.mark.parametrize("alpha", [" q ", "(q)", "q^4", "-1-q^2"])
+    def test_other_spellings_of_q_give_the_same_output(self, run_cli, alpha):
+        for argv in (["reduce", "d2x*x + dx*x^2"], ["check", "all", "--samples", "2"]):
+            assert run_cli(argv + [f"--alpha={alpha}"]) == run_cli(argv)
+
+
 def run_isolated(argv):
     """(exit code, stdout, stderr) of one main() call, argparse exits included."""
     out, err = io.StringIO(), io.StringIO()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,62 @@ def recursive_push_left(k, m, g, cfg):
         if mon.dx == 0:  # dx**3 == 0
             out.append((FormMonomial(mon.dx + 2, mon.d2x), q_power(4 * mon.d2x) * poly))
     return out
+
+
+def push_left(k, m, g, cfg):
+    """Closed-form normal form of dx**k * d2x**m * g, one word pair at a time:
+    twist**(m+k)(g) on (k, m), plus (alpha**m - q**m) * twist**m(derivative(g))
+    on (2, m-1) when k == 0 and m >= 1. Computes every word, dead or not."""
+    words = [(FormMonomial(k, m), twist_power(g, m + k, cfg))]
+    if k == 0 and m:
+        scale = cfg.alpha_power(m) - q_power(m)
+        if scale:
+            low = derivative(g, cfg)
+            if low:
+                words.append((FormMonomial(2, m - 1), twist_power(low, m, cfg).scale(scale)))
+    return words
+
+
+def pairwise_mul(u, v, cfg):
+    """Reference product: push each right coefficient left with push_left,
+    append the right word with its swap scalar q**(2mj), drop words that reach
+    dx**3, and multiply by the left coefficient through Poly products."""
+    out = Form.zero(u.truncated)
+    for mon_u, f in u.items():
+        for mon_v, g in v.items():
+            for mon, poly in push_left(mon_u.dx, mon_u.d2x, g, cfg):
+                if mon.dx + mon_v.dx >= 3:
+                    continue
+                word = FormMonomial(mon.dx + mon_v.dx, mon.d2x + mon_v.d2x)
+                scalar = q_power(2 * mon.d2x * mon_v.dx)
+                out = out + Form({word: f * (scalar * poly)}, u.truncated)
+    return out
+
+
+def random_kernel_form(rng, cfg, max_d2x=6):
+    """Up to four terms on words with dx**0..2 and d2x**0..max_d2x."""
+    terms = {
+        (rng.randint(0, 2), rng.randint(0, max_d2x)): random_poly(rng, cfg.anyonic)
+        for _ in range(rng.randint(1, 4))
+    }
+    return Form(terms, cfg.anyonic)
+
+
+def count_calculus_calls(monkeypatch):
+    """Count, by name, the calls of every calculus function that forms imports."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, obj in list(vars(forms).items()):
+        if inspect.isfunction(obj) and obj.__module__ == calculus.__name__:
+            monkeypatch.setattr(forms, name, counted(name, obj))
+    return calls
 
 
 def collect(words, truncated):
@@ -223,11 +281,9 @@ class TestPushLeft:
         for _ in range(40):
             k, m = rng.randint(0, 2), rng.randint(0, 7)
             g = random_poly(rng, cfg.anyonic)
-            words = forms._push_left(k, m, g, cfg)
-            assert len(words) <= 2
-            assert len({mon for mon, _ in words}) == len(words)
-            expected = collect(recursive_push_left(k, m, g, cfg), cfg.anyonic)
-            assert collect(words, cfg.anyonic) == expected
+            product = Form.basis(k, m, cfg.anyonic).mul(Form.from_poly(g), cfg)
+            assert len(product.items()) <= 2
+            assert product == collect(recursive_push_left(k, m, g, cfg), cfg.anyonic)
 
     @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
     def test_d2x_power_past_x_power_closed_form(self, cfg):
@@ -296,14 +352,77 @@ class TestPushLeft:
         assert 1 <= calls <= 3 * len(u.items()) * len(v.items())
 
 
+class TestFusedKernel:
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_matches_the_pairwise_kernel(self, cfg):
+        rng = random.Random(37)
+        seen = Counter()
+        for _ in range(30):
+            u, v = random_kernel_form(rng, cfg), random_kernel_form(rng, cfg)
+            assert u.mul(v, cfg) == pairwise_mul(u, v, cfg)
+            for (mon_u, _), (mon_v, _) in itertools.product(u.items(), v.items()):
+                k, m, j = mon_u.dx, mon_u.d2x, mon_v.dx
+                seen["dead top"] += k + j >= 3
+                seen["dead bracket"] += k == 0 and m >= 1 and j >= 1
+                # alpha**m == q**m: at alpha == q**2 exactly when 3 | m
+                seen["zero factor"] += (
+                    k == 0 and m >= 1 and j == 0 and cfg.alpha_power(m) == q_power(m)
+                )
+        assert seen["dead top"] and seen["dead bracket"]
+        if cfg.alpha == Q * Q:
+            assert seen["zero factor"]
+
+    def test_dead_words_cost_no_calculus(self, monkeypatch):
+        calls = count_calculus_calls(monkeypatch)
+        cfg = CalculusConfig(CycQ(2))
+        for m in range(4):
+            for n in range(4):
+                for k, j in ((2, 1), (1, 2), (2, 2)):
+                    assert Form.basis(k, m).mul(Form.basis(j, n), cfg).is_zero()
+        assert not calls
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_bracket_killed_by_a_right_dx_takes_no_derivative(self, monkeypatch, j):
+        calls = count_calculus_calls(monkeypatch)
+        cfg = CalculusConfig(CycQ(2))
+        u, v = Form.basis(0, 4), Form({(j, 1): Poly.monomial(3)})
+        assert u.mul(v, cfg) == pairwise_mul(u, v, cfg)
+        assert calls == {"twist_power": 1}
+
+    def test_makes_no_poly_products(self, monkeypatch):
+        made = 0
+        poly_mul = Poly.__mul__
+
+        def counting(self, other):
+            nonlocal made
+            made += 1
+            return poly_mul(self, other)
+
+        rng = random.Random(41)
+        pairs = [
+            (cfg, random_kernel_form(rng, cfg), random_kernel_form(rng, cfg))
+            for cfg in KERNEL_CFGS
+            for _ in range(5)
+        ]
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        for cfg, u, v in pairs:
+            u.mul(v, cfg)
+        assert made == 0
+
+
 class TestScalarProductBudget:
     """Counts Q(q) products through the property suites, a deterministic
     stand-in for the cost of the product kernel."""
 
     @pytest.mark.parametrize(
         "cfg, budget",
-        [(CalculusConfig(CycQ(2)), 3_800), (CFG_ANY, 2_300)],
-        ids=["2", "anyonic"],
+        [
+            (CalculusConfig(CycQ(2)), 3_800),
+            (CFG_ANY, 2_300),
+            (CalculusConfig(CycQ(2)), 2_400),
+            (CFG_ANY, 1_500),
+        ],
+        ids=["2", "anyonic", "2-fused", "anyonic-fused"],
     )
     def test_suites_stay_within_the_product_budget(self, monkeypatch, cfg, budget):
         calculus._alpha_power.cache_clear()
@@ -448,6 +567,16 @@ class TestSerialization:
     def test_quadruple_needs_four_entries(self):
         with pytest.raises(ValueError, match="expected a list of 4 entries"):
             Form.from_dict(self.one_term(quadruple=(1, 1, 0)))
+
+    def test_repeated_degrees_add_up_like_repeated_words(self):
+        one, two = [0, [1, 1, 0, 1]], [0, [2, 1, 0, 1]]
+        in_one_word = {"mode": "generic", "terms": [{"dx": 0, "d2x": 0, "coeff": [one, two]}]}
+        in_two_words = {
+            "mode": "generic",
+            "terms": [{"dx": 0, "d2x": 0, "coeff": [c]} for c in (one, two)],
+        }
+        assert Form.from_dict(in_one_word) == Form.scalar(3)
+        assert Form.from_dict(in_two_words) == Form.scalar(3)
 
     @pytest.mark.parametrize("data", [5, ["generic"], {"mode": "generic", "terms": [5]}])
     def test_non_mapping_rejected(self, data):

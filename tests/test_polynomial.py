@@ -117,3 +117,21 @@ def test_trusted_builder_drops_zeros_and_truncated_high_degrees():
     assert Poly._trusted(coeffs, True) == Poly.monomial(1, 2, truncated=True)
     assert Poly._trusted(coeffs, False) == Poly({1: 2, 3: 1})
     assert Poly._trusted({}, False).is_zero()
+
+
+def test_addition_makes_no_scalar_sum_for_a_new_degree(monkeypatch):
+    made = 0
+    add = CycQ.__add__
+
+    def counting(self, other):
+        nonlocal made
+        made += 1
+        return add(self, other)
+
+    monkeypatch.setattr(CycQ, "__add__", counting)
+    assert Poly({0: 1, 2: Q}) + Poly({1: 2, 3: 1}) == Poly({0: 1, 1: 2, 2: Q, 3: 1})
+    assert made == 0
+    assert Poly.x() * Poly({0: 1, 1: 1}) == Poly({1: 1, 2: 1})
+    assert made == 0
+    assert Poly({1: 1}) + Poly({1: Q}) == Poly({1: CycQ(1, 1)})
+    assert made == 1
