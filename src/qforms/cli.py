@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: reduce, diff, grade, closed, check. Exit codes: 0 success,
-1 property failure, 2 parse error, 3 mode or configuration error. The
-QFORMS_OUTPUT environment variable overrides --output when set.
+1 property failure, 2 parse error or a result with an integer too long to
+print, 3 mode or configuration error. The QFORMS_OUTPUT environment
+variable overrides --output when set.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from .calculus import CalculusConfig
 from .checks import SUITE_NAMES, run_suites
-from .cyclotomic import Q
+from .cyclotomic import Q, CycQ
 from .differential import differential_power, is_closed
-from .parser import ParseError, parse, parse_scalar, render
+from .parser import MAX_DIGITS, MAX_EXPONENT, ParseError, parse, parse_scalar, render
 from .polynomial import ModeMismatchError
 
 EXIT_OK = 0
@@ -28,6 +30,19 @@ EXIT_MODE_ERROR = 3
 
 class _ConfigError(Exception):
     pass
+
+
+class _OutputError(Exception):
+    pass
+
+
+_TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+
+
+def _too_long(values: Iterable[CycQ]) -> bool:
+    """Whether the text or JSON of any of these scalars would write an integer
+    of more than MAX_DIGITS digits, which CPython refuses to convert to str."""
+    return any(abs(n) >= _TOO_LONG for value in values for n in value.ratios())
 
 
 @functools.cache
@@ -93,12 +108,16 @@ def _configure(args: argparse.Namespace) -> tuple[CalculusConfig, str]:
         alpha = Q if args.alpha == "q" else parse_scalar(args.alpha)
     except (ParseError, ValueError) as exc:
         raise _ConfigError(f"bad --alpha value: {exc}") from exc
+    if _too_long((alpha, alpha - Q)):  # check prints alpha, and prop2 alpha - q
+        raise _ConfigError(f"bad --alpha value: an integer has more than {MAX_DIGITS} digits")
     if args.seed < 0:
         raise _ConfigError("--seed must be nonnegative")
     if args.samples < 1:
         raise _ConfigError("--samples must be positive")
     if args.max_degree < 1:
         raise _ConfigError("--max-degree must be positive")
+    if args.max_degree > MAX_EXPONENT:
+        raise _ConfigError(f"--max-degree must be at most {MAX_EXPONENT}")
     if getattr(args, "times", 1) < 1:
         raise _ConfigError("-n must be positive")
     return CalculusConfig(alpha, anyonic=args.anyonic), output
@@ -116,30 +135,32 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # CalculusConfig raises ModeMismatchError for --anyonic off alpha = q
         cfg, output = _configure(args)
-        if args.command == "reduce":
-            _emit_form(parse(args.expr, cfg), output)
-            return EXIT_OK
-        if args.command == "diff":
-            form = differential_power(parse(args.expr, cfg), args.times, cfg)
-            _emit_form(form, output)
-            return EXIT_OK
-        if args.command == "grade":
-            components = parse(args.expr, cfg).decompose()
-            if output == "json":
-                print(json.dumps({str(g): c.to_dict() for g, c in components.items()}))
-            else:
-                for g, component in components.items():
-                    print(f"{g}: {render(component)}")
-            return EXIT_OK
+        if args.command == "check":
+            return _run_check(args, cfg, output)
+        form = parse(args.expr, cfg)
         if args.command == "closed":
-            closed = is_closed(parse(args.expr, cfg), cfg)
+            closed = is_closed(form, cfg)
             if output == "json":
                 print(json.dumps({"closed": closed}))
             else:
                 print("true" if closed else "false")
             return EXIT_OK
-        return _run_check(args, cfg, output)
-    except ParseError as exc:
+        if args.command == "diff":
+            form = differential_power(form, args.times, cfg)
+        # one check for text and JSON, before anything is printed
+        if _too_long(c for _, poly in form.items() for _, c in poly.items()):
+            raise _OutputError(f"the result has an integer of more than {MAX_DIGITS} digits")
+        if args.command == "grade":
+            components = form.decompose()
+            if output == "json":
+                print(json.dumps({str(g): c.to_dict() for g, c in components.items()}))
+            else:
+                for g, component in components.items():
+                    print(f"{g}: {render(component)}")
+        else:
+            _emit_form(form, output)
+        return EXIT_OK
+    except (ParseError, _OutputError) as exc:
         print(f"qforms: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (_ConfigError, ModeMismatchError) as exc:

@@ -38,6 +38,13 @@ class CycQ:
     def b(self) -> Fraction:
         return Fraction(self._b, self._d)
 
+    def ratios(self) -> tuple[int, int, int, int]:
+        """(a_num, a_den, b_num, b_den): a and b in lowest terms, the four ints
+        that JSON writes and from_ratios reads, with no Fraction built."""
+        a, b, d = self._a, self._b, self._d
+        g, h = gcd(a, d), gcd(b, d)
+        return a // g, d // g, b // h, d // h
+
     def is_zero(self) -> bool:
         return not self._a and not self._b
 

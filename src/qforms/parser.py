@@ -25,9 +25,9 @@ parses back to the same form under the same configuration.
 
 Limits, each raising ParseError at the offending token: an integer literal
 may have at most MAX_DIGITS significant digits, an exponent token may not
-exceed MAX_EXPONENT, and parentheses may nest at most MAX_DEPTH levels
-deep. The exponent cap is per '^' token; a nested power such as
-'(x^9999)^9999' is not capped.
+exceed MAX_EXPONENT, a power base^N whose x or d2x power could exceed
+MAX_EXPONENT (N times the base's largest) is refused at N before any
+product, and parentheses may nest at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class ParseError(Exception):
 _NAMES = frozenset({"x", "dx", "d2x", "q"})
 
 MAX_EXPONENT = 10_000
-"""Largest exponent token accepted after '^'."""
+"""Largest exponent token after '^', and largest x or d2x power a '^' may build."""
 
 MAX_DEPTH = 100
 """Deepest parenthesis nesting accepted; each level costs four stack frames."""
@@ -150,7 +150,12 @@ class _Parser:
             # the length test keeps int() off tokens too long for it to convert
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
-            return _power(base, int(digits), self._cfg)
+            n = int(digits)
+            # base^n has at most n times the base's top x and d2x powers
+            top = max((max(poly.degree, mon.d2x) for mon, poly in base.items()), default=0)
+            if n * top > MAX_EXPONENT:
+                raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
+            return _power(base, n, self._cfg)
         return base
 
     def base(self) -> Form:

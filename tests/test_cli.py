@@ -208,8 +208,18 @@ class TestLimits:
             "1" * (MAX_DIGITS + 1),
             "\u00b2",
             "x^\u00b2",
+            "(x^100)^101",
+            f"10^{MAX_DIGITS}",
         ],
-        ids=["power", "nesting", "literal", "superscript", "superscript-exponent"],
+        ids=[
+            "power",
+            "nesting",
+            "literal",
+            "superscript",
+            "superscript-exponent",
+            "nested-power",
+            "result-digits",
+        ],
     )
     def test_limits_exit_two_with_one_line(self, run_cli, expr, capsys):
         code, out = run_cli(["reduce", expr])
@@ -218,6 +228,54 @@ class TestLimits:
         err = capsys.readouterr().err
         assert err.startswith("qforms:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diff", "x^5000", "--alpha", "10"],
+            ["diff", "x^5000", "--alpha", "10", "--output", "json"],
+            ["grade", f"dx + 10^{MAX_DIGITS}*d2x", "--output", "json"],
+        ],
+        ids=["diff-text", "diff-json", "grade-json"],
+    )
+    def test_results_past_the_digit_limit_exit_two(self, run_cli, argv, capsys):
+        assert run_cli(argv) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("qforms: the result has an integer of more than")
+        assert err.count("\n") == 1
+
+    def test_results_at_the_digit_limit_print(self, run_cli):
+        big = "1" + "0" * (MAX_DIGITS - 1)
+        assert run_cli(["reduce", f"10^{MAX_DIGITS - 1}"]) == (0, big + "\n")
+        code, out = run_cli(["reduce", f"10^{MAX_DIGITS - 1}", "--output", "json"])
+        assert code == 0
+        assert json.loads(out)["terms"][0]["coeff"] == [[0, [int(big), 1, 0, 1]]]
+        code, out = run_cli(["check", "prop2", "--alpha", big, "--samples", "1"])
+        assert code == 0
+        assert f"q-bracket(x) = {big}-1*q is nonzero" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "x", "--alpha", f"10^{MAX_DIGITS}"],
+            ["check", "swap", "--alpha", f"10^{MAX_DIGITS}", "--output", "json", "--samples", "1"],
+            # alpha has MAX_DIGITS nines, and the alpha - q that prop2 prints one digit more
+            ["check", "prop2", f"--alpha=-{'9' * MAX_DIGITS}*q", "--samples", "1"],
+            ["check", "swap", "--max-degree", str(MAX_EXPONENT + 1)],
+        ],
+        ids=["alpha", "alpha-json", "alpha-minus-q", "max-degree"],
+    )
+    def test_configuration_past_a_limit_exits_three(self, run_cli, argv, capsys):
+        assert run_cli(argv) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("qforms:")
+        assert err.count("\n") == 1
+
+    def test_max_degree_at_the_cap(self, run_cli):
+        # the swap suite ignores the degree bound, so this starts no large work
+        code, out = run_cli(["check", "swap", "--max-degree", str(MAX_EXPONENT)])
+        assert code == 0
+        assert out.endswith("summary: 1/1 suites passed\n")
 
     def test_non_ascii_digits_are_unexpected_characters(self, run_cli, capsys):
         # Arabic-Indic three: a decimal digit to str.isdecimal, not to the grammar

@@ -220,6 +220,8 @@ def assert_matches(fast, slow):
     assert type(fast) is CycQ
     assert (fast.a, fast.b) == (slow.a, slow.b)
     assert type(fast.a) is Fraction and type(fast.b) is Fraction
+    parts = (slow.a.numerator, slow.a.denominator, slow.b.numerator, slow.b.denominator)
+    assert fast.ratios() == parts
     a, b, d = fast._a, fast._b, fast._d
     assert d > 0
     assert gcd(a, b, d) == 1

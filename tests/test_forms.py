@@ -368,7 +368,20 @@ class TestFusedKernel:
                 seen["zero factor"] += (
                     k == 0 and m >= 1 and j == 0 and cfg.alpha_power(m) == q_power(m)
                 )
-        assert seen["dead top"] and seen["dead bracket"]
+            # pieces that a per-call memo would have shared between left words
+            brackets = [
+                mon
+                for mon, _ in u.items()
+                if mon.dx == 0 and mon.d2x and cfg.alpha_power(mon.d2x) != q_power(mon.d2x)
+            ]
+            for mon_v, _ in v.items():
+                j = mon_v.dx
+                live = Counter(mon.dx + mon.d2x for mon, _ in u.items() if mon.dx + j < 3)
+                seen["shared twist"] += any(count > 1 for count in live.values())
+                seen["shared derivative"] += j == 0 and len(brackets) > 1
+        assert seen["dead top"] and seen["dead bracket"] and seen["shared twist"]
+        if cfg.alpha != Q:  # alpha**m == q**m for every m at alpha == q
+            assert seen["shared derivative"]
         if cfg.alpha == Q * Q:
             assert seen["zero factor"]
 

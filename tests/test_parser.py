@@ -317,6 +317,18 @@ class TestPowers:
         assert err.value.position == 2
         assert count_form_products[0] == 0
 
+    def test_nested_power_at_the_cap(self):
+        assert parse("(x^100)^100", CFG_Q) == Form.from_poly(Poly.monomial(MAX_EXPONENT))
+
+    @pytest.mark.parametrize("base", ["x^100", "d2x^100", "x*d2x^50 + x^100"])
+    def test_nested_power_past_the_cap_computes_nothing(self, count_form_products, base):
+        parse(f"({base})", CFG_Q)
+        built = count_form_products[0]
+        with pytest.raises(ParseError, match="power exceeds") as err:
+            parse(f"({base})^101", CFG_Q)
+        assert err.value.position == len(base) + 3  # the exponent token
+        assert count_form_products[0] == 2 * built  # the outer '^' made no product
+
     def test_exponent_tokens_of_any_length(self):
         assert parse("x^" + "0" * 5000 + "3", CFG_Q) == parse("x^3", CFG_Q)
         with pytest.raises(ParseError, match="exponent"):
