@@ -27,6 +27,9 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_PARSE_ERROR = 2
 EXIT_MODE_ERROR = 3
 
+MAX_SAMPLES = 10_000
+"""Largest --samples; check's time grows linearly in it."""
+
 
 class _ConfigError(Exception):
     pass
@@ -114,6 +117,8 @@ def _configure(args: argparse.Namespace) -> tuple[CalculusConfig, str]:
         raise _ConfigError("--seed must be nonnegative")
     if args.samples < 1:
         raise _ConfigError("--samples must be positive")
+    if args.samples > MAX_SAMPLES:
+        raise _ConfigError(f"--samples must be at most {MAX_SAMPLES}")
     if args.max_degree < 1:
         raise _ConfigError("--max-degree must be positive")
     if args.max_degree > MAX_EXPONENT:

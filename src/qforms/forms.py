@@ -11,7 +11,9 @@ relations
     dx**3     == 0
 
 which depend on the twist scalar, so multiplication takes a CalculusConfig.
-Addition, scaling by polynomials from the left, and grading do not.
+Addition, scaling by polynomials from the left, and grading do not; Form
+takes its sums, negation, equality and mode from polynomial._Sparse, the
+additive core it shares with Poly.
 
 Form.mul applies them in closed form, one fused pass over the term pairs: a
 pair leaves at most two words, the words dx**3 == 0 kills are skipped before
@@ -23,13 +25,13 @@ memoized, since the measured traffic almost never repeats one (Form.mul).
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import CalculusConfig, derivative, twist_power
 from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
-from .polynomial import ModeMismatchError, Poly, _mul_into
+from .polynomial import ModeMismatchError, Poly, _Sparse, _mul_into
 
 
 @dataclass(frozen=True)
@@ -55,14 +57,14 @@ def _sort_key(mon: FormMonomial) -> tuple[int, int]:
     return (mon.d2x, mon.dx)
 
 
-class Form:
+class Form(_Sparse):
     """Immutable form in left-coefficient normal form.
 
     Stored canonically: no zero coefficients, every coefficient in the mode
     named by the truncation flag.
     """
 
-    __slots__ = ("_terms", "_truncated")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -111,23 +113,9 @@ class Form:
         """The bare word dx**dx * d2x**d2x with unit coefficient."""
         return cls({FormMonomial(dx, d2x): Poly.one(truncated)}, truncated)
 
-    @property
-    def truncated(self) -> bool:
-        return self._truncated
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def terms(self) -> list[tuple[FormMonomial, Poly]]:
         """(monomial, coefficient) pairs in canonical order."""
         return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
-
-    def items(self) -> ItemsView[FormMonomial, Poly]:
-        """(monomial, coefficient) pairs in no particular order; terms() sorts."""
-        return self._terms.items()
 
     def coefficient(self, mon: FormMonomial | tuple[int, int]) -> Poly:
         if not isinstance(mon, FormMonomial):
@@ -151,33 +139,6 @@ class Form:
         for mon, poly in self._terms.items():
             buckets.setdefault(mon.grade, {})[mon] = poly
         return {g: Form(t, self._truncated) for g, t in sorted(buckets.items())}
-
-    def _require_same_mode(self, other: Form) -> None:
-        if self._truncated != other._truncated:
-            raise ModeMismatchError("cannot combine forms of different modes")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self._truncated == other._truncated and self._terms == other._terms
-
-    def __neg__(self) -> Form:
-        return Form({m: -p for m, p in self._terms.items()}, self._truncated)
-
-    def __add__(self, other: Form) -> Form:
-        if not isinstance(other, Form):
-            return NotImplemented
-        self._require_same_mode(other)
-        out = dict(self._terms)
-        for mon, poly in other._terms.items():
-            acc = out.get(mon)
-            out[mon] = poly if acc is None else acc + poly
-        return Form(out, self._truncated)
-
-    def __sub__(self, other: Form) -> Form:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self + (-other)
 
     def left_mul(self, factor: Poly | CycQ | int | Fraction) -> Form:
         """Left action of the coordinate algebra; needs no twist scalar."""

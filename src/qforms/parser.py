@@ -26,12 +26,14 @@ parses back to the same form under the same configuration.
 Limits, each raising ParseError at the offending token: an integer literal
 may have at most MAX_DIGITS significant digits, an exponent token may not
 exceed MAX_EXPONENT, a power base^N whose x or d2x power could exceed
-MAX_EXPONENT (N times the base's largest) is refused at N before any
-product, and parentheses may nest at most MAX_DEPTH levels deep.
+MAX_EXPONENT (N times the base's largest) or whose number of terms could
+exceed MAX_POWER_TERMS (_power_terms) is refused at N before any product,
+and parentheses may nest at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .calculus import CalculusConfig
@@ -52,6 +54,9 @@ _NAMES = frozenset({"x", "dx", "d2x", "q"})
 
 MAX_EXPONENT = 10_000
 """Largest exponent token after '^', and largest x or d2x power a '^' may build."""
+
+MAX_POWER_TERMS = 1_000
+"""Most terms x^d * dx^k * d2x^m that _power_terms may predict for a power base^N."""
 
 MAX_DEPTH = 100
 """Deepest parenthesis nesting accepted; each level costs four stack frames."""
@@ -155,6 +160,8 @@ class _Parser:
             top = max((max(poly.degree, mon.d2x) for mon, poly in base.items()), default=0)
             if n * top > MAX_EXPONENT:
                 raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
+            if n > 1 and _power_terms(base, n) > MAX_POWER_TERMS:
+                raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms", pos)
             return _power(base, n, self._cfg)
         return base
 
@@ -203,6 +210,31 @@ def _literal(text: str, pos: int) -> int:
     if len(digits) > MAX_DIGITS:
         raise ParseError(f"integer literal exceeds the limit of {MAX_DIGITS} digits", pos)
     return int(digits)
+
+
+def _power_terms(base: Form, n: int) -> int:
+    """An upper bound on the number of terms x^d * dx^k * d2x^m of base^n,
+    read off the base alone.
+
+    The grade k + 2m and the weight d + k + m add up under the product,
+    bracket words included, and together fix a term up to k in {0, 2}. So
+    each of the C(n+t-1, n) multisets of n of the base's t terms leaves at
+    most one term, or two once a d2x can push past a nonconstant coefficient.
+    And base^n has at most one term per word and degree in range: m <= n*M
+    and d <= n*A for the base's largest d2x and x powers, d <= 2 when
+    truncated, and k in {0, 1, 2}, only {0, 2} without a dx in the base, and
+    only 0 without brackets either. The bound is the smaller of the two.
+    """
+    t = sum(len(poly.items()) for _, poly in base.items())
+    if t < 2:
+        return 2 * t  # one multiset, or none
+    top_x = max(poly.degree for _, poly in base.items())
+    top_d2x = max(mon.d2x for mon, _ in base.items())
+    per_multiset = 2 if top_x and top_d2x else 1
+    dx_powers = 3 if any(mon.dx for mon, _ in base.items()) else per_multiset
+    degrees = min(n * top_x, 2) if base.truncated else n * top_x
+    words_times_degrees = dx_powers * (n * top_d2x + 1) * (degrees + 1)
+    return min(per_multiset * math.comb(n + t - 1, n), words_times_degrees)
 
 
 def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:

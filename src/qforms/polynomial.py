@@ -1,16 +1,23 @@
-"""Sparse polynomials in one variable x over Q(q).
+"""Sparse polynomials in one variable x over Q(q), and the additive core
+they share with forms.
 
-A Poly carries a truncation flag: truncated values live in the quotient by
-x**3 == 0 and degrees of three or more are discarded on construction and
-multiplication. Values of different modes never mix; combining them raises
-ModeMismatchError. Instances are immutable and stored canonically (no zero
-coefficients, no negative degrees). Their text comes from parser.poly_text.
+_Sparse is a finite sum of nonzero coefficients on basis keys, tagged with a
+truncation flag; it holds the mode, equality, negation, sums and
+differences. Poly puts CycQ scalars on the powers x**d, and forms.Form puts
+Poly coefficients on the words dx**k * d2x**m.
+
+A truncated Poly lives in the quotient by x**3 == 0: degrees of three or
+more are discarded on construction and multiplication. Values of different
+modes never mix; combining them raises ModeMismatchError. Instances are
+immutable and stored canonically (no zero coefficients, no negative
+degrees). Their text comes from parser.poly_text.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, ItemsView, Mapping
 from fractions import Fraction
+from typing import TypeVar
 
 from .cyclotomic import ZERO, CycQ, as_cycq
 
@@ -22,10 +29,65 @@ class ModeMismatchError(Exception):
     """Raised when plain and x**3 == 0 values are combined."""
 
 
-class Poly:
+_S = TypeVar("_S", bound="_Sparse")
+
+
+class _Sparse:
+    """Immutable map from basis keys to nonzero coefficients, in one mode.
+
+    Subclasses define _trusted(terms, truncated), which builds an instance
+    from canonical keys and values of that mode and drops the zero values;
+    negation and sums go through it, so they repeat none of __init__'s checks.
+    """
+
+    __slots__ = ("_terms", "_truncated")
+
+    @property
+    def truncated(self) -> bool:
+        return self._truncated
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def items(self) -> ItemsView:
+        """(key, coefficient) pairs in no particular order; terms() sorts."""
+        return self._terms.items()
+
+    def _require_same_mode(self, other: _Sparse) -> None:
+        if self._truncated != other._truncated:
+            raise ModeMismatchError("cannot combine plain and x**3 == 0 values")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._truncated == other._truncated and self._terms == other._terms
+
+    def __neg__(self: _S) -> _S:
+        return type(self)._trusted({k: -c for k, c in self._terms.items()}, self._truncated)
+
+    def __add__(self: _S, other: _S) -> _S:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same_mode(other)
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc = out.get(key)
+            out[key] = coeff if acc is None else acc + coeff
+        return type(self)._trusted(out, self._truncated)
+
+    def __sub__(self: _S, other: _S) -> _S:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+
+class Poly(_Sparse):
     """Immutable sparse polynomial with CycQ coefficients."""
 
-    __slots__ = ("_coeffs", "_truncated")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -41,7 +103,7 @@ class Poly:
             coeff = as_cycq(value)
             if coeff:
                 canonical[degree] = coeff
-        self._coeffs = canonical
+        self._terms = canonical
         self._truncated = truncated
 
     @classmethod
@@ -50,9 +112,9 @@ class Poly:
         __init__; still drops zeros and, when truncated, degrees of three or more."""
         out = _new(cls)
         if truncated:
-            out._coeffs = {d: c for d, c in coeffs.items() if d < 3 and c}
+            out._terms = {d: c for d, c in coeffs.items() if d < 3 and c}
         else:
-            out._coeffs = {d: c for d, c in coeffs.items() if c}
+            out._terms = {d: c for d, c in coeffs.items() if c}
         out._truncated = truncated
         return out
 
@@ -82,57 +144,16 @@ class Poly:
         return cls({degree: coeff}, truncated)
 
     @property
-    def truncated(self) -> bool:
-        return self._truncated
-
-    @property
     def degree(self) -> int | None:
         """Largest degree with a nonzero coefficient, None for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return max(self._terms) if self._terms else None
 
     def coefficient(self, degree: int) -> CycQ:
-        return self._coeffs.get(degree, ZERO)
+        return self._terms.get(degree, ZERO)
 
     def terms(self) -> list[tuple[int, CycQ]]:
         """(degree, coefficient) pairs in ascending degree order."""
-        return sorted(self._coeffs.items())
-
-    def items(self) -> ItemsView[int, CycQ]:
-        """(degree, coefficient) pairs in no particular order; terms() sorts."""
-        return self._coeffs.items()
-
-    def _require_same_mode(self, other: Poly) -> None:
-        if self._truncated != other._truncated:
-            raise ModeMismatchError("cannot combine plain and x**3 == 0 polynomials")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self._truncated == other._truncated and self._coeffs == other._coeffs
-
-    def __neg__(self) -> Poly:
-        return Poly._trusted({d: -c for d, c in self._coeffs.items()}, self._truncated)
-
-    def __add__(self, other: Poly) -> Poly:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._require_same_mode(other)
-        out = dict(self._coeffs)
-        for degree, coeff in other._coeffs.items():
-            acc = out.get(degree)
-            out[degree] = coeff if acc is None else acc + coeff
-        return Poly._trusted(out, self._truncated)
-
-    def __sub__(self, other: Poly) -> Poly:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
+        return sorted(self._terms.items())
 
     def __mul__(self, other: Poly | CycQ | int | Fraction) -> Poly:
         if isinstance(other, (CycQ, int, Fraction)):
@@ -141,7 +162,7 @@ class Poly:
             return NotImplemented
         self._require_same_mode(other)
         out: dict[int, CycQ] = {}
-        _mul_into(out, self._coeffs.items(), other._coeffs.items(), self._truncated)
+        _mul_into(out, self._terms.items(), other._terms.items(), self._truncated)
         return Poly._trusted(out, self._truncated)
 
     def __rmul__(self, other: CycQ | int | Fraction) -> Poly:
@@ -151,7 +172,7 @@ class Poly:
 
     def scale(self, factor: CycQ | int | Fraction) -> Poly:
         factor = as_cycq(factor)
-        return Poly._trusted({d: factor * c for d, c in self._coeffs.items()}, self._truncated)
+        return Poly._trusted({d: factor * c for d, c in self._terms.items()}, self._truncated)
 
     def __str__(self) -> str:
         from .parser import poly_text  # local import avoids a module cycle

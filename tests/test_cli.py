@@ -210,6 +210,7 @@ class TestLimits:
             "x^\u00b2",
             "(x^100)^101",
             f"10^{MAX_DIGITS}",
+            "(1+x)^1000",
         ],
         ids=[
             "power",
@@ -219,6 +220,7 @@ class TestLimits:
             "superscript-exponent",
             "nested-power",
             "result-digits",
+            "dense-power",
         ],
     )
     def test_limits_exit_two_with_one_line(self, run_cli, expr, capsys):
@@ -262,14 +264,21 @@ class TestLimits:
             # alpha has MAX_DIGITS nines, and the alpha - q that prop2 prints one digit more
             ["check", "prop2", f"--alpha=-{'9' * MAX_DIGITS}*q", "--samples", "1"],
             ["check", "swap", "--max-degree", str(MAX_EXPONENT + 1)],
+            ["check", "all", "--samples", str(cli.MAX_SAMPLES + 1)],
         ],
-        ids=["alpha", "alpha-json", "alpha-minus-q", "max-degree"],
+        ids=["alpha", "alpha-json", "alpha-minus-q", "max-degree", "samples"],
     )
     def test_configuration_past_a_limit_exits_three(self, run_cli, argv, capsys):
         assert run_cli(argv) == (3, "")
         err = capsys.readouterr().err
         assert err.startswith("qforms:")
         assert err.count("\n") == 1
+
+    def test_samples_at_the_cap(self, run_cli):
+        # the swap suite ignores the sample count, so this starts no large work
+        code, out = run_cli(["check", "swap", "--samples", str(cli.MAX_SAMPLES)])
+        assert code == 0
+        assert out.endswith("summary: 1/1 suites passed\n")
 
     def test_max_degree_at_the_cap(self, run_cli):
         # the swap suite ignores the degree bound, so this starts no large work

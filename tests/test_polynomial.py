@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
 from qforms.cyclotomic import Q, CycQ
+from qforms.forms import Form
 from qforms.polynomial import ModeMismatchError, Poly
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -135,3 +138,30 @@ def test_addition_makes_no_scalar_sum_for_a_new_degree(monkeypatch):
     assert made == 0
     assert Poly({1: 1}) + Poly({1: Q}) == Poly({1: CycQ(1, 1)})
     assert made == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda truncated: Poly({0: 1, 2: Q}, truncated),
+        lambda truncated: Form({(0, 0): Poly.x(truncated), (1, 2): Poly.one(truncated)}, truncated),
+    ],
+    ids=["Poly", "Form"],
+)
+def test_shared_additive_core(make):
+    u, u_truncated = make(False), make(True)
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ModeMismatchError):
+            op(u, u_truncated)
+        with pytest.raises(ModeMismatchError):
+            op(u_truncated, u)
+    assert (u - u).is_zero() and not (u - u)
+    assert -(-u) == u and -u != u
+    other = Form.one() if isinstance(u, Poly) else Poly.one()
+    assert (u == other) is False and (other == u) is False
+    with pytest.raises(TypeError):
+        u + other
+    with pytest.raises(TypeError):
+        other + u
+    with pytest.raises(TypeError):
+        hash(u)
