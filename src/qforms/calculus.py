@@ -18,33 +18,59 @@ homogeneously under the twist. On monomials it is
 q_number(m, alpha) * alpha**(m-1) * (alpha - q) * x**(m-1), so it vanishes
 identically exactly when alpha == q; q_bracket itself keeps the definition
 so that the Proposition 2 check evaluates it.
+
+CalculusConfig is a plain immutable class with two slots, alpha and
+anyonic. The scalar caches are keyed by CycQ alone: q_number coerces an int
+or Fraction alpha before its cached body, which returns a CycQ.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import Q, CycQ, as_cycq
 from .polynomial import ModeMismatchError, Poly
 
 
-@dataclass(frozen=True)
 class CalculusConfig:
-    """Twist scalar plus the choice of coefficient algebra.
+    """Twist scalar plus the choice of coefficient algebra; immutable.
 
-    anyonic=True selects the x**3 == 0 quotient and requires alpha == q, the
-    only twist for which that quotient is consistent with the calculus.
+    alpha is coerced into Q(q). anyonic=True selects the x**3 == 0 quotient
+    and requires alpha == q, the only twist for which that quotient is
+    consistent with the calculus.
     """
 
+    __slots__ = ("alpha", "anyonic")
     alpha: CycQ
-    anyonic: bool = False
+    anyonic: bool
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.alpha, CycQ):
-            object.__setattr__(self, "alpha", as_cycq(self.alpha))
-        if self.anyonic and self.alpha != Q:
+    def __init__(self, alpha: CycQ | int | Fraction, anyonic: bool = False) -> None:
+        alpha = as_cycq(alpha)
+        if anyonic and alpha != Q:
             raise ModeMismatchError("anyonic mode requires alpha == q")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "anyonic", anyonic)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, (self.alpha, self.anyonic))  # copy and pickle
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.alpha == other.alpha and self.anyonic == other.anyonic
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.anyonic))
+
+    def __repr__(self) -> str:
+        return f"CalculusConfig(alpha={self.alpha!r}, anyonic={self.anyonic!r})"
 
     @property
     def truncated(self) -> bool:
@@ -74,14 +100,23 @@ def _alpha_power(alpha: CycQ, m: int) -> CycQ:
     return alpha**m
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def q_number(k: int, alpha: CycQ) -> CycQ:
+def q_number(k: int, alpha: CycQ | int | Fraction) -> CycQ:
     """The alpha-integer 1 + alpha + ... + alpha**(k-1); k itself at alpha == 1."""
+    return _q_number(k, as_cycq(alpha))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _q_number(k: int, alpha: CycQ) -> CycQ:
     if k < 0:
         raise ValueError("q_number needs k >= 0")
     if alpha == 1:
         return CycQ(k)
     return (_alpha_power(alpha, k) - 1) / (alpha - 1)  # geometric sum
+
+
+# q_number's cache is the body's: every key holds a CycQ
+q_number.cache_info = _q_number.cache_info
+q_number.cache_clear = _q_number.cache_clear
 
 
 def twist(f: Poly, cfg: CalculusConfig) -> Poly:
@@ -107,7 +142,7 @@ def derivative(f: Poly, cfg: CalculusConfig) -> Poly:
     _require_mode(f, cfg)
     alpha = cfg.alpha
     return Poly._trusted(
-        {m - 1: q_number(m, alpha) * c for m, c in f.items() if m >= 1},
+        {m - 1: _q_number(m, alpha) * c for m, c in f.items() if m >= 1},
         f.truncated,
     )
 

@@ -7,7 +7,6 @@ byte-identical report. Samples are evaluated sequentially in sample order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .calculus import CalculusConfig, check_homogeneity, derivative, q_bracket
 from .cyclotomic import Q, CycQ, q_power
@@ -19,13 +18,23 @@ from .polynomial import Poly
 SUITE_NAMES = ("assoc", "leibniz", "d3", "prop2", "swap")
 
 
-@dataclass
 class SuiteResult:
     """Outcome of one suite: a flag plus human-readable detail lines."""
 
-    name: str
-    passed: bool
-    lines: list[str] = field(default_factory=list)
+    __slots__ = ("name", "passed", "lines")
+
+    def __init__(self, name: str, passed: bool, lines: list[str] | None = None) -> None:
+        self.name = name
+        self.passed = passed
+        self.lines = [] if lines is None else lines
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.passed, self.lines) == (other.name, other.passed, other.lines)
+
+    def __repr__(self) -> str:
+        return f"SuiteResult(name={self.name!r}, passed={self.passed!r}, lines={self.lines!r})"
 
 
 def random_cycq(rng: random.Random, lo: int = -5, hi: int = 5) -> CycQ:

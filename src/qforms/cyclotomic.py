@@ -63,7 +63,12 @@ class CycQ:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b, self._d))
+        # a rational value hashes like the int or Fraction it equals
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        if self._d == 1:
+            return hash(self._a)
+        return hash(Fraction(self._a, self._d))
 
     def __neg__(self) -> CycQ:
         return _make(-self._a, -self._b, self._d)

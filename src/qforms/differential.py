@@ -23,19 +23,21 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
     if u.truncated != cfg.anyonic:
         raise ModeMismatchError("form mode does not match the configuration")
     out: dict[FormMonomial, Poly] = {}
+    word = tuple.__new__  # unchecked: every word below has dx power <= 2, d2x power >= 0
 
-    def add(mon: FormMonomial, poly: Poly) -> None:
+    def add(mon: tuple[int, int], poly: Poly) -> None:
+        mon = word(FormMonomial, mon)
         acc = out.get(mon)
         out[mon] = poly if acc is None else acc + poly
 
-    for mon, f in u.items():
-        if mon.dx == 0:
-            add(FormMonomial(1, mon.d2x), derivative(f, cfg))
-        elif mon.dx == 1:
-            add(FormMonomial(0, mon.d2x + 1), f)
-            add(FormMonomial(2, mon.d2x), derivative(f, cfg))
+    for (k, m), f in u.items():
+        if k == 0:
+            add((1, m), derivative(f, cfg))
+        elif k == 1:
+            add((0, m + 1), f)
+            add((2, m), derivative(f, cfg))
         else:
-            add(FormMonomial(1, mon.d2x + 1), -f)
+            add((1, m + 1), -f)
     return Form(out, u.truncated)
 
 

@@ -1,9 +1,10 @@
 """Differential forms on the line.
 
 A Form is a finite sum of terms f * dx**k * d2x**m with polynomial f, k at
-most 2 and m unbounded; the grade of a basis word is k + 2*m. Coefficients
-always sit on the left. Products are reduced to that normal form with the
-relations
+most 2 and m unbounded; the grade of a basis word is k + 2*m. A basis word
+is a FormMonomial, the int pair (k, m) as a tuple, so the dicts keyed by
+words hash and compare them in C. Coefficients always sit on the left.
+Products are reduced to that normal form with the relations
 
     dx * g    == twist(g) * dx                      for g in the coordinate algebra
     d2x * g   == twist(g) * d2x + q_bracket(g) * dx**2
@@ -26,7 +27,6 @@ memoized, since the measured traffic almost never repeats one (Form.mul).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .calculus import CalculusConfig, derivative, twist_power
@@ -34,22 +34,39 @@ from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
 from .polynomial import ModeMismatchError, Poly, _Sparse, _mul_into
 
 
-@dataclass(frozen=True)
-class FormMonomial:
-    """The basis word dx**k * d2x**m, stored as the power pair (k, m)."""
+class FormMonomial(tuple):
+    """The basis word dx**k * d2x**m, stored as the power pair (k, m).
 
-    dx: int
-    d2x: int
+    A tuple, so hashing, equality and order are the pair's own and run in C:
+    FormMonomial(k, m) == (k, m), with the same hash.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.dx <= 2:
+    __slots__ = ()
+
+    def __new__(cls, dx: int, d2x: int) -> FormMonomial:
+        if not 0 <= dx <= 2:
             raise ValueError("dx power must lie in {0, 1, 2}")  # dx**3 == 0
-        if self.d2x < 0:
+        if d2x < 0:
             raise ValueError("d2x power must be nonnegative")
+        return tuple.__new__(cls, (dx, d2x))
+
+    def __reduce__(self) -> tuple:
+        return (self.__class__, tuple(self))  # copy and pickle
+
+    @property
+    def dx(self) -> int:
+        return self[0]
+
+    @property
+    def d2x(self) -> int:
+        return self[1]
 
     @property
     def grade(self) -> int:
-        return self.dx + 2 * self.d2x
+        return self[0] + 2 * self[1]
+
+    def __repr__(self) -> str:
+        return f"FormMonomial(dx={self[0]!r}, d2x={self[1]!r})"
 
 
 def _sort_key(mon: FormMonomial) -> tuple[int, int]:
@@ -199,11 +216,9 @@ class Form(_Sparse):
         if truncated != cfg.anyonic:
             raise ModeMismatchError("form mode does not match the configuration")
         out: dict[tuple[int, int], dict[int, CycQ]] = {}
-        for mon, f in self._terms.items():
-            k, m = mon.dx, mon.d2x
+        for (k, m), f in self._terms.items():
             factor = cfg.alpha_power(m) - q_power(m) if k == 0 and m else None
-            for mon_g, g in other._terms.items():
-                j, n = mon_g.dx, mon_g.d2x
+            for (j, n), g in other._terms.items():
                 if k + j < 3:
                     e = 2 * m * j % 3  # the swap scalar is q**e
                     left = (f.scale(q_power(e)) if e else f).items()
@@ -214,10 +229,11 @@ class Form(_Sparse):
                     if low:
                         pushed = twist_power(low, m, cfg).scale(factor).items()
                         _mul_into(out.setdefault((2, m - 1 + n), {}), f.items(), pushed, truncated)
+        word = tuple.__new__  # unchecked: the loop above keeps k <= 2, m >= 0
         return Form._trusted(
             {
-                FormMonomial(*word): Poly._trusted(coeffs, truncated)
-                for word, coeffs in out.items()
+                word(FormMonomial, mon): Poly._trusted(coeffs, truncated)
+                for mon, coeffs in out.items()
             },
             truncated,
         )

@@ -289,6 +289,12 @@ class TestAgainstFractionOracle:
         twin = (u + ONE) - ONE
         assert twin == u and hash(twin) == hash(u)
 
+    @given(st.one_of(st.integers(-(10**30), 10**30), st.fractions()))
+    def test_rational_values_hash_like_the_int_or_fraction_they_equal(self, value):
+        u = CycQ(value)
+        assert u == value and hash(u) == hash(value)
+        assert {u: "a"}.get(value) == "a" and {value: "a"}.get(u) == "a"
+
     @given(
         st.integers(-(10**12), 10**12),
         st.integers(-(10**6), 10**6).filter(bool),
