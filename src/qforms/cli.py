@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections.abc import Iterable
@@ -40,12 +39,85 @@ class _OutputError(Exception):
 
 
 _TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
+_SHORT_BITS = 14_284  # 2**14284 < 10**4300: an int of this many bits has at most 4300 digits
 
 
 def _too_long(values: Iterable[CycQ]) -> bool:
     """Whether the text or JSON of any of these scalars would write an integer
-    of more than MAX_DIGITS digits, which CPython refuses to convert to str."""
-    return any(abs(n) >= _TOO_LONG for value in values for n in value.ratios())
+    of more than MAX_DIGITS digits, which CPython refuses to convert to str.
+
+    Lowest terms only shrink the stored ints, so ratios() and its gcds are
+    needed only for a scalar with an int longer than _SHORT_BITS.
+    """
+    return any(
+        value.max_bits() > _SHORT_BITS and any(abs(n) >= _TOO_LONG for n in value.ratios())
+        for value in values
+    )
+
+
+# option defaults, shared by _fast_args and the argparse parser
+_DEFAULTS = {
+    "alpha": "q",
+    "anyonic": False,
+    "output": "text",
+    "seed": 0,
+    "samples": 200,
+    "max_degree": 6,
+}
+_VALUE_OPTIONS = {
+    "--alpha": "alpha",
+    "--output": "output",
+    "--seed": "seed",
+    "--samples": "samples",
+    "--max-degree": "max_degree",
+    "-n": "times",
+    "--times": "times",
+}
+
+
+def _fast_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace that _build_parser().parse_args(argv) returns, for the
+    plain shapes scripts write, or None for every other argv.
+
+    Accepted: reduce, diff, grade or closed, then one positional that does
+    not start with '-' and, in any order, the full option names as separate
+    tokens, each value not starting with '-' (-n and --times for diff only).
+    Everything else, every error, --help, an abbreviation, --opt=value, '--'
+    and check included, is left to argparse, which parses, refuses or
+    explains it.
+    """
+    if not argv or argv[0] not in ("reduce", "diff", "grade", "closed"):
+        return None
+    command = argv[0]
+    values = dict(_DEFAULTS, command=command)
+    if command == "diff":
+        values["times"] = 1
+    expr = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if expr is not None:
+                return None
+            expr = token
+        elif token == "--anyonic":
+            values["anyonic"] = True
+        else:
+            dest = _VALUE_OPTIONS.get(token)
+            value = next(tokens, "-")  # a missing value declines like a flag
+            if dest is None or value.startswith("-") or dest == "times" and command != "diff":
+                return None
+            if dest == "output":
+                if value not in ("text", "json"):
+                    return None
+            elif dest != "alpha":
+                try:
+                    value = int(value)  # argparse's type=int
+                except ValueError:
+                    return None
+            values[dest] = value
+    if expr is None:
+        return None
+    return argparse.Namespace(expr=expr, **values)
 
 
 @functools.cache
@@ -59,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--alpha",
-        default="q",
+        default=_DEFAULTS["alpha"],
         metavar="SCALAR",
         help="twist scalar, any constant expression such as 'q', '2' or '1+q' (default: q)",
     )
@@ -68,13 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="work in the x^3 = 0 quotient; forces alpha = q",
     )
-    common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--samples", type=int, default=200, help="samples per randomized suite")
+    common.add_argument("--output", choices=("text", "json"), default=_DEFAULTS["output"])
+    common.add_argument(
+        "--seed", type=int, default=_DEFAULTS["seed"], help="seed for randomized suites"
+    )
+    common.add_argument(
+        "--samples", type=int, default=_DEFAULTS["samples"], help="samples per randomized suite"
+    )
     common.add_argument(
         "--max-degree",
         type=int,
-        default=6,
+        default=_DEFAULTS["max_degree"],
         dest="max_degree",
         help="coefficient degree bound for random samples and homogeneity checks",
     )
@@ -106,13 +182,15 @@ def _configure(args: argparse.Namespace) -> tuple[CalculusConfig, str]:
         if env not in ("text", "json"):
             raise _ConfigError(f"QFORMS_OUTPUT must be 'text' or 'json', not {env!r}")
         output = env  # the environment wins over the flag
-    try:
-        # the default, exactly "q", needs no parse
-        alpha = Q if args.alpha == "q" else parse_scalar(args.alpha)
-    except (ParseError, ValueError) as exc:
-        raise _ConfigError(f"bad --alpha value: {exc}") from exc
-    if _too_long((alpha, alpha - Q)):  # check prints alpha, and prop2 alpha - q
-        raise _ConfigError(f"bad --alpha value: an integer has more than {MAX_DIGITS} digits")
+    if args.alpha == "q":
+        alpha = Q  # the default needs no parse, and its digits are few
+    else:
+        try:
+            alpha = parse_scalar(args.alpha)
+        except (ParseError, ValueError) as exc:
+            raise _ConfigError(f"bad --alpha value: {exc}") from exc
+        if _too_long((alpha, alpha - Q)):  # check prints alpha, and prop2 alpha - q
+            raise _ConfigError(f"bad --alpha value: an integer has more than {MAX_DIGITS} digits")
     if args.seed < 0:
         raise _ConfigError("--seed must be nonnegative")
     if args.samples < 1:
@@ -128,15 +206,25 @@ def _configure(args: argparse.Namespace) -> tuple[CalculusConfig, str]:
     return CalculusConfig(alpha, anyonic=args.anyonic), output
 
 
+def _print_json(value: object) -> None:
+    import json  # only --output json pays for the import
+
+    print(json.dumps(value))
+
+
 def _emit_form(form, output: str) -> None:
     if output == "json":
-        print(json.dumps(form.to_dict()))
+        _print_json(form.to_dict())
     else:
         print(render(form))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         # CalculusConfig raises ModeMismatchError for --anyonic off alpha = q
         cfg, output = _configure(args)
@@ -146,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "closed":
             closed = is_closed(form, cfg)
             if output == "json":
-                print(json.dumps({"closed": closed}))
+                _print_json({"closed": closed})
             else:
                 print("true" if closed else "false")
             return EXIT_OK
@@ -158,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "grade":
             components = form.decompose()
             if output == "json":
-                print(json.dumps({str(g): c.to_dict() for g, c in components.items()}))
+                _print_json({str(g): c.to_dict() for g, c in components.items()})
             else:
                 for g, component in components.items():
                     print(f"{g}: {render(component)}")
@@ -189,7 +277,7 @@ def _run_check(args: argparse.Namespace, cfg: CalculusConfig, output: str) -> in
             ],
             "passed": passed,
         }
-        print(json.dumps(report))
+        _print_json(report)
     else:
         for result in results:
             print(f"{result.name}: {'PASS' if result.passed else 'FAIL'}")

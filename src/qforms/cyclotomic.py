@@ -45,6 +45,10 @@ class CycQ:
         g, h = gcd(a, d), gcd(b, d)
         return a // g, d // g, b // h, d // h
 
+    def max_bits(self) -> int:
+        """Bit length of the longest stored int; no int of ratios() is longer."""
+        return max(self._a.bit_length(), self._b.bit_length(), self._d.bit_length())
+
     def is_zero(self) -> bool:
         return not self._a and not self._b
 

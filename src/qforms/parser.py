@@ -10,11 +10,17 @@ Grammar (whitespace insignificant):
     uint     := one or more of the ASCII digits 0123456789
 
 A leading '-' reads as 0 - term. '^' binds tighter than '*', which binds
-tighter than '+' and '-'; '*' evaluates left to right through the form
-product, so re-associating a product cannot change the parsed value.
-'base^N' is computed by repeated squaring, O(log N) form products; the
-product is associative and exact, so the value is that of N left-to-right
-factors.
+tighter than '+' and '-'; '*' evaluates left to right, and the product is
+associative and exact, so re-associating a product cannot change the
+parsed value. Coefficients sit on the left of the normal form, so two
+products need no rewriting and are written down directly (_product): a
+left factor that is a polynomial times the empty word scales each right
+coefficient, and a right factor that is a constant times one word shifts
+each left word, at the swap scalar q**(2mj). A power of one term c*x**d on
+the empty word, or of a constant on any word, is one closed formula
+(_power). Every other '*' is the form product Form.mul, and every other
+'base^N' is computed by repeated squaring, O(log N) form products; either
+way the value is that of N left-to-right factors.
 
 All canonical text is written here: render for forms, poly_text for
 coefficient polynomials (Poly.__str__) and scalar_text for scalars
@@ -37,8 +43,8 @@ import math
 from fractions import Fraction
 
 from .calculus import CalculusConfig
-from .cyclotomic import CycQ, Q
-from .forms import Form, FormMonomial
+from .cyclotomic import CycQ, Q, q_power
+from .forms import Form, FormMonomial, swap_scalar
 from .polynomial import Poly
 
 
@@ -138,7 +144,7 @@ class _Parser:
             kind, text, _ = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                value = value.mul(self.factor(), self._cfg)
+                value = _product(value, self.factor(), self._cfg)
             else:
                 return value
 
@@ -183,13 +189,7 @@ class _Parser:
                 return Form.scalar(Fraction(numerator, denominator), truncated)
             return Form.scalar(numerator, truncated)
         if kind == "name":
-            if text == "x":
-                return Form.from_poly(Poly.x(truncated))
-            if text == "q":
-                return Form.scalar(Q, truncated)
-            if text == "dx":
-                return Form.basis(1, 0, truncated)
-            return Form.basis(0, 1, truncated)  # d2x
+            return _NAMED[truncated][text]
         if kind == "op" and text == "(":
             if self._depth == MAX_DEPTH:
                 raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", pos)
@@ -202,6 +202,18 @@ class _Parser:
             self._depth -= 1
             return value
         raise ParseError("expected 'x', 'dx', 'd2x', 'q', a rational, or '('", pos)
+
+
+# x, q, dx and d2x in each mode; forms are immutable, so every parse shares them
+_NAMED = {
+    truncated: {
+        "x": Form.from_poly(Poly.x(truncated)),
+        "q": Form.scalar(Q, truncated),
+        "dx": Form.basis(1, 0, truncated),
+        "d2x": Form.basis(0, 1, truncated),
+    }
+    for truncated in (False, True)
+}
 
 
 def _literal(text: str, pos: int) -> int:
@@ -237,15 +249,66 @@ def _power_terms(base: Form, n: int) -> int:
     return min(per_multiset * math.comb(n + t - 1, n), words_times_degrees)
 
 
+def _product(left: Form, right: Form, cfg: CalculusConfig) -> Form:
+    """left * right for two forms in cfg's mode; equal to left.mul(right, cfg).
+
+    Written down without the form product when no relation applies: a left
+    factor f on the empty word gives f*g on each right word (g, j, n), and
+    a right factor that is one constant c on one word dx**j d2x**n, which
+    every twist fixes and whose derivative is zero, moves each left term
+    (f, k, m) to f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once
+    k + j >= 3. Neither leaves a bracket term.
+    """
+    terms = left.items()
+    if len(terms) == 1:
+        ((word, f),) = terms
+        if word == (0, 0):
+            return right.left_mul(f)
+    if len(right.items()) == 1:
+        (((j, n), g),) = right.items()
+        if g.degree == 0:
+            c = g.coefficient(0)
+            return Form._trusted(
+                {
+                    FormMonomial(k + j, m + n): f.scale(c * swap_scalar(m, j))
+                    for (k, m), f in terms
+                    if k + j < 3
+                },
+                left.truncated,
+            )
+    return left.mul(right, cfg)
+
+
 def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
-    """base^n by square-and-multiply: at most 2*log2(n) form products."""
+    """base^n, in closed form or by square-and-multiply (at most 2*log2(n)
+    form products).
+
+    A one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
+    pushes its coefficient past a word, so its power is c**n * x**(d*n) *
+    dx**(j*n) d2x**(m*n) times q**(2mj) for each of the n(n-1)/2 swaps of a
+    dx**j left past a d2x**m; zero once j*n >= 3, or d*n >= 3 when
+    truncated.
+    """
+    truncated = cfg.anyonic
+    if len(base.items()) == 1:
+        (((j, m), poly),) = base.items()
+        if len(poly.items()) == 1:
+            ((d, c),) = poly.items()
+            if not d or not (j or m):
+                if j * n >= 3 or truncated and d * n >= 3:
+                    return Form.zero(truncated)
+                coeff = c**n * q_power(m * j * n * (n - 1))
+                return Form._trusted(
+                    {FormMonomial(j * n, m * n): Poly._trusted({d * n: coeff}, truncated)},
+                    truncated,
+                )
     out = None
     while True:
         if n & 1:
             out = base if out is None else out.mul(base, cfg)
         n >>= 1
         if not n:
-            return Form.one(cfg.anyonic) if out is None else out
+            return Form.one(truncated) if out is None else out
         base = base.mul(base, cfg)
 
 

@@ -9,12 +9,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qforms.cli as cli
 from qforms.checks import SuiteResult
+from qforms.cyclotomic import CycQ
 from qforms.parser import MAX_DIGITS, MAX_EXPONENT
 
 
@@ -274,6 +278,38 @@ class TestLimits:
         assert err.startswith("qforms:")
         assert err.count("\n") == 1
 
+    def test_digit_check_at_the_exact_boundary(self):
+        last, first = 10**MAX_DIGITS - 1, 10**MAX_DIGITS  # the longest printable, the shortest not
+        for value, too_long in [
+            (CycQ(last), False),
+            (CycQ(-last), False),
+            (CycQ(0, last), False),
+            (CycQ(Fraction(1, last)), False),
+            (CycQ(first), True),
+            (CycQ(-first), True),
+            (CycQ(0, first), True),
+            (CycQ(Fraction(1, first)), True),
+        ]:
+            assert value.max_bits() > cli._SHORT_BITS  # both sides take the slow path
+            assert cli._too_long([value]) is too_long
+
+    def test_short_scalars_skip_the_lowest_terms(self):
+        short = 2**cli._SHORT_BITS - 1
+        assert len(str(short)) <= MAX_DIGITS
+        with mock.patch.object(CycQ, "ratios", side_effect=AssertionError):
+            for value in [CycQ(short), CycQ(-short, short), CycQ(Fraction(1, short))]:
+                assert value.max_bits() == cli._SHORT_BITS
+                assert cli._too_long([value]) is False
+
+    def test_long_stored_denominator_with_short_lowest_terms(self):
+        # 1/p + q/r is stored over p*r, which is too long to print; its
+        # lowest terms 1/p and 1/r are not
+        p, r = 2**8000, 3**5100
+        value = CycQ(Fraction(1, p), Fraction(1, r))
+        assert value.max_bits() > cli._SHORT_BITS
+        assert p * r >= 10**MAX_DIGITS
+        assert cli._too_long([value]) is False
+
     def test_samples_at_the_cap(self, run_cli):
         # the swap suite ignores the sample count, so this starts no large work
         code, out = run_cli(["check", "swap", "--samples", str(cli.MAX_SAMPLES)])
@@ -348,12 +384,23 @@ class TestSharedParser:
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
         cli._build_parser.cache_clear()
-        run_cli(["reduce", "x"])
+        # '--opt=value' is left to argparse, so these calls build the parser
+        run_cli(["reduce", "--alpha=2", "x"])
         once = built[0]
         for _ in range(9):
-            run_cli(["diff", "x"])
+            run_cli(["diff", "--times=2", "x"])
         assert once > 0
         assert built[0] == once
+
+    def test_fast_path_builds_no_parser(self, run_cli, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("an ArgumentParser was built")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+        cli._build_parser.cache_clear()
+        assert run_cli(["reduce", "dx*x"]) == (0, "q*x*dx\n")
+        assert run_cli(["diff", "-n", "2", "x^2", "--alpha", "2", "--output", "json"])[0] == 0
+        assert cli._build_parser.cache_info().currsize == 0
 
     def test_importing_builds_no_parser(self):
         src = Path(cli.__file__).resolve().parents[1]
@@ -406,3 +453,104 @@ class TestSharedParser:
         usage_error = alone[steps.index((["diff", "-n", "two", "x"], None))]
         assert usage_error[0] == 2
         assert usage_error[2].startswith("usage: qforms diff")
+
+
+def run_argparse_route(argv):
+    """run_isolated with the fast path off: every argv goes through argparse."""
+    with mock.patch.object(cli, "_fast_args", lambda argv: None):
+        return run_isolated(argv)
+
+
+def argparse_vars(argv):
+    """vars() of argparse's Namespace for argv, or None where argparse exits."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# option values, each list with a few that argparse refuses or reads differently
+NUMBERS = ["0", "1", "3", "12", "+2", " 4", "1_0", "\u0663", "-1", "abc", ""]
+OPTIONS = st.one_of(
+    st.tuples(st.just("--alpha"), st.sampled_from(["q", "2", "1/2", "1+q", "x", "", "(", "-1"])),
+    st.tuples(st.just("--anyonic")),
+    st.tuples(st.just("--output"), st.sampled_from(["text", "json", "xml"])),
+    st.tuples(st.sampled_from(["--seed", "--samples", "--max-degree"]), st.sampled_from(NUMBERS)),
+    st.tuples(st.sampled_from(["-n", "--times"]), st.sampled_from(NUMBERS)),
+)
+EXPRESSIONS = st.sampled_from(["x", "dx*x", "x^2*d2x", "x + dx", "q*d2x^2", "(", ""])
+HOSTILE = st.sampled_from(
+    ["--alp", "--alpha=2", "--times=2", "--", "-1", "-h", "--help", "-n", "--output", "x", "check"]
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command, options and one expression in any order, and sometimes
+    extra tokens: a repeated positional, an abbreviation, '--' and the like."""
+    commands = ["reduce", "diff", "grade", "closed", "check", "red", "--alpha"]
+    command = draw(st.sampled_from(commands))
+    tokens = [draw(OPTIONS) for _ in range(draw(st.integers(0, 4)))]
+    tokens.insert(draw(st.integers(0, len(tokens))), (draw(EXPRESSIONS),))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), (draw(HOSTILE),))
+    return [command] + [token for group in tokens for token in group]
+
+
+class TestFastArgs:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(argv=cli_argvs())
+    def test_matches_argparse(self, argv):
+        fast = cli._fast_args(argv)
+        if fast is not None:
+            assert vars(fast) == argparse_vars(argv)
+        else:
+            assert run_isolated(argv) == run_argparse_route(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "x"],
+            ["diff", "x^2*d2x", "-n", "3", "--alpha", "1+q", "--output", "json"],
+            ["diff", "--times", "\u0663", "x^3"],
+            ["grade", "x + dx", "--anyonic", "--seed", "4", "--samples", "5"],
+            ["closed", "--max-degree", "7", "x*d2x + dx^2", "--output", "text"],
+            ["reduce", "", "--alpha", "2", "--alpha", "1/2"],
+        ],
+    )
+    def test_accepted_shapes(self, argv):
+        fast = cli._fast_args(argv)
+        assert fast is not None
+        assert vars(fast) == argparse_vars(argv)
+        assert run_isolated(argv) == run_argparse_route(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["reduce"],
+            ["reduce", "--alp", "2", "x"],
+            ["reduce", "--alpha=2", "x"],
+            ["reduce", "-n", "2", "x"],
+            ["reduce", "x", "--output", "xml"],
+            ["diff", "-n", "abc", "x"],
+            ["diff", "-n", "-1", "x"],
+            ["reduce", "--", "-x"],
+            ["reduce", "-1"],
+            ["reduce", "x", "y"],
+            ["reduce", "x", "--alpha"],
+            ["reduce", "--help"],
+            ["check", "swap"],
+            ["--alpha", "2", "reduce", "x"],
+        ],
+    )
+    def test_declined_shapes_go_to_argparse(self, argv):
+        assert cli._fast_args(argv) is None
+        assert run_isolated(argv) == run_argparse_route(argv)
+
+    @pytest.mark.parametrize("argv", [["reduce", "dx*x"], ["reduce", "--alpha=1", "d2x*x"]])
+    def test_reads_sys_argv_when_argv_is_none(self, argv, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["qforms"] + argv)
+        assert run_isolated(None) == run_argparse_route(argv)

@@ -5,13 +5,16 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
 from qforms.differential import differential
+from qforms import parser
 from qforms.forms import Form, FormMonomial
 from qforms.parser import (
     MAX_DEPTH,
@@ -19,7 +22,9 @@ from qforms.parser import (
     MAX_EXPONENT,
     MAX_POWER_TERMS,
     ParseError,
+    _power,
     _power_terms,
+    _product,
     parse,
     parse_scalar,
     render,
@@ -520,3 +525,98 @@ def test_round_trip_on_random_forms(cfg):
     for _ in range(60):
         u = random_form(rng, cfg)
         assert parse(render(u), cfg) == u
+
+
+# Forms for the closed-form oracle. One-term forms with a monomial or
+# constant coefficient, on the empty word or not, hit each closed form; the
+# multi-term forms and the polynomial coefficients on a dx or d2x word hit
+# each fall-through to Form.mul.
+ORACLE_CFGS = st.sampled_from(
+    [
+        CFG_Q,
+        CFG_ANY,
+        CalculusConfig(CycQ(2)),
+        CalculusConfig(CycQ(1, 1)),
+        CalculusConfig(CycQ(Fraction(1, 2))),
+    ]
+)
+oracle_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+oracle_scalars = st.builds(CycQ, oracle_rationals, oracle_rationals).filter(bool)
+oracle_words = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@st.composite
+def oracle_forms(draw, truncated):
+    shape = draw(st.sampled_from(["constant", "monomial", "polynomial", "sum"]))
+    if shape == "sum":
+        words = draw(st.lists(oracle_words, min_size=0, max_size=3, unique=True))
+    else:
+        words = [draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (2, 1), (1, 2)]) | oracle_words)]
+    if shape == "constant":
+        degrees = [0]
+    elif shape == "monomial":
+        degrees = [draw(st.integers(1, 3))]
+    else:
+        degrees = None
+    terms = {}
+    for word in words:
+        chosen = degrees or draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+        terms[word] = Poly({d: draw(oracle_scalars) for d in chosen}, truncated)
+    return Form(terms, truncated)
+
+
+@st.composite
+def oracle_cases(draw):
+    cfg = draw(ORACLE_CFGS)
+    return cfg, draw(oracle_forms(cfg.anyonic)), draw(oracle_forms(cfg.anyonic))
+
+
+ORACLE_SETTINGS = settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestClosedForms:
+    """_product and _power against the form product they stand in for."""
+
+    @ORACLE_SETTINGS
+    @given(case=oracle_cases())
+    def test_product_matches_the_form_product(self, case):
+        cfg, a, b = case
+        assert _product(a, b, cfg) == a.mul(b, cfg)
+
+    @ORACLE_SETTINGS
+    @given(case=oracle_cases(), n=st.integers(0, 7))
+    def test_power_matches_the_repeated_product(self, case, n):
+        cfg, base, _ = case
+        assert _power(base, n, cfg) == repeated_product(base, n, cfg)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2*x^3*dx^2*d2x",
+            "x*dx*d2x^2",
+            "q^2*dx*d2x*dx",
+            "(x+dx)*d2x",
+            "x^128",
+            "(2*x^2)^5",
+            "(q*dx*d2x)^2",
+            "d2x^40*dx^2*(2*dx)^2",
+            "(3/2*d2x)^7",
+        ],
+    )
+    def test_closed_forms_make_no_form_product(self, count_form_products, text):
+        for cfg in (CFG_Q, CFG_ANY, CalculusConfig(CycQ(2))):
+            value = parse(text, cfg)
+            assert count_form_products[0] == 0
+            with mock.patch.object(parser, "_product", lambda a, b, cfg: a.mul(b, cfg)):
+                with mock.patch.object(parser, "_power", repeated_product):
+                    assert value == parse(text, cfg)
+            count_form_products[0] = 0
+
+    @pytest.mark.parametrize(
+        "text", ["d2x*x", "dx*(1+x)", "(x+dx)*(x+d2x)", "(x+dx)^2", "(x*d2x)^2", "((1+x)*dx)^2"]
+    )
+    def test_other_products_fall_through(self, count_form_products, text):
+        parse(text, CFG_Q)
+        assert count_form_products[0] > 0

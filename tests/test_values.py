@@ -19,11 +19,13 @@ from qforms.cyclotomic import Q, CycQ
 from qforms.forms import FormMonomial
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def loaded_after_import(modules: set[str]) -> str:
+    """The printed sorted list of those modules that importing qforms, its CLI
+    and its checks loads, in a fresh interpreter without site."""
     src = Path(qforms.__file__).resolve().parents[1]
     probe = (
         "import sys, qforms, qforms.cli, qforms.checks; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        f"print(sorted({modules!r} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
@@ -33,7 +35,16 @@ def test_import_loads_no_dataclasses_or_inspect():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    assert loaded_after_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_loads_no_json():
+    # only --output json imports it
+    assert loaded_after_import({"json"}) == "[]\n"
 
 
 class TestFormMonomial:
