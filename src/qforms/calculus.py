@@ -21,13 +21,13 @@ so that the Proposition 2 check evaluates it.
 
 CalculusConfig is a plain immutable class with two slots, alpha and
 anyonic. The scalar caches are keyed by CycQ alone: q_number coerces an int
-or Fraction alpha before its cached body, which returns a CycQ.
+or other rational alpha before its cached body, which returns a CycQ.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from .cyclotomic import Q, CycQ, as_cycq
 from .polynomial import ModeMismatchError, Poly
@@ -45,7 +45,7 @@ class CalculusConfig:
     alpha: CycQ
     anyonic: bool
 
-    def __init__(self, alpha: CycQ | int | Fraction, anyonic: bool = False) -> None:
+    def __init__(self, alpha: CycQ | int | Rational, anyonic: bool = False) -> None:
         alpha = as_cycq(alpha)
         if anyonic and alpha != Q:
             raise ModeMismatchError("anyonic mode requires alpha == q")
@@ -100,7 +100,7 @@ def _alpha_power(alpha: CycQ, m: int) -> CycQ:
     return alpha**m
 
 
-def q_number(k: int, alpha: CycQ | int | Fraction) -> CycQ:
+def q_number(k: int, alpha: CycQ | int | Rational) -> CycQ:
     """The alpha-integer 1 + alpha + ... + alpha**(k-1); k itself at alpha == 1."""
     return _q_number(k, as_cycq(alpha))
 

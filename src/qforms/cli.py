@@ -4,22 +4,31 @@ Subcommands: reduce, diff, grade, closed, check. Exit codes: 0 success,
 1 property failure, 2 parse error or a result with an integer too long to
 print, 3 mode or configuration error. The QFORMS_OUTPUT environment
 variable overrides --output when set.
+
+Importing this module loads neither argparse nor qforms.checks. _fast_args
+reads the plain argv shapes; every other argv goes to _build_parser, which
+imports argparse. The check command and that parser's suite names import
+qforms.checks, whose SUITE_NAMES and run_suites this module also serves as
+attributes (__getattr__).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from collections.abc import Iterable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .calculus import CalculusConfig
-from .checks import SUITE_NAMES, run_suites
 from .cyclotomic import Q, CycQ
 from .differential import differential_power, is_closed
 from .parser import MAX_DIGITS, MAX_EXPONENT, ParseError, parse, parse_scalar, render
 from .polynomial import ModeMismatchError
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -75,9 +84,9 @@ _VALUE_OPTIONS = {
 }
 
 
-def _fast_args(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace that _build_parser().parse_args(argv) returns, for the
-    plain shapes scripts write, or None for every other argv.
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of the Namespace that _build_parser().parse_args(argv)
+    returns, for the plain shapes scripts write, or None for every other argv.
 
     Accepted: reduce, diff, grade or closed, then one positional that does
     not start with '-' and, in any order, the full option names as separate
@@ -117,7 +126,7 @@ def _fast_args(argv: list[str]) -> argparse.Namespace | None:
             values[dest] = value
     if expr is None:
         return None
-    return argparse.Namespace(expr=expr, **values)
+    return SimpleNamespace(expr=expr, **values)
 
 
 @functools.cache
@@ -128,6 +137,10 @@ def _build_parser() -> argparse.ArgumentParser:
     main() in the process; everything that depends on the environment is
     read per call in _configure.
     """
+    import argparse
+
+    from .checks import SUITE_NAMES
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--alpha",
@@ -175,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure(args: argparse.Namespace) -> tuple[CalculusConfig, str]:
+def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConfig, str]:
     output = args.output
     env = os.environ.get("QFORMS_OUTPUT")
     if env:
@@ -261,9 +274,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MODE_ERROR
 
 
+def __getattr__(name: str) -> object:
+    """checks.SUITE_NAMES and checks.run_suites, imported on first use."""
+    if name not in ("SUITE_NAMES", "run_suites"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checks
+
+    return getattr(checks, name)
+
+
 def _run_check(args: argparse.Namespace, cfg: CalculusConfig, output: str) -> int:
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = run_suites(names, cfg, args.seed, args.samples, args.max_degree)
+    this = sys.modules[__name__]  # through __getattr__, unless a name is bound here
+    names = this.SUITE_NAMES if args.suite == "all" else (args.suite,)
+    results = this.run_suites(names, cfg, args.seed, args.samples, args.max_degree)
     passed = all(r.passed for r in results)
     if output == "json":
         report = {

@@ -7,14 +7,25 @@ A CycQ stores the value (a + b*q) / d as three ints over one common
 denominator, in canonical form: d > 0, gcd(a, b, d) == 1, and zero is
 (0, 0, 1). Almost every scalar the engine meets is an Eisenstein integer
 (d == 1), for which arithmetic is a handful of int operations and the gcd
-is skipped. The properties a and b give the rational parts as Fractions.
-The text of a scalar comes from parser.scalar_text.
+is skipped. The engine's paths never import fractions: a numbers.Rational
+(Fraction among them) is read through its numerator and denominator, and a
+rational value hashes by the formula int and Fraction use. Only the
+properties a and b, norm(), repr, and CycQ of a float, str or Decimal
+build Fractions (_fraction). The text of a scalar comes from
+parser.scalar_text.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd
+from numbers import Rational
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+_MODULUS, _INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 class CycQ:
@@ -22,21 +33,20 @@ class CycQ:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, a: int | Fraction = 0, b: int | Fraction = 0) -> None:
+    def __init__(self, a: int | Rational = 0, b: int | Rational = 0) -> None:
         if type(a) is int and type(b) is int:
             self._a, self._b, self._d = a, b, 1
             return
-        a, b = Fraction(a), Fraction(b)
-        value = from_ratios(a.numerator, a.denominator, b.numerator, b.denominator)
+        value = from_ratios(*_ratio(a), *_ratio(b))
         self._a, self._b, self._d = value._a, value._b, value._d
 
     @property
     def a(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        return _fraction(self._a, self._d)
 
     @property
     def b(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        return _fraction(self._b, self._d)
 
     def ratios(self) -> tuple[int, int, int, int]:
         """(a_num, a_den, b_num, b_den): a and b in lowest terms, the four ints
@@ -60,7 +70,7 @@ class CycQ:
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, Rational)):
                 return NotImplemented
             other = CycQ(other)
         # canonical form makes equality structural
@@ -68,18 +78,21 @@ class CycQ:
 
     def __hash__(self) -> int:
         # a rational value hashes like the int or Fraction it equals
+        a, d = self._a, self._d
         if self._b:
-            return hash((self._a, self._b, self._d))
-        if self._d == 1:
-            return hash(self._a)
-        return hash(Fraction(self._a, self._d))
+            return hash((a, self._b, d))
+        if d == 1:
+            return hash(a)
+        # Fraction.__hash__: |a| / d modulo the hash prime, inf when d has no inverse
+        h = hash(hash(abs(a)) * pow(d, -1, _MODULUS)) if d % _MODULUS else _INF
+        return h if a >= 0 else -h  # hash() itself turns -1 into -2, as Fraction does
 
     def __neg__(self) -> CycQ:
         return _make(-self._a, -self._b, self._d)
 
-    def __add__(self, other: CycQ | int | Fraction) -> CycQ:
+    def __add__(self, other: CycQ | int | Rational) -> CycQ:
         if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, Rational)):
                 return NotImplemented
             other = CycQ(other)
         d1, d2 = self._d, other._d
@@ -89,9 +102,9 @@ class CycQ:
 
     __radd__ = __add__
 
-    def __sub__(self, other: CycQ | int | Fraction) -> CycQ:
+    def __sub__(self, other: CycQ | int | Rational) -> CycQ:
         if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, Rational)):
                 return NotImplemented
             other = CycQ(other)
         d1, d2 = self._d, other._d
@@ -99,12 +112,12 @@ class CycQ:
             return _make(self._a - other._a, self._b - other._b, d1)
         return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
-    def __rsub__(self, other: int | Fraction) -> CycQ:
+    def __rsub__(self, other: int | Rational) -> CycQ:
         return (-self) + other
 
-    def __mul__(self, other: CycQ | int | Fraction) -> CycQ:
+    def __mul__(self, other: CycQ | int | Rational) -> CycQ:
         if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, Rational)):
                 return NotImplemented
             other = CycQ(other)
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
@@ -120,7 +133,7 @@ class CycQ:
 
     def norm(self) -> Fraction:
         """Rational norm a**2 - a*b + b**2; positive except at zero."""
-        return Fraction(_int_norm(self._a, self._b), self._d * self._d)
+        return _fraction(_int_norm(self._a, self._b), self._d * self._d)
 
     def inverse(self) -> CycQ:
         a, b, d = self._a, self._b, self._d
@@ -130,9 +143,9 @@ class CycQ:
         # 1 / ((a + b*q) / d) == d * conjugate(a + b*q) / n, with n > 0
         return _make(d * (a - b), -d * b, n)
 
-    def __truediv__(self, other: CycQ | int | Fraction) -> CycQ:
+    def __truediv__(self, other: CycQ | int | Rational) -> CycQ:
         if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, (int, Rational)):
                 return NotImplemented
             other = CycQ(other)
         return self * other.inverse()
@@ -142,13 +155,15 @@ class CycQ:
             return NotImplemented
         if n < 0:
             raise ValueError("negative exponent")
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return ONE
+        # square-and-multiply from the top bit down: bit_length(n) - 1
+        # squarings and popcount(n) - 1 products, none of them wasted
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def __str__(self) -> str:
@@ -178,6 +193,20 @@ def _make(a: int, b: int, d: int) -> CycQ:
     return out
 
 
+def _fraction(*args: object) -> Fraction:
+    from fractions import Fraction  # imported by the few callers that need one
+
+    return Fraction(*args)
+
+
+def _ratio(value: Rational | float | str) -> tuple[int, int]:
+    """(numerator, denominator) of a scalar part; a float, str or Decimal
+    goes through Fraction, as it always has."""
+    if not isinstance(value, Rational):
+        value = _fraction(value)
+    return value.numerator, value.denominator
+
+
 def _int_norm(a: int, b: int) -> int:
     # a**2 - a*b + b**2 == ((2a - b)**2 + 3b**2) / 4, never negative
     return a * a - a * b + b * b
@@ -196,10 +225,10 @@ def from_ratios(a_num: int, a_den: int, b_num: int, b_den: int) -> CycQ:
     return _make(a_num * b_den, b_num * a_den, d)
 
 
-def as_cycq(value: CycQ | int | Fraction) -> CycQ:
+def as_cycq(value: CycQ | int | Rational) -> CycQ:
     if isinstance(value, CycQ):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Rational)):
         return CycQ(value)
     raise TypeError(f"cannot interpret {value!r} as a Q(q) scalar")
 

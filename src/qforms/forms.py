@@ -27,7 +27,7 @@ memoized, since the measured traffic almost never repeats one (Form.mul).
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
+from numbers import Rational
 
 from .calculus import CalculusConfig, derivative, twist_power
 from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
@@ -122,7 +122,7 @@ class Form(_Sparse):
         return cls({FormMonomial(0, 0): poly}, poly.truncated)
 
     @classmethod
-    def scalar(cls, value: CycQ | int | Fraction, truncated: bool = False) -> Form:
+    def scalar(cls, value: CycQ | int | Rational, truncated: bool = False) -> Form:
         return cls.from_poly(Poly.constant(value, truncated))
 
     @classmethod
@@ -157,7 +157,7 @@ class Form(_Sparse):
             buckets.setdefault(mon.grade, {})[mon] = poly
         return {g: Form(t, self._truncated) for g, t in sorted(buckets.items())}
 
-    def left_mul(self, factor: Poly | CycQ | int | Fraction) -> Form:
+    def left_mul(self, factor: Poly | CycQ | int | Rational) -> Form:
         """Left action of the coordinate algebra; needs no twist scalar."""
         if not isinstance(factor, Poly):
             factor = Poly.constant(as_cycq(factor), self._truncated)
@@ -167,8 +167,8 @@ class Form(_Sparse):
             {m: factor * p for m, p in self._terms.items()}, self._truncated
         )
 
-    def __rmul__(self, factor: Poly | CycQ | int | Fraction) -> Form:
-        if isinstance(factor, (Poly, CycQ, int, Fraction)):
+    def __rmul__(self, factor: Poly | CycQ | int | Rational) -> Form:
+        if isinstance(factor, (Poly, CycQ, int, Rational)):
             return self.left_mul(factor)
         return NotImplemented
 

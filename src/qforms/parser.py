@@ -40,10 +40,9 @@ and parentheses may nest at most MAX_DEPTH levels deep.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .calculus import CalculusConfig
-from .cyclotomic import CycQ, Q, q_power
+from .cyclotomic import CycQ, Q, from_ratios, q_power
 from .forms import Form, FormMonomial, swap_scalar
 from .polynomial import Poly
 
@@ -186,7 +185,7 @@ class _Parser:
                 denominator = _literal(denom_text, denom_pos)
                 if not denominator:
                     raise ParseError("zero denominator", denom_pos)
-                return Form.scalar(Fraction(numerator, denominator), truncated)
+                return Form.scalar(from_ratios(numerator, denominator, 0, 1), truncated)
             return Form.scalar(numerator, truncated)
         if kind == "name":
             return _NAMED[truncated][text]
@@ -360,10 +359,11 @@ def render(u: Form) -> str:
                 pieces.append(_piece(coeff, tail))
                 continue
             # a constant at the empty word splits into its rational and q parts
-            if coeff.a:
-                pieces.append(_signed(coeff.a, ""))
-            if coeff.b:
-                pieces.append(_signed(coeff.b, "q"))
+            a_num, a_den, b_num, b_den = coeff.ratios()
+            if a_num:
+                pieces.append(_signed(a_num, a_den, ""))
+            if b_num:
+                pieces.append(_signed(b_num, b_den, "q"))
     return _join(pieces, " ")
 
 
@@ -389,26 +389,29 @@ def _join(pieces: list[tuple[str, str]], gap: str) -> str:
 
 def _piece(coeff: CycQ, tail: str) -> tuple[str, str]:
     """Sign and unsigned text of coeff * tail; an empty tail is a bare scalar."""
-    a, b = coeff.a, coeff.b
-    if not b:
-        return _signed(a, tail)
-    if not a:
-        return _signed(b, f"q*{tail}" if tail else "q")
+    a_num, a_den, b_num, b_den = coeff.ratios()
+    if not b_num:
+        return _signed(a_num, a_den, tail)
+    if not a_num:
+        return _signed(b_num, b_den, f"q*{tail}" if tail else "q")
     # a mixed scalar shows both magnitudes, 1 included, and is parenthesized
     # before a tail: 1-1*q, (1-1*q)*x
-    text = f"{a}{'-' if b < 0 else '+'}{abs(b)}*q"
+    a_sign, a_mag = _signed(a_num, a_den, "")
+    b_sign, b_mag = _signed(b_num, b_den, "")
+    text = f"{a_mag}{b_sign}{b_mag}*q"
     if tail:
-        return "+", f"({text})*{tail}"
-    return ("-", text[1:]) if a < 0 else ("+", text)
+        return "+", f"({'-' if a_sign == '-' else ''}{text})*{tail}"
+    return a_sign, text
 
 
-def _signed(value: Fraction, tail: str) -> tuple[str, str]:
-    """Sign and unsigned text of value * tail for a rational value."""
-    mag = abs(value)
-    sign = "-" if value < 0 else "+"
+def _signed(num: int, den: int, tail: str) -> tuple[str, str]:
+    """Sign and unsigned text of (num/den) * tail, for den > 0 in lowest terms."""
+    sign = "-" if num < 0 else "+"
+    num = abs(num)
+    mag = str(num) if den == 1 else f"{num}/{den}"  # as str(Fraction) writes it
     if not tail:
-        return sign, str(mag)
-    return sign, tail if mag == 1 else f"{mag}*{tail}"
+        return sign, mag
+    return sign, tail if num == den else f"{mag}*{tail}"
 
 
 def _word(degree: int, dx: int = 0, d2x: int = 0) -> str:

@@ -16,7 +16,7 @@ degrees). Their text comes from parser.poly_text.
 from __future__ import annotations
 
 from collections.abc import Iterable, ItemsView, Mapping
-from fractions import Fraction
+from numbers import Rational
 from typing import TypeVar
 
 from .cyclotomic import ZERO, CycQ, as_cycq
@@ -91,7 +91,7 @@ class Poly(_Sparse):
 
     def __init__(
         self,
-        coeffs: Mapping[int, CycQ | int | Fraction] | None = None,
+        coeffs: Mapping[int, CycQ | int | Rational] | None = None,
         truncated: bool = False,
     ) -> None:
         canonical: dict[int, CycQ] = {}
@@ -131,14 +131,14 @@ class Poly(_Sparse):
         return cls({1: 1}, truncated)
 
     @classmethod
-    def constant(cls, value: CycQ | int | Fraction, truncated: bool = False) -> Poly:
+    def constant(cls, value: CycQ | int | Rational, truncated: bool = False) -> Poly:
         return cls({0: value}, truncated)
 
     @classmethod
     def monomial(
         cls,
         degree: int,
-        coeff: CycQ | int | Fraction = 1,
+        coeff: CycQ | int | Rational = 1,
         truncated: bool = False,
     ) -> Poly:
         return cls({degree: coeff}, truncated)
@@ -155,22 +155,23 @@ class Poly(_Sparse):
         """(degree, coefficient) pairs in ascending degree order."""
         return sorted(self._terms.items())
 
-    def __mul__(self, other: Poly | CycQ | int | Fraction) -> Poly:
-        if isinstance(other, (CycQ, int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: Poly | CycQ | int | Rational) -> Poly:
+        # the concrete types first: Poly * Poly never reaches the ABC's isinstance
         if not isinstance(other, Poly):
+            if isinstance(other, (CycQ, int, Rational)):
+                return self.scale(other)
             return NotImplemented
         self._require_same_mode(other)
         out: dict[int, CycQ] = {}
         _mul_into(out, self._terms.items(), other._terms.items(), self._truncated)
         return Poly._trusted(out, self._truncated)
 
-    def __rmul__(self, other: CycQ | int | Fraction) -> Poly:
-        if isinstance(other, (CycQ, int, Fraction)):
+    def __rmul__(self, other: CycQ | int | Rational) -> Poly:
+        if isinstance(other, (CycQ, int, Rational)):
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, factor: CycQ | int | Fraction) -> Poly:
+    def scale(self, factor: CycQ | int | Rational) -> Poly:
         factor = as_cycq(factor)
         return Poly._trusted({d: factor * c for d, c in self._terms.items()}, self._truncated)
 

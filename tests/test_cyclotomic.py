@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import fractions
+import io
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -11,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from qforms.calculus import CalculusConfig
 from qforms.checks import run_suites
+from qforms.cli import main
 from qforms.cyclotomic import ONE, Q, ZERO, CycQ, as_cycq, from_ratios, q_power
 from qforms.parser import parse_scalar
 
@@ -75,6 +80,36 @@ class TestPowers:
     def test_power_addition_law(self, u, m, n):
         assert u ** (m + n) == (u ** m) * (u ** n)
 
+    @pytest.mark.parametrize(
+        "base",
+        [Q, CycQ(2), CycQ(1, 1), CycQ(Fraction(-3, 7), Fraction(5, 7))],
+        ids=["q", "2", "1+q", "(-3+5q)/7"],
+    )
+    def test_square_and_multiply_makes_no_extra_product(self, monkeypatch, base):
+        # the oracle: n - 1 chained products, computed before the count starts
+        products = [ONE, base]
+        for _ in range(69):
+            products.append(products[-1] * base)
+        made = 0
+        original = CycQ.__mul__
+
+        def counting_mul(self, other):
+            nonlocal made
+            made += 1
+            return original(self, other)
+
+        monkeypatch.setattr(CycQ, "__mul__", counting_mul)
+        for n in range(71):
+            made = 0
+            power = base**n
+            expected = 0 if n == 0 else bin(n).count("1") + n.bit_length() - 2
+            assert made == expected, n
+            assert (power._a, power._b, power._d) == (
+                products[n]._a,
+                products[n]._b,
+                products[n]._d,
+            )
+
 
 class TestFieldAxioms:
     @given(scalars, scalars, scalars)
@@ -106,6 +141,35 @@ class TestFieldAxioms:
 
 
 class TestCoercionAndText:
+    @pytest.mark.parametrize(
+        "a, b, stored",
+        [
+            (0.5, 0, (1, 0, 2)),
+            ("3/4", 0, (3, 0, 4)),
+            (Decimal("1.5"), 0, (3, 0, 2)),
+            (-0.125, "-2/6", (-3, -8, 24)),
+            (True, 0, (1, 0, 1)),
+        ],
+    )
+    def test_other_inputs_convert_through_fraction(self, a, b, stored):
+        u = CycQ(a, b)
+        assert (u._a, u._b, u._d) == stored
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (object(), TypeError),
+            (None, TypeError),
+            ("q", ValueError),
+            (float("nan"), ValueError),
+            (float("inf"), OverflowError),
+            ("1/0", ZeroDivisionError),
+        ],
+    )
+    def test_inputs_fraction_refuses_raise_as_it_does(self, value, error):
+        with pytest.raises(error):
+            CycQ(value)
+
     def test_int_and_fraction_coercion(self):
         assert CycQ(2) + 1 == CycQ(3)
         assert 2 * Q == CycQ(0, 2)
@@ -295,6 +359,25 @@ class TestAgainstFractionOracle:
         assert u == value and hash(u) == hash(value)
         assert {u: "a"}.get(value) == "a" and {value: "a"}.get(u) == "a"
 
+    @pytest.mark.parametrize(
+        "n, d",
+        [
+            (1, sys.hash_info.modulus),  # no inverse: the inf branch
+            (-7, sys.hash_info.modulus),
+            (3, 2 * sys.hash_info.modulus),
+            (-(sys.hash_info.modulus + 2), 2),  # the formula gives -1, which hashes as -2
+            (sys.hash_info.modulus + 2, 2),
+            (-1, 2),
+            (-(10**40) - 1, 10**20),
+        ],
+    )
+    def test_rational_hash_edge_cases(self, n, d):
+        assert hash(CycQ(Fraction(n, d))) == hash(Fraction(n, d))
+
+    @given(st.integers(), st.integers(2, 10**25))
+    def test_rational_hash_is_fractions(self, n, d):
+        assert hash(from_ratios(n, d, 0, 1)) == hash(Fraction(n, d))
+
     @given(
         st.integers(-(10**12), 10**12),
         st.integers(-(10**6), 10**6).filter(bool),
@@ -336,4 +419,36 @@ class TestNoFractionArithmetic:
         results = run_suites(("assoc", "leibniz", "d3"), cfg, 7, 20, 6)
         monkeypatch.undo()
         assert all(r.passed for r in results)
+        assert made == 0
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    @pytest.mark.parametrize("command", ["reduce", "diff", "grade", "closed"])
+    def test_cli_builds_no_fractions(self, monkeypatch, command, output):
+        # rational, q and mixed coefficients, and alphas off the rationals
+        calls = [
+            [command, "1/2*x^2 + 3/4*dx*x - 5/6*d2x*x^3"],
+            [command, "q*x*d2x + q^2*dx^2 - 2*q*x", "--alpha", "2"],
+            [command, "(1/2 - 2/3*q)*x*dx + (1+q)*d2x^2*x^2", "--alpha", "1/2+q"],
+            [command, "(5/7*q-3/7)*x^2*d2x", "--alpha", "5/7*q-3/7"],
+            [command, "x^2 + 1/3*x*dx", "--anyonic"],
+            [command, "--alpha=2/3", "7/9*x^2*d2x"],  # argparse's route
+        ]
+        for argv in calls:
+            if command == "diff":
+                argv += ["-n", "2"]
+            argv += ["--output", output]
+        made = 0
+        original = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal made
+            made += 1
+            return original(cls, *args, **kwargs)
+
+        out = io.StringIO()
+        monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+        with contextlib.redirect_stdout(out):
+            codes = [main(argv) for argv in calls]
+        monkeypatch.undo()
+        assert codes == [0] * len(calls)
         assert made == 0

@@ -620,3 +620,86 @@ class TestClosedForms:
     def test_other_products_fall_through(self, count_form_products, text):
         parse(text, CFG_Q)
         assert count_form_products[0] > 0
+
+
+# The Fraction-based text primitives the renderer used before it wrote
+# rationals from CycQ.ratios(); the reference for TestAgainstFractionText.
+
+
+def fraction_signed(value, tail):
+    mag = abs(value)
+    sign = "-" if value < 0 else "+"
+    if not tail:
+        return sign, str(mag)
+    return sign, tail if mag == 1 else f"{mag}*{tail}"
+
+
+def fraction_piece(coeff, tail):
+    a, b = coeff.a, coeff.b
+    if not b:
+        return fraction_signed(a, tail)
+    if not a:
+        return fraction_signed(b, f"q*{tail}" if tail else "q")
+    text = f"{a}{'-' if b < 0 else '+'}{abs(b)}*q"
+    if tail:
+        return "+", f"({text})*{tail}"
+    return ("-", text[1:]) if a < 0 else ("+", text)
+
+
+def fraction_poly_text(poly):
+    pieces = [fraction_piece(c, parser._word(d)) for d, c in poly.terms()]
+    return parser._join(pieces, "")
+
+
+def fraction_render(u):
+    pieces = []
+    for mon, poly in u.terms():
+        terms = poly.terms()
+        if (mon.dx or mon.d2x) and len(terms) > 1:
+            pieces.append(("+", f"({fraction_poly_text(poly)})*{parser._word(0, *mon)}"))
+            continue
+        for degree, coeff in terms:
+            tail = parser._word(degree, *mon)
+            if tail:
+                pieces.append(fraction_piece(coeff, tail))
+                continue
+            if coeff.a:
+                pieces.append(fraction_signed(coeff.a, ""))
+            if coeff.b:
+                pieces.append(fraction_signed(coeff.b, "q"))
+    return parser._join(pieces, " ")
+
+
+TEXT_CFGS = [CFG_Q, CalculusConfig(CycQ(2)), CalculusConfig(CycQ(1, 1)), POWER_CFGS[6]]
+TEXT_IDS = ["q", "2", "1+q", "(-3+5q)/7"]
+text_rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**20)),
+)
+text_scalars = st.builds(CycQ, text_rationals, text_rationals)
+
+
+class TestAgainstFractionText:
+    """The integer text path writes exactly what the Fraction-based one wrote."""
+
+    @given(text_scalars, st.sampled_from(["", "x", "x^2*dx*d2x^3"]))
+    def test_scalars(self, c, tail):
+        assert parser._piece(c, tail) == fraction_piece(c, tail)
+        assert str(c) == parser._join([fraction_piece(c, "")], "")
+
+    @given(st.dictionaries(st.integers(0, 4), text_scalars, max_size=4), st.booleans())
+    def test_polynomials(self, coeffs, truncated):
+        poly = Poly(coeffs, truncated)
+        assert str(poly) == fraction_poly_text(poly)
+
+    @pytest.mark.parametrize("cfg", TEXT_CFGS, ids=TEXT_IDS)
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_forms_products_and_differentials(self, cfg, data):
+        u = data.draw(oracle_forms(cfg.anyonic))
+        v = data.draw(oracle_forms(cfg.anyonic))
+        for w in (u, u.mul(v, cfg), differential(u, cfg), u.left_mul(cfg.alpha)):
+            assert render(w) == fraction_render(w)
+            for _, poly in w.items():
+                assert str(poly) == fraction_poly_text(poly)

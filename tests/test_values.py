@@ -19,14 +19,11 @@ from qforms.cyclotomic import Q, CycQ
 from qforms.forms import FormMonomial
 
 
-def loaded_after_import(modules: set[str]) -> str:
-    """The printed sorted list of those modules that importing qforms, its CLI
-    and its checks loads, in a fresh interpreter without site."""
+def run_probe(statements: str, modules: set[str]) -> list[str]:
+    """The stdout lines of statements run in a fresh interpreter without site,
+    followed by the printed sorted list of those modules that were loaded."""
     src = Path(qforms.__file__).resolve().parents[1]
-    probe = (
-        "import sys, qforms, qforms.cli, qforms.checks; "
-        f"print(sorted({modules!r} & set(sys.modules)))"
-    )
+    probe = f"import sys\n{statements}\nprint(sorted({modules!r} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -35,7 +32,14 @@ def loaded_after_import(modules: set[str]) -> str:
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout
+    return done.stdout.splitlines()
+
+
+def loaded_after_import(modules: set[str]) -> str:
+    """The printed sorted list of those modules that importing qforms, its CLI
+    and its checks loads, in a fresh interpreter without site."""
+    (line,) = run_probe("import qforms, qforms.cli, qforms.checks", modules)
+    return line + "\n"
 
 
 def test_import_loads_no_dataclasses_or_inspect():
@@ -45,6 +49,50 @@ def test_import_loads_no_dataclasses_or_inspect():
 def test_import_loads_no_json():
     # only --output json imports it
     assert loaded_after_import({"json"}) == "[]\n"
+
+
+# what a request that needs none of them must not load
+LAZY = {"fractions", "decimal", "argparse", "qforms.checks"}
+PARSER_AND_CHECKS = ["argparse", "qforms.checks"]
+
+
+def test_import_loads_no_fractions_argparse_or_checks():
+    assert run_probe("import qforms, qforms.cli", LAZY) == ["[]"]
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_fast_path_request_loads_none_of_them(output):
+    argv = ["diff", "-n", "2", "1/2*x^2 + (1+q)*d2x", "--alpha", "1/2", "--output", output]
+    lines = run_probe(f"import qforms.cli\nprint(qforms.cli.main({argv!r}))", LAZY)
+    text = "3/4*dx^2 + 3/4*x*d2x"
+    if output == "json":
+        text = (
+            '{"mode": "generic", "terms": [{"dx": 2, "d2x": 0, "coeff": [[0, [3, 4, 0, 1]]]}, '
+            '{"dx": 0, "d2x": 1, "coeff": [[1, [3, 4, 0, 1]]]}]}'
+        )
+    assert lines == [text, "0", "[]"]
+
+
+@pytest.mark.parametrize(
+    "argv, last_output, loaded",
+    [
+        (["check", "all", "--samples", "2"], "summary: 5/5 suites passed", PARSER_AND_CHECKS),
+        (["reduce", "--alpha=2", "x"], "x", PARSER_AND_CHECKS),
+    ],
+    ids=["check", "declined-argv"],
+)
+def test_other_requests_load_what_they_need(argv, last_output, loaded):
+    lines = run_probe(f"import qforms.cli\nprint(qforms.cli.main({argv!r}))", LAZY)
+    assert lines[-3:] == [last_output, "0", repr(loaded)]
+
+
+def test_cli_serves_the_checks_names():
+    from qforms import checks, cli
+
+    assert cli.SUITE_NAMES is checks.SUITE_NAMES
+    assert cli.run_suites is checks.run_suites
+    with pytest.raises(AttributeError, match="no attribute 'other'"):
+        cli.other
 
 
 class TestFormMonomial:
