@@ -2,6 +2,12 @@
 
 All sampling goes through random.Random(seed), so a fixed seed gives a
 byte-identical report. Samples are evaluated sequentially in sample order.
+
+The samples are exactly the draws random.Random(seed).randint makes, in the
+same order, but taken straight from rng.getrandbits by _below: the same
+getrandbits calls, so the same bits and the same generator state after.
+The samplers build canonical values of the configured mode, so they skip
+the checks of Poly and Form construction.
 """
 
 from __future__ import annotations
@@ -37,8 +43,21 @@ class SuiteResult:
         return f"SuiteResult(name={self.name!r}, passed={self.passed!r}, lines={self.lines!r})"
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n) as random.Random.randrange(n) draws it: k-bit
+    words, k = n.bit_length(), until one is below n."""
+    if n <= 0:
+        raise ValueError("empty range for a random draw")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_cycq(rng: random.Random, lo: int = -5, hi: int = 5) -> CycQ:
-    return CycQ(rng.randint(lo, hi), rng.randint(lo, hi))
+    bits, n = rng.getrandbits, hi - lo + 1
+    return CycQ(lo + _below(bits, n), lo + _below(bits, n))
 
 
 def random_poly(
@@ -47,11 +66,12 @@ def random_poly(
     max_degree: int = 6,
     max_terms: int = 3,
 ) -> Poly:
+    bits = rng.getrandbits
     top = min(max_degree, 2) if truncated else max_degree
     coeffs: dict[int, CycQ] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        coeffs[rng.randint(0, top)] = random_cycq(rng)
-    return Poly(coeffs, truncated)
+    for _ in range(1 + _below(bits, max_terms)):
+        coeffs[_below(bits, top + 1)] = random_cycq(rng)  # the scalar is drawn first
+    return Poly._trusted(coeffs, truncated)
 
 
 def random_form(
@@ -62,11 +82,12 @@ def random_form(
     max_d2x: int = 3,
     max_terms: int = 3,
 ) -> Form:
+    bits = rng.getrandbits
     terms: dict[FormMonomial, Poly] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        mon = FormMonomial(rng.randint(0, max_dx), rng.randint(0, max_d2x))
+    for _ in range(1 + _below(bits, max_terms)):
+        mon = FormMonomial(_below(bits, max_dx + 1), _below(bits, max_d2x + 1))
         terms[mon] = random_poly(rng, cfg.anyonic, max_degree)
-    return Form(terms, cfg.anyonic)
+    return Form._trusted(terms, cfg.anyonic)
 
 
 def random_homogeneous_form(
@@ -75,15 +96,16 @@ def random_homogeneous_form(
     max_degree: int = 6,
     max_d2x: int = 3,
 ) -> Form:
-    grade = rng.randint(0, 2 + 2 * max_d2x)
+    bits = rng.getrandbits
+    grade = _below(bits, 3 + 2 * max_d2x)
     candidates = [
         FormMonomial(k, (grade - k) // 2)
         for k in range(3)
         if (grade - k) % 2 == 0 and 0 <= (grade - k) // 2 <= max_d2x
     ]
-    picked = rng.sample(candidates, rng.randint(1, len(candidates)))
+    picked = rng.sample(candidates, 1 + _below(bits, len(candidates)))
     terms = {mon: random_poly(rng, cfg.anyonic, max_degree) for mon in picked}
-    return Form(terms, cfg.anyonic)
+    return Form._trusted(terms, cfg.anyonic)
 
 
 def random_odd_form(
@@ -94,12 +116,13 @@ def random_odd_form(
     max_terms: int = 3,
 ) -> Form:
     # odd grade forces dx power 1
+    bits = rng.getrandbits
     terms: dict[FormMonomial, Poly] = {}
-    for _ in range(rng.randint(1, max_terms)):
-        terms[FormMonomial(1, rng.randint(0, max_d2x))] = random_poly(
+    for _ in range(1 + _below(bits, max_terms)):
+        terms[FormMonomial(1, _below(bits, max_d2x + 1))] = random_poly(
             rng, cfg.anyonic, max_degree
         )
-    return Form(terms, cfg.anyonic)
+    return Form._trusted(terms, cfg.anyonic)
 
 
 def random_closed_even_form(
@@ -111,11 +134,11 @@ def random_closed_even_form(
     """An even form built to be closed: pair each f at d2x**k with
     derivative(f) at dx**2 * d2x**(k-1)."""
     terms: dict[FormMonomial, Poly] = {}
-    for k in range(1, rng.randint(1, max_d2x) + 1):
+    for k in range(1, 2 + _below(rng.getrandbits, max_d2x)):
         f = random_poly(rng, cfg.anyonic, max_degree)
         terms[FormMonomial(0, k)] = f
         terms[FormMonomial(2, k - 1)] = derivative(f, cfg)
-    return Form(terms, cfg.anyonic)
+    return Form._trusted(terms, cfg.anyonic)
 
 
 def run_assoc(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> SuiteResult:

@@ -160,7 +160,8 @@ class Form(_Sparse):
     def left_mul(self, factor: Poly | CycQ | int | Rational) -> Form:
         """Left action of the coordinate algebra; needs no twist scalar."""
         if not isinstance(factor, Poly):
-            factor = Poly.constant(as_cycq(factor), self._truncated)
+            c = as_cycq(factor)
+            return Form._trusted({m: p.scale(c) for m, p in self._terms.items()}, self._truncated)
         if factor.truncated != self._truncated:
             raise ModeMismatchError("factor mode does not match the form")
         return Form(

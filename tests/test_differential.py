@@ -110,6 +110,22 @@ class TestStructuralLaws:
             u = random_odd_form(rng, cfg)
             assert differential_power(u, 2, cfg).is_zero()
 
+    def test_image_is_canonical(self, cfg):
+        rng = random.Random(43)
+        mode = cfg.anyonic
+        one = Poly.one(mode)
+        # constants on the empty word and on dx have a vanishing derivative word
+        forms = [Form({(0, 0): one, (1, 0): one}, mode), Form({(1, 2): one}, mode)]
+        forms += [random_form(rng, cfg) for _ in range(60)]
+        for u in forms:
+            image = differential(u, cfg)
+            assert image == Form(dict(image.items()), mode)
+            assert image.truncated == mode
+            for mon, poly in image.items():
+                assert type(mon) is FormMonomial
+                assert poly and poly.truncated == mode
+        assert differential(Form.scalar(5, mode), cfg).is_zero()
+
     def test_raises_grade_by_exactly_one(self, cfg):
         rng = random.Random(41)
         for _ in range(40):

@@ -154,6 +154,31 @@ class TestModuleStructure:
         assert f * u == u.left_mul(f)
         assert Q * u == u.left_mul(Q)
 
+    @pytest.mark.parametrize("truncated", [False, True], ids=["generic", "anyonic"])
+    def test_scalar_left_action_matches_the_constant_polynomial(self, truncated):
+        cfg = CFG_ANY if truncated else CFG_Q
+        rng = random.Random(59)
+        scalars = [0, 3, -2, Fraction(-3, 4), Fraction(0), CycQ(0), CycQ(Fraction(1, 2), -3)]
+        scalars += [q_power(k) for k in range(3)]
+        forms = [Form.zero(truncated)] + [random_form(rng, cfg) for _ in range(20)]
+        for u in forms:
+            for c in scalars:
+                scaled = u.left_mul(c)
+                expected = u.left_mul(Poly.constant(c, truncated))
+                assert scaled == expected
+                assert [(m, list(p.items())) for m, p in scaled.items()] == [
+                    (m, list(p.items())) for m, p in expected.items()
+                ]
+
+    def test_left_action_rejects_bad_factors(self):
+        for u in (Form.zero(), Form.basis(1, 0)):
+            with pytest.raises(ModeMismatchError):
+                u.left_mul(Poly.x(truncated=True))
+            with pytest.raises(TypeError):
+                u.left_mul("x")
+        with pytest.raises(ModeMismatchError):
+            Form.basis(1, 0, truncated=True).left_mul(Poly.x())
+
     def test_mode_mismatch_detected(self):
         with pytest.raises(ModeMismatchError):
             Form.basis(1, 0) + Form.basis(1, 0, truncated=True)
