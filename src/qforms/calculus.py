@@ -87,16 +87,18 @@ def _require_mode(f: Poly, cfg: CalculusConfig) -> None:
 
 
 # Entries pile up per alpha and per degree for the life of the process, so the
-# caches are bounded. Over 1,500 ops of each check workload of the benchmark
-# and 3,000 of its CLI requests, _alpha_power ends with 37, 13 and 71 entries
-# and q_number with 12, 2 and 73.
+# caches are bounded, and so is forms' scalar table. Over 1,500 ops of each
+# check workload of the benchmark and 3,000 of its CLI requests (seed 1),
+# _alpha_power ends with 37, 13 and 66 entries, q_number with 12, 2 and 73,
+# and forms._SCALARS with 147, 32 and 73, one per miss.
 _CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _alpha_power(alpha: CycQ, m: int) -> CycQ:
-    # memoized: in the same runs 15,263 lookups hit and 37 missed at alpha = 2,
-    # 10,220 and 13 at alpha = q, 2,517 and 71 on CLI requests
+    # memoized: in the same runs 1,513 lookups hit at alpha = 2, 1,331 at
+    # alpha = q and none on CLI requests, most of them Form.mul's test of the
+    # bracket factor; q_number hits 50, 0 and 0 times
     return alpha**m
 
 

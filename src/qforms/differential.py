@@ -6,9 +6,9 @@ forms already die after two applications, even forms generally need three.
 
 from __future__ import annotations
 
-from .calculus import CalculusConfig, derivative
-from .forms import Form, FormMonomial
-from .polynomial import ModeMismatchError, Poly
+from .calculus import CalculusConfig
+from .forms import _DERIVATIVE, Form, _from_word_sums, _scaled
+from .polynomial import ModeMismatchError, _add_into, _triples
 
 
 def differential(u: Form, cfg: CalculusConfig) -> Form:
@@ -18,27 +18,23 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
         k == 1:  f * d2x**(m+1) + derivative(f) * dx**2 * d2x**m
         k == 2:  -f * dx * d2x**(m+1)
 
-    On grade-0 forms this is the usual f -> derivative(f) * dx.
+    On grade-0 forms this is the usual f -> derivative(f) * dx. The terms
+    are summed on ints by the product kernel's accumulator, the derivative
+    taking c * x**e to c * [e]_alpha * x**(e-1) with [e]_alpha from the
+    kernel's scalar table, so each output coefficient becomes a CycQ once.
     """
     if u.truncated != cfg.anyonic:
         raise ModeMismatchError("form mode does not match the configuration")
-    out: dict[FormMonomial, Poly] = {}
-    word = tuple.__new__  # unchecked: every word below has dx power <= 2, d2x power >= 0
-
-    def add(mon: tuple[int, int], poly: Poly) -> None:
-        mon = word(FormMonomial, mon)
-        acc = out.get(mon)
-        out[mon] = poly if acc is None else acc + poly
-
+    out: dict[tuple[int, int], dict[int, list[int]]] = {}
     for (k, m), f in u.items():
-        if k == 0:
-            add((1, m), derivative(f, cfg))
-        elif k == 1:
-            add((0, m + 1), f)
-            add((2, m), derivative(f, cfg))
-        else:
-            add((1, m + 1), -f)
-    return Form._trusted(out, u.truncated)  # every value is a Poly of u's mode
+        terms = _triples(f)
+        if k == 2:
+            _add_into(out.setdefault((1, m + 1), {}), [(e, -a, -b, d) for e, a, b, d in terms])
+            continue
+        if k:
+            _add_into(out.setdefault((0, m + 1), {}), terms)
+        _add_into(out.setdefault((k + 1, m), {}), _scaled(terms, _DERIVATIVE, 1, 0, cfg))
+    return _from_word_sums(out, u.truncated)
 
 
 def differential_power(u: Form, n: int, cfg: CalculusConfig) -> Form:

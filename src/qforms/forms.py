@@ -18,10 +18,11 @@ additive core it shares with Poly.
 
 Form.mul applies them in closed form, one fused pass over the term pairs: a
 pair leaves at most two words, the words dx**3 == 0 kills are skipped before
-anything is computed, and the products of the left coefficients with the
-pushed right ones are added straight into one degree -> scalar map per
-output word. Each pair computes its own twists and swap scalings; nothing is
-memoized, since the measured traffic almost never repeats one (Form.mul).
+anything is computed, and each live word is a product of the left
+coefficient with the right one times one scalar per degree. The scalars come
+from one bounded table keyed by ints, shared across calls and with
+differential; the arithmetic runs on CycQ's ints (polynomial._mul_into), and
+each output coefficient becomes a CycQ once.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from numbers import Rational
 
-from .calculus import CalculusConfig, derivative, twist_power
+from .calculus import _CACHE_SIZE, CalculusConfig, q_number
 from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
-from .polynomial import ModeMismatchError, Poly, _Sparse, _mul_into
+from .polynomial import ModeMismatchError, Poly, _from_sums, _mul_into, _Sparse, _triples
 
 
 class FormMonomial(tuple):
@@ -201,43 +202,32 @@ class Form(_Sparse):
         word above, whose factor is zero at alpha == q (and at alpha == q**2
         when 3 | m).
 
-        Each live pair computes its own pieces: twist**(m+k)(g), f times the
-        swap scalar when that is not 1, and derivative(g) with the bracket
-        piece. Nothing is memoized across pairs. A piece costs one linear pass
-        over a coefficient, while the pair's product already costs |f|*|g|
-        scalar products, and the traffic rarely repeats a piece: over 1,500
-        ops of each check workload and 3,000 CLI requests of the benchmark, a
-        per-call memo served 0-4% of the twists, no bracket piece (a left
-        form has one word (0, m) per m), 12% of the derivatives and 19-25% of
-        the swap scalings. The products go straight into one degree -> scalar
-        map per output word, which becomes a Poly only at the end.
+        On a term c * x**e of g, both words are one scalar from the table
+        _SCALARS: the top word takes c to c * alpha**(e*(m+k)) * q**(2mj) on
+        x**e, the bracket word to c * [e]_alpha * alpha**((e-1)*m) *
+        (alpha**m - q**m) on x**(e-1). Those products and their products with
+        f are made on CycQ's ints and summed by polynomial._add_into, one
+        degree -> sum map per output word, so that each output coefficient
+        becomes a CycQ once and no Poly or CycQ is built per pair.
         """
         self._require_same_mode(other)
         truncated = self._truncated
         if truncated != cfg.anyonic:
             raise ModeMismatchError("form mode does not match the configuration")
-        out: dict[tuple[int, int], dict[int, CycQ]] = {}
+        right = [(j, n, _triples(g)) for (j, n), g in other._terms.items()]
+        out: dict[tuple[int, int], dict[int, list[int]]] = {}
         for (k, m), f in self._terms.items():
-            factor = cfg.alpha_power(m) - q_power(m) if k == 0 and m else None
-            for (j, n), g in other._terms.items():
+            left = _triples(f)
+            bracket = not k and m and cfg.alpha_power(m) != q_power(m)
+            for j, n, g in right:
                 if k + j < 3:
-                    e = 2 * m * j % 3  # the swap scalar is q**e
-                    left = (f.scale(q_power(e)) if e else f).items()
-                    pushed = twist_power(g, m + k, cfg).items()
+                    pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, cfg) if m + k else g
                     _mul_into(out.setdefault((k + j, m + n), {}), left, pushed, truncated)
-                if factor and not j:
-                    low = derivative(g, cfg)
-                    if low:
-                        pushed = twist_power(low, m, cfg).scale(factor).items()
-                        _mul_into(out.setdefault((2, m - 1 + n), {}), f.items(), pushed, truncated)
-        word = tuple.__new__  # unchecked: the loop above keeps k <= 2, m >= 0
-        return Form._trusted(
-            {
-                word(FormMonomial, mon): Poly._trusted(coeffs, truncated)
-                for mon, coeffs in out.items()
-            },
-            truncated,
-        )
+                if bracket and not j:
+                    pushed = _scaled(g, _BRACKET, 1, m, cfg)
+                    if pushed:
+                        _mul_into(out.setdefault((2, m - 1 + n), {}), left, pushed, truncated)
+        return _from_word_sums(out, truncated)
 
     def to_dict(self) -> dict:
         """JSON-ready encoding with terms and coefficients in canonical order."""
@@ -298,6 +288,59 @@ class Form(_Sparse):
 
         mode = "anyonic" if self._truncated else "generic"
         return f"<Form {render(self)!r} mode={mode}>"
+
+
+# The scalars of Form.mul and differential as canonical int triples (a, b, d),
+# keyed by ints: a kind, two exponents and alpha's own three ints, since a
+# CycQ in a key would hash through CycQ.__hash__ on every lookup. Bounded like
+# the calculus caches: a full table is emptied and refills with what is used.
+_TOP, _BRACKET, _DERIVATIVE = 0, 1, 2
+_SCALARS: dict[tuple[int, ...], tuple[int, int, int]] = {}
+
+
+def _scalar(key: tuple[int, ...], cfg: CalculusConfig) -> tuple[int, int, int]:
+    """Compute, store and return the scalar that a missing key names:
+
+      (_TOP, x, y, ...)         alpha**x * q**y
+      (_BRACKET, x, y, ...)     [x]_alpha * alpha**((x-1)*y) * (alpha**y - q**y)
+      (_DERIVATIVE, x, 0, ...)  [x]_alpha
+    """
+    kind, x, y = key[:3]
+    if kind == _TOP:
+        value = cfg.alpha_power(x) * q_power(y)
+    else:
+        value = q_number(x, cfg.alpha)
+        if kind == _BRACKET:
+            value = value * cfg.alpha_power((x - 1) * y) * (cfg.alpha_power(y) - q_power(y))
+    if len(_SCALARS) >= _CACHE_SIZE:
+        _SCALARS.clear()
+    triple = _SCALARS[key] = (value._a, value._b, value._d)
+    return triple
+
+
+def _scaled(terms: list, kind: int, t: int, y: int, cfg: CalculusConfig) -> list:
+    """Each (degree, a, b, d) term c * x**e times the table's scalar (kind,
+    e*t, y): on x**e for _TOP, on x**(e-1) for the other kinds, which kill the
+    constants. A zero scalar leaves no term; nothing is reduced."""
+    alpha, get, shift = cfg.alpha, _SCALARS.get, kind != _TOP
+    aa, ab, ad = alpha._a, alpha._b, alpha._d
+    out = []
+    for e, a, b, d in terms:
+        if e or not shift:
+            key = (kind, e * t, y, aa, ab, ad)
+            sa, sb, sd = get(key) or _scalar(key, cfg)
+            if sa or sb:
+                cross = b * sb
+                out.append((e - shift, a * sa - cross, a * sb + b * sa - cross, d * sd))
+    return out
+
+
+def _from_word_sums(out: Mapping[tuple[int, int], dict[int, list[int]]], truncated: bool) -> Form:
+    """The Form of one _add_into sums map per word (k, m), k <= 2 and m >= 0
+    unchecked; a word whose sums all cancel is dropped."""
+    word = tuple.__new__
+    polys = {word(FormMonomial, mon): _from_sums(sums, truncated) for mon, sums in out.items()}
+    return Form._trusted(polys, truncated)
 
 
 def _json_int(value: object) -> int:

@@ -11,15 +11,20 @@ more are discarded on construction and multiplication. Values of different
 modes never mix; combining them raises ModeMismatchError. Instances are
 immutable and stored canonically (no zero coefficients, no negative
 degrees). Their text comes from parser.poly_text.
+
+Poly.__mul__, forms.Form.mul and differential share one kernel on CycQ's
+ints: _mul_into and _add_into sum (degree, a, b, d) terms, and _from_sums
+makes each sum a canonical CycQ once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, ItemsView, Mapping
+from collections.abc import ItemsView, Mapping, Sequence
+from math import gcd
 from numbers import Rational
 from typing import TypeVar
 
-from .cyclotomic import ZERO, CycQ, as_cycq
+from .cyclotomic import ZERO, CycQ, _make, as_cycq
 
 
 _new = object.__new__
@@ -162,9 +167,9 @@ class Poly(_Sparse):
                 return self.scale(other)
             return NotImplemented
         self._require_same_mode(other)
-        out: dict[int, CycQ] = {}
-        _mul_into(out, self._terms.items(), other._terms.items(), self._truncated)
-        return Poly._trusted(out, self._truncated)
+        sums: dict[int, list[int]] = {}
+        _mul_into(sums, _triples(self), _triples(other), self._truncated)
+        return _from_sums(sums, self._truncated)
 
     def __rmul__(self, other: CycQ | int | Rational) -> Poly:
         if isinstance(other, (CycQ, int, Rational)):
@@ -184,21 +189,47 @@ class Poly(_Sparse):
         return f"Poly({self.__str__()!r}, truncated={self._truncated})"
 
 
-def _mul_into(
-    out: dict[int, CycQ],
-    left: Iterable[tuple[int, CycQ]],
-    right: ItemsView[int, CycQ],
-    truncated: bool,
-) -> None:
-    """Add the product of two coefficient sequences into the degree map out.
+_Terms = Sequence[tuple[int, int, int, int]]  # (degree, a, b, d) for (a + b*q) / d * x**degree
 
-    The one double loop behind Poly.__mul__ and Form.mul; truncated skips the
-    degrees of three or more. Zero sums stay in out, for Poly._trusted to drop.
-    """
-    for d1, c1 in left:
-        for d2, c2 in right:
-            degree = d1 + d2
-            if truncated and degree >= 3:
-                continue
-            acc = out.get(degree)
-            out[degree] = c1 * c2 if acc is None else acc + c1 * c2
+
+def _triples(poly: Poly) -> list[tuple[int, int, int, int]]:
+    """The terms of poly as (degree, a, b, d): each scalar's canonical ints."""
+    return [(e, c._a, c._b, c._d) for e, c in poly._terms.items()]
+
+
+def _add_into(sums: dict[int, list[int]], terms: _Terms) -> None:
+    """Add terms into sums, a map degree -> [a, b, d]: the one accumulator of
+    Poly.__mul__, Form.mul and differential. Nothing is reduced; two
+    denominators add over their lcm, not their product. Zero sums stay."""
+    for e, a, b, d in terms:
+        acc = sums.get(e)
+        if acc is None:
+            sums[e] = [a, b, d]
+        elif acc[2] == d:
+            acc[0] += a
+            acc[1] += b
+        else:
+            g = gcd(acc[2], d)
+            up, over = d // g, acc[2] // g  # lcm == acc[2] * up == d * over
+            acc[0] = acc[0] * up + a * over
+            acc[1] = acc[1] * up + b * over
+            acc[2] *= up
+
+
+def _mul_into(sums: dict[int, list[int]], left: _Terms, right: _Terms, truncated: bool) -> None:
+    """Add the pairwise products of two (degree, a, b, d) sequences into sums,
+    folding q**2 == -1 - q as CycQ does; truncated skips degrees of three or more."""
+    _add_into(sums, [
+        (e1 + e2, a1 * a2 - (cross := b1 * b2), a1 * b2 + b1 * a2 - cross, d1 * d2)
+        for e1, a1, b1, d1 in left
+        for e2, a2, b2, d2 in right
+        if not truncated or e1 + e2 < 3
+    ])
+
+
+def _from_sums(sums: Mapping[int, list[int]], truncated: bool) -> Poly:
+    """The Poly of the sums: each nonzero one becomes a CycQ through _make."""
+    out = _new(Poly)
+    out._terms = {e: _make(a, b, d) for e, (a, b, d) in sums.items() if a or b}
+    out._truncated = truncated
+    return out

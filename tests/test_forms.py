@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
-import inspect
+import importlib
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from qforms import calculus, forms
+from qforms import calculus, forms, polynomial
 from qforms.calculus import CalculusConfig, derivative, q_bracket, q_number, twist, twist_power
+from qforms.differential import differential
 from qforms.checks import random_form, random_homogeneous_form, random_poly, run_suites
 from qforms.cyclotomic import ONE, Q, CycQ, q_power
 from qforms.forms import Form, FormMonomial, swap_scalar
 from qforms.polynomial import ModeMismatchError, Poly
+
+# the package re-exports the function differential under the module's name
+differential_module = importlib.import_module("qforms.differential")
 
 CFG_Q = CalculusConfig(Q)
 CFG_1 = CalculusConfig(ONE)
@@ -96,21 +101,119 @@ def random_kernel_form(rng, cfg, max_d2x=6):
     return Form(terms, cfg.anyonic)
 
 
-def count_calculus_calls(monkeypatch):
-    """Count, by name, the calls of every calculus function that forms imports."""
-    calls = Counter()
+def count_kernel_work(monkeypatch, limit=None):
+    """Count the scalar work of Form.mul, differential and Poly.__mul__.
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    "products" counts the pairs that polynomial._mul_into multiplies; "top",
+    "bracket" and "derivative" count the scalar table's lookups by key kind,
+    each at most one product of a coefficient with a scalar; "misses" counts
+    the lookups that compute their scalar, the kernel's only calls into
+    calculus. The table starts empty, so misses do not depend on what ran
+    before. Past `limit` products and lookups in all, the next one raises.
+    """
+    work = Counter()
+    kinds = {forms._TOP: "top", forms._BRACKET: "bracket", forms._DERIVATIVE: "derivative"}
 
-        return wrapper
+    def tally(name, n):
+        work[name] += n
+        if limit is not None and sum(work.values()) - work["misses"] > limit:
+            raise RuntimeError(f"the kernel did over {limit} scalar products")
 
-    for name, obj in list(vars(forms).items()):
-        if inspect.isfunction(obj) and obj.__module__ == calculus.__name__:
-            monkeypatch.setattr(forms, name, counted(name, obj))
-    return calls
+    class CountingTable(dict):
+        def get(self, key):
+            tally(kinds[key[0]], 1)
+            return super().get(key)
+
+    mul_into, scalar = polynomial._mul_into, forms._scalar
+
+    def counted_mul_into(sums, left, right, truncated):
+        left = list(left)
+        tally("products", sum(not truncated or e1 + e2 < 3 for e1, *_ in left for e2, *_ in right))
+        mul_into(sums, left, right, truncated)
+
+    def counted_scalar(key, cfg):
+        work["misses"] += 1
+        return scalar(key, cfg)
+
+    for module in (polynomial, forms):
+        monkeypatch.setattr(module, "_mul_into", counted_mul_into)
+    monkeypatch.setattr(forms, "_SCALARS", CountingTable())
+    monkeypatch.setattr(forms, "_scalar", counted_scalar)
+    return work
+
+
+def lookups(work):
+    return work["top"] + work["bracket"] + work["derivative"]
+
+
+A_DENOMINATORS, B_DENOMINATORS = (1, 2, 3, 4, 6, 9, 12), (1, 2, 5, 7)
+
+
+def random_fraction_scalar(rng):
+    """A nonzero a + b*q whose parts are Fractions over mixed denominators."""
+    while True:
+        a = Fraction(rng.randint(-9, 9), rng.choice(A_DENOMINATORS))
+        b = Fraction(rng.randint(-9, 9), rng.choice(B_DENOMINATORS))
+        if a or b:
+            return CycQ(a, b)
+
+
+def random_fraction_form(rng, cfg, max_d2x=4):
+    """Up to four terms, each with up to three Fraction coefficients."""
+    top = 2 if cfg.anyonic else 6
+    terms = {
+        (rng.randint(0, 2), rng.randint(0, max_d2x)): Poly(
+            {rng.randint(0, top): random_fraction_scalar(rng) for _ in range(rng.randint(1, 3))},
+            cfg.anyonic,
+        )
+        for _ in range(rng.randint(1, 4))
+    }
+    return Form(terms, cfg.anyonic)
+
+
+def reference_poly_mul(f, g):
+    """Poly.__mul__ as one double loop of CycQ products and sums."""
+    out = {}
+    for d1, c1 in f.items():
+        for d2, c2 in g.items():
+            degree = d1 + d2
+            if f.truncated and degree >= 3:
+                continue
+            acc = out.get(degree)
+            out[degree] = c1 * c2 if acc is None else acc + c1 * c2
+    return Poly._trusted(out, f.truncated)
+
+
+def reference_differential(u: Form, cfg: CalculusConfig) -> Form:
+    """differential on Poly and CycQ arithmetic, as it was before the int kernel."""
+    if u.truncated != cfg.anyonic:
+        raise ModeMismatchError("form mode does not match the configuration")
+    out: dict[FormMonomial, Poly] = {}
+    word = tuple.__new__  # unchecked: every word below has dx power <= 2, d2x power >= 0
+
+    def add(mon: tuple[int, int], poly: Poly) -> None:
+        mon = word(FormMonomial, mon)
+        acc = out.get(mon)
+        out[mon] = poly if acc is None else acc + poly
+
+    for (k, m), f in u.items():
+        if k == 0:
+            add((1, m), derivative(f, cfg))
+        elif k == 1:
+            add((0, m + 1), f)
+            add((2, m), derivative(f, cfg))
+        else:
+            add((1, m + 1), -f)
+    return Form._trusted(out, u.truncated)  # every value is a Poly of u's mode
+
+
+def assert_canonical(value):
+    """Every scalar canonical, no zero coefficient, no empty word."""
+    polys = [p for _, p in value.items()] if isinstance(value, Form) else [value]
+    for poly in polys:
+        assert poly.items()
+        for _, c in poly.items():
+            assert c and c._d > 0 and gcd(c._a, c._b, c._d) == 1
 
 
 def collect(words, truncated):
@@ -344,37 +447,25 @@ class TestPushLeft:
                 assert closed == summed.scale(total)
 
     def test_calculus_calls_per_word_pair_are_constant(self, monkeypatch):
-        # every calculus function that forms imports is counted, so a kernel
-        # that reaches calculus under a new name cannot escape the guard
-        names = [
-            name
-            for name, obj in vars(forms).items()
-            if inspect.isfunction(obj) and obj.__module__ == calculus.__name__
-        ]
-        assert {"twist_power", "derivative"} <= set(names)
-        calls = 0
-
-        def counted(fn):
-            def wrapper(*args):
-                nonlocal calls
-                calls += 1
-                if calls > 1000:
-                    raise RuntimeError("the product kernel made over 1000 calculus calls")
-                return fn(*args)
-
-            return wrapper
-
-        for name in names:
-            monkeypatch.setattr(forms, name, counted(getattr(forms, name)))
+        # a word pair costs at most two accumulator products and two table
+        # lookups for monomial coefficients, whatever m; the misses are the
+        # kernel's only calls into calculus
         cfg = CalculusConfig(CycQ(2))
+        work = count_kernel_work(monkeypatch, limit=1000)
+        for m in range(17):
+            work.clear()
+            Form.basis(0, m).mul(Form.from_poly(Poly.monomial(m)), cfg)
+            assert 1 <= work["products"] <= 2
+            assert work["misses"] <= lookups(work) <= 2
+        assert work["products"] == 2 and work["top"] == work["bracket"] == 1  # at m == 16
+        work.clear()
         m = 16
-        Form.basis(0, m).mul(Form.from_poly(Poly.monomial(m)), cfg)
-        assert 1 <= calls <= 3
-        calls = 0
         u = Form({(k, m): Poly.monomial(m) for k in range(3)})
         v = Form({(0, 0): Poly.monomial(m), (1, 2): Poly.x(), (0, m): Poly.one()})
         u.mul(v, cfg)
-        assert 1 <= calls <= 3 * len(u.items()) * len(v.items())
+        pairs = len(u.items()) * len(v.items())
+        assert 1 <= work["products"] <= 2 * pairs
+        assert work["misses"] <= lookups(work) <= 2 * pairs
 
 
 class TestFusedKernel:
@@ -411,21 +502,23 @@ class TestFusedKernel:
             assert seen["zero factor"]
 
     def test_dead_words_cost_no_calculus(self, monkeypatch):
-        calls = count_calculus_calls(monkeypatch)
+        # no product, no table lookup, so no call into calculus either
+        work = count_kernel_work(monkeypatch)
         cfg = CalculusConfig(CycQ(2))
         for m in range(4):
             for n in range(4):
                 for k, j in ((2, 1), (1, 2), (2, 2)):
                     assert Form.basis(k, m).mul(Form.basis(j, n), cfg).is_zero()
-        assert not calls
+        assert not work
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_bracket_killed_by_a_right_dx_takes_no_derivative(self, monkeypatch, j):
-        calls = count_calculus_calls(monkeypatch)
         cfg = CalculusConfig(CycQ(2))
         u, v = Form.basis(0, 4), Form({(j, 1): Poly.monomial(3)})
-        assert u.mul(v, cfg) == pairwise_mul(u, v, cfg)
-        assert calls == {"twist_power": 1}
+        expected = pairwise_mul(u, v, cfg)
+        work = count_kernel_work(monkeypatch)
+        assert u.mul(v, cfg) == expected
+        assert work == {"top": 1, "misses": 1, "products": 1}
 
     def test_makes_no_poly_products(self, monkeypatch):
         made = 0
@@ -448,9 +541,95 @@ class TestFusedKernel:
         assert made == 0
 
 
+class TestIntegerKernel:
+    """The int kernel against CycQ oracles on Fraction coefficients, whose
+    products meet over mixed denominators and so add over an lcm."""
+
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_products_match_the_pairwise_kernel(self, cfg):
+        rng = random.Random(43)
+        for _ in range(25):
+            u, v = random_fraction_form(rng, cfg), random_fraction_form(rng, cfg)
+            product = u.mul(v, cfg)
+            assert product == pairwise_mul(u, v, cfg)
+            assert_canonical(product)
+
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_products_that_cancel(self, cfg):
+        # u = f - f*dx and v = g + twist(g)*dx: the word dx cancels whole,
+        # f*twist(g) - f*twist(g), and on the word 1, f*g == s*(a**2 - b**2*x**2)
+        # cancels at x**1
+        rng = random.Random(47)
+        t = cfg.anyonic
+        for _ in range(10):
+            a, b, s = (random_fraction_scalar(rng) for _ in range(3))
+            f, g = Poly({0: a, 1: b}, t), Poly({0: a * s, 1: -b * s}, t)
+            u = Form({(0, 0): f, (1, 0): -f}, t)
+            v = Form({(0, 0): g, (1, 0): twist(g, cfg)}, t)
+            product = u.mul(v, cfg)
+            assert product == pairwise_mul(u, v, cfg)
+            assert_canonical(product)
+            words = dict(product.items())
+            assert (1, 0) not in words
+            assert dict(words[(0, 0)].items()).keys() == {0, 2}
+
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_differential_matches_the_reference(self, cfg):
+        rng = random.Random(53)
+        t = cfg.anyonic
+        for _ in range(25):
+            u = random_fraction_form(rng, cfg)
+            du = differential(u, cfg)
+            assert du == reference_differential(u, cfg)
+            assert_canonical(du)
+        # d(f*d2x**m + h*dx**2*d2x**(m-1)) carries derivative(f) - h on dx*d2x**m
+        for m in range(1, 4):
+            f = Poly({e: random_fraction_scalar(rng) for e in range(1, 3 if t else 5)}, t)
+            low = derivative(f, cfg)
+            one_degree = Poly(dict(list(low.items())[:1]), t)
+            for h, cancelled in ((low, set(dict(low.items()))), (one_degree, set(dict(one_degree.items())))):
+                u = Form({(0, m): f, (2, m - 1): h}, t)
+                du = differential(u, cfg)
+                assert du == reference_differential(u, cfg)
+                assert_canonical(du)
+                left = dict(du.coefficient((1, m)).items())
+                assert not cancelled & left.keys()
+                assert left.keys() == set(dict(low.items())) - cancelled
+
+    @pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
+    def test_poly_products_match_the_scalar_loop(self, truncated):
+        rng = random.Random(59)
+        cfg = CFG_ANY if truncated else CFG_Q
+        for _ in range(60):
+            u, v = random_fraction_form(rng, cfg), random_fraction_form(rng, cfg)
+            f, g = next(iter(u.items()))[1], next(iter(v.items()))[1]
+            for h in (f * g, f * (-f), (f + g) * (f - g)):
+                if h:
+                    assert_canonical(h)
+            assert f * g == reference_poly_mul(f, g)
+            assert f * g - g * f == Poly.zero(truncated)
+
+    def test_scalar_table_stays_bounded(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(forms, "_SCALARS", table)
+        cfg = CalculusConfig(CycQ(2))
+        bound = calculus._CACHE_SIZE
+        dx, emptied = Form.basis(1, 0), 0
+        for e in range(bound + 100):  # 2 * (bound + 100) distinct keys
+            size = len(table)
+            g = Form.from_poly(Poly({e: CycQ(Fraction(1, e + 1), 1)}))
+            assert dx.mul(g, cfg) == pairwise_mul(dx, g, cfg)
+            assert differential(g, cfg) == reference_differential(g, cfg)
+            assert len(table) <= bound
+            emptied += len(table) < size
+        assert emptied == 2
+        assert all(type(x) is int for key in table for x in key)
+
+
 class TestScalarProductBudget:
     """Counts Q(q) products through the property suites, a deterministic
-    stand-in for the cost of the product kernel."""
+    stand-in for the cost of the product kernel: CycQ products plus the
+    products the kernel does on CycQ's ints (count_kernel_work)."""
 
     @pytest.mark.parametrize(
         "cfg, budget",
@@ -477,10 +656,12 @@ class TestScalarProductBudget:
 
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(CycQ, name, counting(getattr(CycQ, name)))
+        work = count_kernel_work(monkeypatch)
         results = run_suites(("assoc", "leibniz", "d3"), cfg, 7, 20, 6)
         monkeypatch.undo()
         assert all(r.passed for r in results)
-        assert made <= budget
+        assert work["products"] and lookups(work)
+        assert made + work["products"] + lookups(work) <= budget
 
 
 class TestSwapOracle:
