@@ -96,9 +96,10 @@ _CACHE_SIZE = 1024
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _alpha_power(alpha: CycQ, m: int) -> CycQ:
-    # memoized: in the same runs 1,513 lookups hit at alpha = 2, 1,331 at
-    # alpha = q and none on CLI requests, most of them Form.mul's test of the
-    # bracket factor; q_number hits 50, 0 and 0 times
+    # memoized: in the same runs 160 lookups hit at alpha = 2, 19 at alpha = q
+    # and none on CLI requests, all of them from the misses of forms._SCALARS
+    # and of q_number (Form.mul reads alpha**m from that table); q_number hits
+    # 50, 0 and 0 times
     return alpha**m
 
 

@@ -216,9 +216,12 @@ class Form(_Sparse):
             raise ModeMismatchError("form mode does not match the configuration")
         right = [(j, n, _triples(g)) for (j, n), g in other._terms.items()]
         out: dict[tuple[int, int], dict[int, list[int]]] = {}
+        alpha = cfg.alpha
         for (k, m), f in self._terms.items():
-            left = _triples(f)
-            bracket = not k and m and cfg.alpha_power(m) != q_power(m)
+            left, bracket = _triples(f), False
+            if not k and m:  # is alpha**m, the table's top entry (m, 0), not q**m?
+                key, q_m = (_TOP, m, 0, alpha._a, alpha._b, alpha._d), q_power(m)
+                bracket = (_SCALARS.get(key) or _scalar(key, cfg)) != (q_m._a, q_m._b, q_m._d)
             for j, n, g in right:
                 if k + j < 3:
                     pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, cfg) if m + k else g

@@ -12,15 +12,20 @@ Grammar (whitespace insignificant):
 A leading '-' reads as 0 - term. '^' binds tighter than '*', which binds
 tighter than '+' and '-'; '*' evaluates left to right, and the product is
 associative and exact, so re-associating a product cannot change the
-parsed value. Coefficients sit on the left of the normal form, so two
-products need no rewriting and are written down directly (_product): a
-left factor that is a polynomial times the empty word scales each right
+parsed value. Values are the product kernel's ints, not Forms: a canonical,
+zero-free map word (k, m) -> degree -> (a, b, d), reduced after every
+operation. A sum adds its terms into one polynomial._add_into map, and
+parse makes the one Form of its result through forms._from_word_sums.
+Coefficients sit on the left of the normal form, so two products need no
+rewriting and are written down on those ints (_product): a left factor
+that is a polynomial times the empty word multiplies each right
 coefficient, and a right factor that is a constant times one word shifts
 each left word, at the swap scalar q**(2mj). A power of one term c*x**d on
 the empty word, or of a constant on any word, is one closed formula
-(_power). Every other '*' is the form product Form.mul, and every other
-'base^N' is computed by repeated squaring, O(log N) form products; either
-way the value is that of N left-to-right factors.
+(_power). Every other '*' converts both factors to Forms once and is the
+form product Form.mul, and every other 'base^N' converts the base once and
+takes O(log N) form products by repeated squaring; either way the value is
+that of N left-to-right factors.
 
 All canonical text is written here: render for forms, poly_text for
 coefficient polynomials (Poly.__str__) and scalar_text for scalars
@@ -39,12 +44,12 @@ and parentheses may nest at most MAX_DEPTH levels deep.
 
 from __future__ import annotations
 
-import math
+from math import comb, gcd
 
 from .calculus import CalculusConfig
-from .cyclotomic import CycQ, Q, from_ratios, q_power
-from .forms import Form, FormMonomial, swap_scalar
-from .polynomial import Poly
+from .cyclotomic import CycQ, Q
+from .forms import Form, _from_word_sums
+from .polynomial import Poly, _add_into, _mul_into
 
 
 class ParseError(Exception):
@@ -54,8 +59,6 @@ class ParseError(Exception):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
-
-_NAMES = frozenset({"x", "dx", "d2x", "q"})
 
 MAX_EXPONENT = 10_000
 """Largest exponent token after '^', and largest x or d2x power a '^' may build."""
@@ -72,147 +75,147 @@ MAX_DIGITS = 4_300
 Token = tuple[str, str, int]  # kind, text, position
 
 
+# A parsed value is a canonical, zero-free map word (k, m) -> degree ->
+# (a, b, d), the ints of a canonical CycQ (a + b*q) / d; the empty map is 0.
+# Values are never mutated, so the atoms below are shared by every parse.
+Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]
+Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, as _add_into sums
+
+_ONE = (1, 0, 1)
+_Q_POWERS = (_ONE, (0, 1, 1), (-1, -1, 1))  # q**0, q**1, q**2 == -1 - q
+_ATOMS: dict[str, Value] = {
+    "x": {(0, 0): {1: _ONE}},
+    "q": {(0, 0): {0: _Q_POWERS[1]}},
+    "dx": {(1, 0): {0: _ONE}},
+    "d2x": {(0, 1): {0: _ONE}},
+}
+_EMPTY_WORD = {(0, 0)}
+
+
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in "+-*^/()":
+            tokens.append(("op", ch, i))
             i += 1
-            continue
-        if "0" <= ch <= "9":  # ASCII only; str.isdecimal takes every script's digits
-            j = i
+        elif "0" <= ch <= "9":  # ASCII only; str.isdecimal takes every script's digits
+            j = i + 1
             while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
-            continue
-        if ch.isalpha():
-            j = i
+        elif ch.isalpha():
+            j = i + 1
             while j < n and text[j].isalnum():
                 j += 1
             word = text[i:j]
-            if word not in _NAMES:
+            if word not in _ATOMS:
                 raise ParseError(f"unknown symbol {word!r}", i)
             tokens.append(("name", word, i))
             i = j
-            continue
-        if ch in "+-*^/()":
-            tokens.append(("op", ch, i))
+        elif ch.isspace():
             i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens: list[Token], cfg: CalculusConfig) -> None:
-        self._tokens = tokens
-        self._pos = 0
+        self.tokens = tokens[::-1]  # the next token last: peek is [-1], advance is pop()
         self._cfg = cfg
         self._depth = 0
 
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def advance(self) -> Token:
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def expr(self) -> Form:
-        kind, text, _ = self.peek()
+    def expr(self) -> Sums:
+        """The signed sum of the terms as one _add_into sums map per word,
+        unreduced: parse makes a CycQ of each sum, a group reduces them."""
+        tokens = self.tokens
+        sums: Sums = {}
+        sign = 1
+        kind, text, _ = tokens[-1]
         if kind == "op" and text == "-":
-            self.advance()
-            value = -self.term()
-        else:
-            value = self.term()
+            tokens.pop()
+            sign = -1
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
-            else:
-                return value
+            for word, poly in self.term().items():
+                terms = [(e, sign * a, sign * b, d) for e, (a, b, d) in poly.items()]
+                _add_into(sums.setdefault(word, {}), terms)
+            kind, text, _ = tokens[-1]
+            if not (kind == "op" and text in "+-"):
+                return sums
+            tokens.pop()
+            sign = 1 if text == "+" else -1
 
-    def term(self) -> Form:
+    def term(self) -> Value:
+        tokens = self.tokens
         value = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, _ = tokens[-1]
             if kind == "op" and text == "*":
-                self.advance()
+                tokens.pop()
                 value = _product(value, self.factor(), self._cfg)
             else:
                 return value
 
-    def factor(self) -> Form:
+    def factor(self) -> Value:
+        tokens = self.tokens
         base = self.base()
-        kind, text, _ = self.peek()
+        kind, text, _ = tokens[-1]
         if kind == "op" and text == "^":
-            self.advance()
-            kind, text, pos = self.peek()
+            tokens.pop()
+            kind, text, pos = tokens.pop()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            self.advance()
             digits = text.lstrip("0") or "0"
             # the length test keeps int() off tokens too long for it to convert
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
             n = int(digits)
             # base^n has at most n times the base's top x and d2x powers
-            top = max((max(poly.degree, mon.d2x) for mon, poly in base.items()), default=0)
+            top = 0
+            for (_, m), poly in base.items():
+                top = max(top, m, *poly)
             if n * top > MAX_EXPONENT:
                 raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
-            if n > 1 and _power_terms(base, n) > MAX_POWER_TERMS:
+            if n > 1 and _power_terms(base, n, self._cfg.anyonic) > MAX_POWER_TERMS:
                 raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms", pos)
             return _power(base, n, self._cfg)
         return base
 
-    def base(self) -> Form:
-        truncated = self._cfg.anyonic
-        kind, text, pos = self.advance()
+    def base(self) -> Value:
+        tokens = self.tokens
+        kind, text, pos = tokens.pop()
         if kind == "int":
-            numerator = _literal(text, pos)
-            kind, slash, _ = self.peek()
+            numerator, denominator = _literal(text, pos), 1
+            kind, slash, _ = tokens[-1]
             if kind == "op" and slash == "/":
-                self.advance()
-                kind, denom_text, denom_pos = self.peek()
+                tokens.pop()
+                kind, denom_text, denom_pos = tokens.pop()
                 if kind != "int":
                     raise ParseError("expected a denominator", denom_pos)
-                self.advance()
                 denominator = _literal(denom_text, denom_pos)
                 if not denominator:
                     raise ParseError("zero denominator", denom_pos)
-                return Form.scalar(from_ratios(numerator, denominator, 0, 1), truncated)
-            return Form.scalar(numerator, truncated)
+            if not numerator:
+                return {}
+            g = gcd(numerator, denominator)
+            return {(0, 0): {0: (numerator // g, 0, denominator // g)}}
         if kind == "name":
-            return _NAMED[truncated][text]
+            return _ATOMS[text]
         if kind == "op" and text == "(":
             if self._depth == MAX_DEPTH:
                 raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", pos)
             self._depth += 1
-            value = self.expr()
-            kind, text, pos = self.peek()
+            value = _reduced(self.expr())
+            kind, text, pos = tokens.pop()
             if not (kind == "op" and text == ")"):
                 raise ParseError("expected ')'", pos)
-            self.advance()
             self._depth -= 1
             return value
         raise ParseError("expected 'x', 'dx', 'd2x', 'q', a rational, or '('", pos)
-
-
-# x, q, dx and d2x in each mode; forms are immutable, so every parse shares them
-_NAMED = {
-    truncated: {
-        "x": Form.from_poly(Poly.x(truncated)),
-        "q": Form.scalar(Q, truncated),
-        "dx": Form.basis(1, 0, truncated),
-        "d2x": Form.basis(0, 1, truncated),
-    }
-    for truncated in (False, True)
-}
 
 
 def _literal(text: str, pos: int) -> int:
@@ -223,7 +226,7 @@ def _literal(text: str, pos: int) -> int:
     return int(digits)
 
 
-def _power_terms(base: Form, n: int) -> int:
+def _power_terms(base: Value, n: int, truncated: bool) -> int:
     """An upper bound on the number of terms x^d * dx^k * d2x^m of base^n,
     read off the base alone.
 
@@ -236,89 +239,123 @@ def _power_terms(base: Form, n: int) -> int:
     truncated, and k in {0, 1, 2}, only {0, 2} without a dx in the base, and
     only 0 without brackets either. The bound is the smaller of the two.
     """
-    t = sum(len(poly.items()) for _, poly in base.items())
+    t = sum(map(len, base.values()))
     if t < 2:
         return 2 * t  # one multiset, or none
-    top_x = max(poly.degree for _, poly in base.items())
-    top_d2x = max(mon.d2x for mon, _ in base.items())
+    top_x = max(max(poly) for poly in base.values())
+    top_d2x = max(m for _, m in base)
     per_multiset = 2 if top_x and top_d2x else 1
-    dx_powers = 3 if any(mon.dx for mon, _ in base.items()) else per_multiset
-    degrees = min(n * top_x, 2) if base.truncated else n * top_x
+    dx_powers = 3 if any(k for k, _ in base) else per_multiset
+    degrees = min(n * top_x, 2) if truncated else n * top_x
     words_times_degrees = dx_powers * (n * top_d2x + 1) * (degrees + 1)
-    return min(per_multiset * math.comb(n + t - 1, n), words_times_degrees)
+    return min(per_multiset * comb(n + t - 1, n), words_times_degrees)
 
 
-def _product(left: Form, right: Form, cfg: CalculusConfig) -> Form:
-    """left * right for two forms in cfg's mode; equal to left.mul(right, cfg).
+def _mul(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The canonical product of two (a, b, d) scalars, q**2 folded as CycQ does."""
+    (a1, b1, d1), (a2, b2, d2) = s, t
+    cross = b1 * b2
+    return _canonical(a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, d1 * d2)
+
+
+def _canonical(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(a, b, d) for d > 0 in lowest terms, as cyclotomic._make stores it."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _reduced(sums: Sums) -> Value:
+    """The value of the sums: each in lowest terms, zeros and empty words dropped."""
+    out = {word: {e: _canonical(a, b, d) for e, (a, b, d) in terms.items() if a or b}
+           for word, terms in sums.items()}
+    return {word: poly for word, poly in out.items() if poly}
+
+
+def _value(form: Form) -> Value:
+    """The value of a form: its coefficients' canonical ints."""
+    return {word: {e: (c._a, c._b, c._d) for e, c in poly.items()} for word, poly in form.items()}
+
+
+def _product(left: Value, right: Value, cfg: CalculusConfig) -> Value:
+    """left * right in cfg's mode; equal to the form product.
 
     Written down without the form product when no relation applies: a left
     factor f on the empty word gives f*g on each right word (g, j, n), and
     a right factor that is one constant c on one word dx**j d2x**n, which
     every twist fixes and whose derivative is zero, moves each left term
     (f, k, m) to f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once
-    k + j >= 3. Neither leaves a bracket term.
+    k + j >= 3. Neither leaves a bracket term; the second, the cheaper, is
+    tried first. Any other product converts both factors to Forms once and
+    calls Form.mul.
     """
-    terms = left.items()
-    if len(terms) == 1:
-        ((word, f),) = terms
-        if word == (0, 0):
-            return right.left_mul(f)
-    if len(right.items()) == 1:
+    if len(right) == 1:
         (((j, n), g),) = right.items()
-        if g.degree == 0:
-            c = g.coefficient(0)
-            return Form._trusted(
-                {
-                    FormMonomial(k + j, m + n): f.scale(c * swap_scalar(m, j))
-                    for (k, m), f in terms
-                    if k + j < 3
-                },
-                left.truncated,
-            )
-    return left.mul(right, cfg)
+        if len(g) == 1 and 0 in g:
+            out = {}
+            for (k, m), f in left.items():
+                if k + j < 3:
+                    c = _mul(g[0], _Q_POWERS[2 * m * j % 3])
+                    out[k + j, m + n] = {e: _mul(t, c) for e, t in f.items()}
+            return out
+    truncated = cfg.anyonic
+    if left.keys() <= _EMPTY_WORD:
+        f = [(e, a, b, d) for e, (a, b, d) in left.get((0, 0), {}).items()]
+        sums: Sums = {}
+        for word, g in right.items():
+            terms = [(e, a, b, d) for e, (a, b, d) in g.items()]
+            _mul_into(sums.setdefault(word, {}), f, terms, truncated)
+        return _reduced(sums)
+    return _value(_from_word_sums(left, truncated).mul(_from_word_sums(right, truncated), cfg))
 
 
-def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
+def _power(base: Value, n: int, cfg: CalculusConfig) -> Value:
     """base^n, in closed form or by square-and-multiply (at most 2*log2(n)
-    form products).
+    form products on the base converted to a Form once).
 
     A one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
     pushes its coefficient past a word, so its power is c**n * x**(d*n) *
     dx**(j*n) d2x**(m*n) times q**(2mj) for each of the n(n-1)/2 swaps of a
     dx**j left past a d2x**m; zero once j*n >= 3, or d*n >= 3 when
-    truncated.
+    truncated. c**n is square-and-multiply on ints, reduced at every step as
+    CycQ.__pow__ is.
     """
     truncated = cfg.anyonic
-    if len(base.items()) == 1:
+    if len(base) == 1:
         (((j, m), poly),) = base.items()
-        if len(poly.items()) == 1:
+        if len(poly) == 1:
             ((d, c),) = poly.items()
             if not d or not (j or m):
                 if j * n >= 3 or truncated and d * n >= 3:
-                    return Form.zero(truncated)
-                coeff = c**n * q_power(m * j * n * (n - 1))
-                return Form._trusted(
-                    {FormMonomial(j * n, m * n): Poly._trusted({d * n: coeff}, truncated)},
-                    truncated,
-                )
-    out = None
+                    return {}
+                out = _ONE
+                for bit in bin(n)[2:] if c != _ONE else "":
+                    out = _mul(out, out)
+                    if bit == "1":
+                        out = _mul(out, c)
+                return {(j * n, m * n): {d * n: _mul(out, _Q_POWERS[m * j * n * (n - 1) % 3])}}
+    if not n:
+        return {(0, 0): {0: _ONE}}
+    form, out = _from_word_sums(base, truncated), None
     while True:
         if n & 1:
-            out = base if out is None else out.mul(base, cfg)
+            out = form if out is None else out.mul(form, cfg)
         n >>= 1
         if not n:
-            return Form.one(truncated) if out is None else out
-        base = base.mul(base, cfg)
+            return _value(out)
+        form = form.mul(form, cfg)
 
 
 def parse(text: str, cfg: CalculusConfig) -> Form:
     """Parse an expression and reduce it to normal form under cfg."""
     parser = _Parser(_tokenize(text), cfg)
-    value = parser.expr()
-    kind, _, pos = parser.peek()
+    sums = parser.expr()
+    kind, _, pos = parser.tokens[-1]
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
-    return value
+    return _from_word_sums(sums, cfg.anyonic)
 
 
 _SCALAR_CFG = CalculusConfig(Q)
@@ -331,14 +368,10 @@ def parse_scalar(text: str) -> CycQ:
     is safe to use while building a configuration.
     """
     form = parse(text, _SCALAR_CFG)
-    if form.is_zero():
-        return CycQ(0)
-    terms = form.terms()
-    if len(terms) == 1:
-        mon, poly = terms[0]
-        if mon == FormMonomial(0, 0) and poly.degree == 0:
-            return poly.coefficient(0)
-    raise ValueError(f"not a scalar: {text!r}")
+    constant = form.coefficient((0, 0)).coefficient(0)
+    if form != Form.scalar(constant):
+        raise ValueError(f"not a scalar: {text!r}")
+    return constant
 
 
 def render(u: Form) -> str:

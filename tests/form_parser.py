@@ -1,0 +1,303 @@
+"""The Form-valued parser that qforms.parser replaced, kept as its oracle.
+
+qforms.parser evaluates expressions on the ints of the product kernel and
+builds one Form per parse. This module is the parser it replaced: every
+intermediate value is a Form, the two closed forms (_product, _power) are
+written on Forms, and every other product is Form.mul. The code between
+the imports and compare_with_oracle is that parser verbatim, tokenizer
+included; it shares the literal check and the limits with qforms.parser.
+"""
+
+from __future__ import annotations
+
+import math
+
+from qforms import parser as int_parser
+from qforms.calculus import CalculusConfig
+from qforms.cyclotomic import Q, from_ratios, q_power
+from qforms.forms import Form, FormMonomial, swap_scalar
+from qforms.parser import (
+    MAX_DEPTH,
+    MAX_EXPONENT,
+    MAX_POWER_TERMS,
+    ParseError,
+    Token,
+    _literal,
+)
+from qforms.polynomial import Poly
+
+
+_NAMES = frozenset({"x", "dx", "d2x", "q"})
+
+
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if "0" <= ch <= "9":  # ASCII only; str.isdecimal takes every script's digits
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and text[j].isalnum():
+                j += 1
+            word = text[i:j]
+            if word not in _NAMES:
+                raise ParseError(f"unknown symbol {word!r}", i)
+            tokens.append(("name", word, i))
+            i = j
+            continue
+        if ch in "+-*^/()":
+            tokens.append(("op", ch, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[Token], cfg: CalculusConfig) -> None:
+        self._tokens = tokens
+        self._pos = 0
+        self._cfg = cfg
+        self._depth = 0
+
+    def peek(self) -> Token:
+        return self._tokens[self._pos]
+
+    def advance(self) -> Token:
+        token = self._tokens[self._pos]
+        self._pos += 1
+        return token
+
+    def expr(self) -> Form:
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "-":
+            self.advance()
+            value = -self.term()
+        else:
+            value = self.term()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                rhs = self.term()
+                value = value + rhs if text == "+" else value - rhs
+            else:
+                return value
+
+    def term(self) -> Form:
+        value = self.factor()
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text == "*":
+                self.advance()
+                value = _product(value, self.factor(), self._cfg)
+            else:
+                return value
+
+    def factor(self) -> Form:
+        base = self.base()
+        kind, text, _ = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            kind, text, pos = self.peek()
+            if kind != "int":
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            self.advance()
+            digits = text.lstrip("0") or "0"
+            # the length test keeps int() off tokens too long for it to convert
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
+            n = int(digits)
+            # base^n has at most n times the base's top x and d2x powers
+            top = max((max(poly.degree, mon.d2x) for mon, poly in base.items()), default=0)
+            if n * top > MAX_EXPONENT:
+                raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
+            if n > 1 and _power_terms(base, n) > MAX_POWER_TERMS:
+                raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms", pos)
+            return _power(base, n, self._cfg)
+        return base
+
+    def base(self) -> Form:
+        truncated = self._cfg.anyonic
+        kind, text, pos = self.advance()
+        if kind == "int":
+            numerator = _literal(text, pos)
+            kind, slash, _ = self.peek()
+            if kind == "op" and slash == "/":
+                self.advance()
+                kind, denom_text, denom_pos = self.peek()
+                if kind != "int":
+                    raise ParseError("expected a denominator", denom_pos)
+                self.advance()
+                denominator = _literal(denom_text, denom_pos)
+                if not denominator:
+                    raise ParseError("zero denominator", denom_pos)
+                return Form.scalar(from_ratios(numerator, denominator, 0, 1), truncated)
+            return Form.scalar(numerator, truncated)
+        if kind == "name":
+            return _NAMED[truncated][text]
+        if kind == "op" and text == "(":
+            if self._depth == MAX_DEPTH:
+                raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", pos)
+            self._depth += 1
+            value = self.expr()
+            kind, text, pos = self.peek()
+            if not (kind == "op" and text == ")"):
+                raise ParseError("expected ')'", pos)
+            self.advance()
+            self._depth -= 1
+            return value
+        raise ParseError("expected 'x', 'dx', 'd2x', 'q', a rational, or '('", pos)
+
+
+# x, q, dx and d2x in each mode; forms are immutable, so every parse shares them
+_NAMED = {
+    truncated: {
+        "x": Form.from_poly(Poly.x(truncated)),
+        "q": Form.scalar(Q, truncated),
+        "dx": Form.basis(1, 0, truncated),
+        "d2x": Form.basis(0, 1, truncated),
+    }
+    for truncated in (False, True)
+}
+
+
+
+
+def _power_terms(base: Form, n: int) -> int:
+    """An upper bound on the number of terms x^d * dx^k * d2x^m of base^n,
+    read off the base alone.
+
+    The grade k + 2m and the weight d + k + m add up under the product,
+    bracket words included, and together fix a term up to k in {0, 2}. So
+    each of the C(n+t-1, n) multisets of n of the base's t terms leaves at
+    most one term, or two once a d2x can push past a nonconstant coefficient.
+    And base^n has at most one term per word and degree in range: m <= n*M
+    and d <= n*A for the base's largest d2x and x powers, d <= 2 when
+    truncated, and k in {0, 1, 2}, only {0, 2} without a dx in the base, and
+    only 0 without brackets either. The bound is the smaller of the two.
+    """
+    t = sum(len(poly.items()) for _, poly in base.items())
+    if t < 2:
+        return 2 * t  # one multiset, or none
+    top_x = max(poly.degree for _, poly in base.items())
+    top_d2x = max(mon.d2x for mon, _ in base.items())
+    per_multiset = 2 if top_x and top_d2x else 1
+    dx_powers = 3 if any(mon.dx for mon, _ in base.items()) else per_multiset
+    degrees = min(n * top_x, 2) if base.truncated else n * top_x
+    words_times_degrees = dx_powers * (n * top_d2x + 1) * (degrees + 1)
+    return min(per_multiset * math.comb(n + t - 1, n), words_times_degrees)
+
+
+def _product(left: Form, right: Form, cfg: CalculusConfig) -> Form:
+    """left * right for two forms in cfg's mode; equal to left.mul(right, cfg).
+
+    Written down without the form product when no relation applies: a left
+    factor f on the empty word gives f*g on each right word (g, j, n), and
+    a right factor that is one constant c on one word dx**j d2x**n, which
+    every twist fixes and whose derivative is zero, moves each left term
+    (f, k, m) to f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once
+    k + j >= 3. Neither leaves a bracket term.
+    """
+    terms = left.items()
+    if len(terms) == 1:
+        ((word, f),) = terms
+        if word == (0, 0):
+            return right.left_mul(f)
+    if len(right.items()) == 1:
+        (((j, n), g),) = right.items()
+        if g.degree == 0:
+            c = g.coefficient(0)
+            return Form._trusted(
+                {
+                    FormMonomial(k + j, m + n): f.scale(c * swap_scalar(m, j))
+                    for (k, m), f in terms
+                    if k + j < 3
+                },
+                left.truncated,
+            )
+    return left.mul(right, cfg)
+
+
+def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
+    """base^n, in closed form or by square-and-multiply (at most 2*log2(n)
+    form products).
+
+    A one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
+    pushes its coefficient past a word, so its power is c**n * x**(d*n) *
+    dx**(j*n) d2x**(m*n) times q**(2mj) for each of the n(n-1)/2 swaps of a
+    dx**j left past a d2x**m; zero once j*n >= 3, or d*n >= 3 when
+    truncated.
+    """
+    truncated = cfg.anyonic
+    if len(base.items()) == 1:
+        (((j, m), poly),) = base.items()
+        if len(poly.items()) == 1:
+            ((d, c),) = poly.items()
+            if not d or not (j or m):
+                if j * n >= 3 or truncated and d * n >= 3:
+                    return Form.zero(truncated)
+                coeff = c**n * q_power(m * j * n * (n - 1))
+                return Form._trusted(
+                    {FormMonomial(j * n, m * n): Poly._trusted({d * n: coeff}, truncated)},
+                    truncated,
+                )
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out.mul(base, cfg)
+        n >>= 1
+        if not n:
+            return Form.one(truncated) if out is None else out
+        base = base.mul(base, cfg)
+
+
+def parse(text: str, cfg: CalculusConfig) -> Form:
+    """Parse an expression and reduce it to normal form under cfg."""
+    parser = _Parser(_tokenize(text), cfg)
+    value = parser.expr()
+    kind, _, pos = parser.peek()
+    if kind != "end":
+        raise ParseError("unexpected trailing input", pos)
+    return value
+
+
+def compare_with_oracle(text: str, cfg: CalculusConfig) -> None:
+    """Assert that qforms.parser.parse gives what this parser gives for text:
+    an equal Form with the same render and to_dict, or an error of the same
+    type and message (for a ParseError, at the same position). The two
+    tokenizers must give the same tokens or the same error."""
+
+    def tokens(tokenize):
+        try:
+            return tokenize(text)
+        except ParseError as exc:
+            return str(exc), exc.position
+
+    assert tokens(int_parser._tokenize) == tokens(_tokenize)
+    try:
+        expected = parse(text, cfg)
+    except (ParseError, ValueError) as exc:
+        try:
+            int_parser.parse(text, cfg)
+        except type(exc) as err:
+            assert str(err) == str(exc)
+            assert getattr(err, "position", None) == getattr(exc, "position", None)
+        else:
+            raise AssertionError(f"{text!r} parsed, the oracle raised {exc!r}")
+        return
+    actual = int_parser.parse(text, cfg)
+    assert actual == expected
+    assert int_parser.render(actual) == int_parser.render(expected)
+    assert actual.to_dict() == expected.to_dict()

@@ -448,16 +448,17 @@ class TestPushLeft:
 
     def test_calculus_calls_per_word_pair_are_constant(self, monkeypatch):
         # a word pair costs at most two accumulator products and two table
-        # lookups for monomial coefficients, whatever m; the misses are the
-        # kernel's only calls into calculus
+        # lookups for monomial coefficients, whatever m; a left word d2x**m
+        # (no dx, m >= 1) adds the one top lookup, alpha**m, that tests its
+        # bracket factor; the misses are the kernel's only calls into calculus
         cfg = CalculusConfig(CycQ(2))
         work = count_kernel_work(monkeypatch, limit=1000)
         for m in range(17):
             work.clear()
             Form.basis(0, m).mul(Form.from_poly(Poly.monomial(m)), cfg)
             assert 1 <= work["products"] <= 2
-            assert work["misses"] <= lookups(work) <= 2
-        assert work["products"] == 2 and work["top"] == work["bracket"] == 1  # at m == 16
+            assert work["misses"] <= lookups(work) <= 2 + (m >= 1)
+        assert work["products"] == 2 and work["top"] == 2 and work["bracket"] == 1  # at m == 16
         work.clear()
         m = 16
         u = Form({(k, m): Poly.monomial(m) for k in range(3)})
@@ -465,7 +466,7 @@ class TestPushLeft:
         u.mul(v, cfg)
         pairs = len(u.items()) * len(v.items())
         assert 1 <= work["products"] <= 2 * pairs
-        assert work["misses"] <= lookups(work) <= 2 * pairs
+        assert work["misses"] <= lookups(work) <= 2 * pairs + 1  # one left word d2x**16
 
 
 class TestFusedKernel:
@@ -518,7 +519,24 @@ class TestFusedKernel:
         expected = pairwise_mul(u, v, cfg)
         work = count_kernel_work(monkeypatch)
         assert u.mul(v, cfg) == expected
-        assert work == {"top": 1, "misses": 1, "products": 1}
+        # one top lookup tests the bracket factor alpha**4 - q**4, one scales the top word
+        assert work == {"top": 2, "misses": 2, "products": 1}
+
+    @pytest.mark.parametrize("cfg", [CalculusConfig(CycQ(2)), CFG_Q, CFG_ANY], ids=["2", "q", "anyonic"])
+    def test_bracket_factor_comes_from_the_scalar_table(self, monkeypatch, cfg):
+        # alpha**m is read from the table's top entry (m, 0); once the table
+        # holds it, Form.mul makes no lookup in calculus' alpha**m cache
+        u = Form({(0, 3): Poly.x(cfg.anyonic), (0, 4): Poly.one(cfg.anyonic)}, cfg.anyonic)
+        v = Form({(0, 0): Poly.x(cfg.anyonic), (0, 1): Poly.one(cfg.anyonic)}, cfg.anyonic)
+        expected = pairwise_mul(u, v, cfg)
+        assert u.mul(v, cfg) == expected
+
+        def no_lookup(*args):
+            raise AssertionError("alpha**m looked up in calculus")
+
+        monkeypatch.setattr(CalculusConfig, "alpha_power", no_lookup)
+        monkeypatch.setattr(calculus, "_alpha_power", no_lookup)
+        assert u.mul(v, cfg) == expected
 
     def test_makes_no_poly_products(self, monkeypatch):
         made = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -10,11 +11,13 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import form_parser
+from form_parser import compare_with_oracle
 from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
 from qforms.differential import differential
-from qforms import parser
+from qforms import cyclotomic, parser, polynomial
 from qforms.forms import Form, FormMonomial
 from qforms.parser import (
     MAX_DEPTH,
@@ -54,6 +57,25 @@ def repeated_product(base, n, cfg):
     for _ in range(n):
         out = out.mul(base, cfg)
     return out
+
+
+def as_value(form):
+    """The parser's value of a form: word -> degree -> a CycQ's (a, b, d)."""
+    return {
+        (mon.dx, mon.d2x): {e: (c._a, c._b, c._d) for e, c in poly.terms()}
+        for mon, poly in form.terms()
+    }
+
+
+def as_form(value, truncated):
+    """The form of a parser value, built through the validating constructors."""
+    return Form(
+        {
+            word: Poly({e: CycQ(Fraction(a, d), Fraction(b, d)) for e, (a, b, d) in poly.items()}, truncated)
+            for word, poly in value.items()
+        },
+        truncated,
+    )
 
 
 # The renderer as three modules wrote it before the text path was merged:
@@ -207,6 +229,10 @@ class TestParseExamples:
     def test_cube_collapses_only_in_the_quotient(self):
         assert parse("x^3", CFG_ANY).is_zero()
         assert not parse("x^3", CFG_Q).is_zero()
+        for text in ["x*x^2", "x^2*x*dx", "x*x*x"]:
+            assert parse(text, CFG_ANY).is_zero()
+            assert not parse(text, CFG_Q).is_zero()
+        assert parse("(1+x)*x^2", CFG_ANY) == parse("x^2", CFG_ANY)
 
     def test_product_reduction_uses_the_configuration(self):
         assert parse("dx*x", CFG_Q) == Form({(1, 0): Poly.monomial(1, Q)})
@@ -327,7 +353,8 @@ class TestPowers:
     def test_dense_power_at_the_term_bound(self):
         # 31 * 32 = 992 predicted terms at N = 30, 1,056 at N = 31
         base = parse("1+x+d2x", CFG_Q)
-        assert _power_terms(base, 30) <= MAX_POWER_TERMS < _power_terms(base, 31)
+        terms = [_power_terms(as_value(base), n, False) for n in (30, 31)]
+        assert terms[0] <= MAX_POWER_TERMS < terms[1]
         assert parse("(1+x+d2x)^30", CFG_Q) == repeated_product(base, 30, CFG_Q)
 
     @pytest.mark.parametrize(
@@ -352,8 +379,9 @@ class TestPowers:
             t = sum(len(poly.items()) for _, poly in base.items())
             for n in range(2, 6):
                 actual = sum(len(poly.items()) for _, poly in repeated_product(base, n, cfg).items())
-                assert actual <= _power_terms(base, n)
-                tight += actual == _power_terms(base, n)
+                predicted = _power_terms(as_value(base), n, cfg.anyonic)
+                assert actual <= predicted
+                tight += actual == predicted
                 past_multisets += actual > math.comb(n + t - 1, n)
         assert tight  # the bound is reached
         if cfg.alpha != Q:
@@ -577,19 +605,20 @@ ORACLE_SETTINGS = settings(
 
 
 class TestClosedForms:
-    """_product and _power against the form product they stand in for."""
+    """The parser's int closed forms _product and _power against the form
+    product they stand in for."""
 
     @ORACLE_SETTINGS
     @given(case=oracle_cases())
     def test_product_matches_the_form_product(self, case):
         cfg, a, b = case
-        assert _product(a, b, cfg) == a.mul(b, cfg)
+        assert _product(as_value(a), as_value(b), cfg) == as_value(a.mul(b, cfg))
 
     @ORACLE_SETTINGS
     @given(case=oracle_cases(), n=st.integers(0, 7))
     def test_power_matches_the_repeated_product(self, case, n):
         cfg, base, _ = case
-        assert _power(base, n, cfg) == repeated_product(base, n, cfg)
+        assert _power(as_value(base), n, cfg) == as_value(repeated_product(base, n, cfg))
 
     @pytest.mark.parametrize(
         "text",
@@ -606,11 +635,17 @@ class TestClosedForms:
         ],
     )
     def test_closed_forms_make_no_form_product(self, count_form_products, text):
+        def form_product(a, b, cfg):
+            return as_value(as_form(a, cfg.anyonic).mul(as_form(b, cfg.anyonic), cfg))
+
+        def form_power(base, n, cfg):
+            return as_value(repeated_product(as_form(base, cfg.anyonic), n, cfg))
+
         for cfg in (CFG_Q, CFG_ANY, CalculusConfig(CycQ(2))):
             value = parse(text, cfg)
             assert count_form_products[0] == 0
-            with mock.patch.object(parser, "_product", lambda a, b, cfg: a.mul(b, cfg)):
-                with mock.patch.object(parser, "_power", repeated_product):
+            with mock.patch.object(parser, "_product", form_product):
+                with mock.patch.object(parser, "_power", form_power):
                     assert value == parse(text, cfg)
             count_form_products[0] = 0
 
@@ -620,6 +655,130 @@ class TestClosedForms:
     def test_other_products_fall_through(self, count_form_products, text):
         parse(text, CFG_Q)
         assert count_form_products[0] > 0
+
+
+CORPUS_CFGS = [
+    CFG_Q,
+    CalculusConfig(CycQ(2)),
+    CalculusConfig(CycQ(1, 1)),
+    CalculusConfig(CycQ(Fraction(1, 2))),
+    POWER_CFGS[6],
+    CFG_ANY,
+]
+CORPUS_IDS = ["q", "2", "1+q", "1/2", "(-3+5q)/7", "anyonic"]
+TYPED_COEFFS = ["2", "5", "1/2", "3/2", "q", "q^2", "(1-2*q)", "7/3*q", "0"]
+
+
+def typed_factors(rng):
+    """The factors of a left-normal term c*x^a*dx^k*d2x^m as a user types
+    it; one term in 20 takes a in 4..128."""
+    factors = [rng.choice(TYPED_COEFFS)] if rng.random() < 0.3 else []
+    a = rng.randint(4, 128) if rng.random() < 0.05 else rng.randint(0, 3)
+    for name, power in (("x", a), ("dx", rng.randint(0, 2)), ("d2x", rng.randint(0, 2))):
+        if power:
+            factors.append(name if power == 1 else f"{name}^{power}")
+    return factors or ["1"]
+
+
+def typed_sums(seed, count, shuffle=False):
+    """Seeded sums of 1 to 4 typed terms, joined by '+' or '-'; shuffle puts
+    each term's factors in random order, so that products need rewriting."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            factors = typed_factors(rng)
+            if shuffle:
+                rng.shuffle(factors)
+            terms.append("*".join(factors))
+        text = ("-" if rng.random() < 0.1 else "") + terms[0]
+        texts.append(text + "".join(rng.choice([" + ", " - ", "+", "-"]) + t for t in terms[1:]))
+    return texts
+
+
+def assert_canonical_value(value):
+    """A parser value: no empty word, and every scalar nonzero in lowest terms."""
+    for (k, m), poly in value.items():
+        assert 0 <= k <= 2 and m >= 0 and poly
+        for e, (a, b, d) in poly.items():
+            assert e >= 0 and (a or b) and d > 0 and math.gcd(a, b, d) == 1
+
+
+class TestAgainstFormParser:
+    """parse against the Form-valued parser it replaced (tests/form_parser.py)."""
+
+    @pytest.mark.parametrize("cfg", CORPUS_CFGS, ids=CORPUS_IDS)
+    def test_typed_sums(self, cfg):
+        for text in typed_sums(101, 1000):
+            compare_with_oracle(text, cfg)
+
+    @pytest.mark.parametrize("cfg", CORPUS_CFGS, ids=CORPUS_IDS)
+    def test_typed_sums_with_shuffled_factors(self, cfg, count_form_products):
+        for text in typed_sums(103, 300, shuffle=True):
+            compare_with_oracle(text, cfg)
+        assert count_form_products[0]  # some products needed rewriting
+
+
+class TestParseCounts:
+    """Typed sums need no rewriting: one Form per parse, and one CycQ per
+    output coefficient. The Form-valued parser (tests/form_parser.py), over
+    the 3,000 expressions of the benchmark's cli_requests at seed 1, built
+    9,642 Forms, 5,461 Polys through Poly() and Poly._trusted, and 14,657
+    CycQs through cyclotomic._make, and made 11,262 CycQ products, for 4,061
+    output coefficients; parse builds 3,000 Forms and 4,061 CycQs there."""
+
+    def test_one_form_per_parse_and_no_more_scalars_than_coefficients(
+        self, monkeypatch, count_form_products
+    ):
+        counts = {"forms": 0, "scalars": 0}
+        init, trusted, make = Form.__init__, Form._trusted.__func__, cyclotomic._make
+
+        def counting_init(self, *args):
+            counts["forms"] += 1
+            init(self, *args)
+
+        def counting_trusted(cls, *args):
+            counts["forms"] += 1
+            return trusted(cls, *args)
+
+        def counting_make(*args):
+            counts["scalars"] += 1
+            return make(*args)
+
+        monkeypatch.setattr(Form, "__init__", counting_init)
+        monkeypatch.setattr(Form, "_trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(cyclotomic, "_make", counting_make)
+        monkeypatch.setattr(polynomial, "_make", counting_make)
+        texts = typed_sums(107, 500)
+        coefficients = 0
+        for cfg in CORPUS_CFGS:
+            for text in texts:
+                coefficients += sum(len(poly.items()) for _, poly in parse(text, cfg).items())
+        assert count_form_products[0] == 0
+        assert counts["forms"] == len(texts) * len(CORPUS_CFGS)
+        assert 0 < counts["scalars"] <= coefficients
+
+
+class TestSharedValues:
+    """Values are canonical and never mutated, so the atoms are shared safely."""
+
+    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
+    def test_parsing_twice_leaves_the_atoms_alone(self, cfg):
+        atoms = copy.deepcopy(parser._ATOMS)
+        assert set(atoms) == {"x", "q", "dx", "d2x"}
+        for text in ["x + x", "x - x + 1", "x*x", "dx*dx", "(x+dx)^2"]:
+            first, second = parse(text, cfg), parse(text, cfg)
+            assert first == second == form_parser.parse(text, cfg)
+            assert render(first) == render(second)
+            assert_canonical_value(parser._Parser(parser._tokenize(f"({text})"), cfg).base())
+            assert parser._ATOMS == atoms
+
+    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
+    def test_values_are_reduced_after_every_operation(self, cfg):
+        # each inner value is 1 before the outer power sees it
+        for text in ["(x - x + 1)^10000", "((1/2+1/2)^10000)^10000"]:
+            assert parse(text, cfg) == Form.one(cfg.anyonic)
 
 
 # The Fraction-based text primitives the renderer used before it wrote

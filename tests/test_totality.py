@@ -14,6 +14,7 @@ import io
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from form_parser import compare_with_oracle
 from qforms.calculus import CalculusConfig
 from qforms.checks import SUITE_NAMES
 from qforms.cli import main
@@ -85,6 +86,13 @@ def test_parse_is_total(text, cfg):
         return
     assert isinstance(result, Form)
     assert result.truncated == cfg.anyonic
+
+
+@SETTINGS
+@given(text=expressions, cfg=st.sampled_from(CFGS))
+def test_parse_matches_the_form_parser(text, cfg):
+    # the same Form, text and JSON, or the same error at the same token
+    compare_with_oracle(text, cfg)
 
 
 @SETTINGS
