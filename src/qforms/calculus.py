@@ -20,13 +20,13 @@ identically exactly when alpha == q; q_bracket itself keeps the definition
 so that the Proposition 2 check evaluates it.
 
 CalculusConfig is a plain immutable class with two slots, alpha and
-anyonic. The scalar caches are keyed by CycQ alone: q_number coerces an int
-or other rational alpha before its cached body, which returns a CycQ.
+anyonic. The maps here keep no cache: they are the plain oracles that the
+Proposition 2 check and the tests use, and the product kernel computes its
+scalars on ints in its own table (forms._SCALARS).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from numbers import Rational
 
 from .cyclotomic import Q, CycQ, as_cycq
@@ -76,50 +76,20 @@ class CalculusConfig:
     def truncated(self) -> bool:
         return self.anyonic
 
-    def alpha_power(self, n: int) -> CycQ:
-        """alpha**n, from the shared cache."""
-        return _alpha_power(self.alpha, n)
-
 
 def _require_mode(f: Poly, cfg: CalculusConfig) -> None:
     if f.truncated != cfg.anyonic:
         raise ModeMismatchError("polynomial mode does not match the configuration")
 
 
-# Entries pile up per alpha and per degree for the life of the process, so the
-# caches are bounded, and so is forms' scalar table. Over 1,500 ops of each
-# check workload of the benchmark and 3,000 of its CLI requests (seed 1),
-# _alpha_power ends with 37, 13 and 66 entries, q_number with 12, 2 and 73,
-# and forms._SCALARS with 147, 32 and 73, one per miss.
-_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _alpha_power(alpha: CycQ, m: int) -> CycQ:
-    # memoized: in the same runs 160 lookups hit at alpha = 2, 19 at alpha = q
-    # and none on CLI requests, all of them from the misses of forms._SCALARS
-    # and of q_number (Form.mul reads alpha**m from that table); q_number hits
-    # 50, 0 and 0 times
-    return alpha**m
-
-
 def q_number(k: int, alpha: CycQ | int | Rational) -> CycQ:
     """The alpha-integer 1 + alpha + ... + alpha**(k-1); k itself at alpha == 1."""
-    return _q_number(k, as_cycq(alpha))
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _q_number(k: int, alpha: CycQ) -> CycQ:
+    alpha = as_cycq(alpha)
     if k < 0:
         raise ValueError("q_number needs k >= 0")
     if alpha == 1:
         return CycQ(k)
-    return (_alpha_power(alpha, k) - 1) / (alpha - 1)  # geometric sum
-
-
-# q_number's cache is the body's: every key holds a CycQ
-q_number.cache_info = _q_number.cache_info
-q_number.cache_clear = _q_number.cache_clear
+    return (alpha**k - 1) / (alpha - 1)  # geometric sum
 
 
 def twist(f: Poly, cfg: CalculusConfig) -> Poly:
@@ -135,9 +105,7 @@ def twist_power(f: Poly, n: int, cfg: CalculusConfig) -> Poly:
     if n == 0:
         return f
     alpha = cfg.alpha
-    return Poly._trusted(
-        {m: _alpha_power(alpha, m * n) * c for m, c in f.items()}, f.truncated
-    )
+    return Poly._trusted({m: alpha ** (m * n) * c for m, c in f.items()}, f.truncated)
 
 
 def derivative(f: Poly, cfg: CalculusConfig) -> Poly:
@@ -145,7 +113,7 @@ def derivative(f: Poly, cfg: CalculusConfig) -> Poly:
     _require_mode(f, cfg)
     alpha = cfg.alpha
     return Poly._trusted(
-        {m - 1: _q_number(m, alpha) * c for m, c in f.items() if m >= 1},
+        {m - 1: q_number(m, alpha) * c for m, c in f.items() if m >= 1},
         f.truncated,
     )
 

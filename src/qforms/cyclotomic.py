@@ -13,6 +13,11 @@ rational value hashes by the formula int and Fraction use. Only the
 properties a and b, norm(), repr, and CycQ of a float, str or Decimal
 build Fractions (_fraction). The text of a scalar comes from
 parser.scalar_text.
+
+The int core is the one definition of Q(q) arithmetic on such (a, b, d)
+triples, which CycQ, the parser and the kernel's scalar table (forms._SCALARS)
+compute with: _lowest, _times (q**2 folded to -1 - q), _int_inverse,
+_int_power and the powers of q, _Q_TRIPLES. Two hot kernel loops inline _times.
 """
 
 from __future__ import annotations
@@ -120,10 +125,7 @@ class CycQ:
             if not isinstance(other, (int, Rational)):
                 return NotImplemented
             other = CycQ(other)
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        # the q**2 cross term folds back onto {1, q} via q**2 == -1 - q
-        cross = b1 * b2
-        return _make(a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, self._d * other._d)
+        return _of(_times((self._a, self._b, self._d), (other._a, other._b, other._d)))
 
     __rmul__ = __mul__
 
@@ -136,12 +138,7 @@ class CycQ:
         return _fraction(_int_norm(self._a, self._b), self._d * self._d)
 
     def inverse(self) -> CycQ:
-        a, b, d = self._a, self._b, self._d
-        n = _int_norm(a, b)
-        if not n:
-            raise ZeroDivisionError("0 has no inverse in Q(q)")
-        # 1 / ((a + b*q) / d) == d * conjugate(a + b*q) / n, with n > 0
-        return _make(d * (a - b), -d * b, n)
+        return _of(_int_inverse((self._a, self._b, self._d)))
 
     def __truediv__(self, other: CycQ | int | Rational) -> CycQ:
         if not isinstance(other, CycQ):
@@ -155,16 +152,7 @@ class CycQ:
             return NotImplemented
         if n < 0:
             raise ValueError("negative exponent")
-        if not n:
-            return ONE
-        # square-and-multiply from the top bit down: bit_length(n) - 1
-        # squarings and popcount(n) - 1 products, none of them wasted
-        out = self
-        for bit in bin(n)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
+        return _of(_int_power((self._a, self._b, self._d), n))
 
     def __str__(self) -> str:
         from .parser import scalar_text  # local import avoids a module cycle
@@ -180,16 +168,59 @@ _new = object.__new__
 
 def _make(a: int, b: int, d: int) -> CycQ:
     """The CycQ (a + b*q) / d for d > 0, reduced to canonical form."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            a //= g
-            b //= g
-            d //= g
+    if d != 1:  # an Eisenstein integer is already canonical
+        a, b, d = _lowest(a, b, d)
     out = _new(CycQ)
     out._a = a
     out._b = b
     out._d = d
+    return out
+
+
+def _of(triple: tuple[int, int, int]) -> CycQ:
+    """The CycQ of a canonical triple."""
+    out = _new(CycQ)
+    out._a, out._b, out._d = triple
+    return out
+
+
+def _lowest(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """(a, b, d) for d > 0 in lowest terms: gcd(a, b, d) == 1, zero as (0, 0, 1)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            return a // g, b // g, d // g
+    return a, b, d
+
+
+def _times(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The canonical product of two (a, b, d) triples."""
+    (a1, b1, d1), (a2, b2, d2) = s, t
+    # the q**2 cross term folds back onto {1, q} via q**2 == -1 - q
+    cross = b1 * b2
+    return _lowest(a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, d1 * d2)
+
+
+def _int_inverse(s: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The canonical inverse of a nonzero triple; ZeroDivisionError at zero."""
+    a, b, d = s
+    n = _int_norm(a, b)
+    if not n:
+        raise ZeroDivisionError("0 has no inverse in Q(q)")
+    # 1 / ((a + b*q) / d) == d * conjugate(a + b*q) / n, with n > 0
+    return _lowest(d * (a - b), -d * b, n)
+
+
+def _int_power(s: tuple[int, int, int], n: int) -> tuple[int, int, int]:
+    """s**n for n >= 0, canonical: square-and-multiply from the top bit down,
+    bit_length(n) - 1 squarings and popcount(n) - 1 products, none wasted."""
+    if not n:
+        return _Q_TRIPLES[0]
+    out = s
+    for bit in bin(n)[3:]:
+        out = _times(out, out)
+        if bit == "1":
+            out = _times(out, s)
     return out
 
 
@@ -233,11 +264,11 @@ def as_cycq(value: CycQ | int | Rational) -> CycQ:
     raise TypeError(f"cannot interpret {value!r} as a Q(q) scalar")
 
 
-ZERO = CycQ(0)
-ONE = CycQ(1)
-Q = CycQ(0, 1)
+_Q_TRIPLES = ((1, 0, 1), (0, 1, 1), (-1, -1, 1))  # q**0, q**1, q**2 == -1 - q
+_Q_POWERS = tuple(map(_of, _Q_TRIPLES))
 
-_Q_POWERS = (ONE, Q, CycQ(-1, -1))
+ZERO = CycQ(0)
+ONE, Q = _Q_POWERS[:2]
 
 
 def q_power(n: int) -> CycQ:

@@ -33,7 +33,7 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
             continue
         if k:
             _add_into(out.setdefault((0, m + 1), {}), terms)
-        _add_into(out.setdefault((k + 1, m), {}), _scaled(terms, _DERIVATIVE, 1, 0, cfg))
+        _add_into(out.setdefault((k + 1, m), {}), _scaled(terms, _DERIVATIVE, 1, 0, cfg.alpha))
     return _from_word_sums(out, u.truncated)
 
 

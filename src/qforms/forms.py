@@ -30,8 +30,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from numbers import Rational
 
-from .calculus import _CACHE_SIZE, CalculusConfig, q_number
-from .cyclotomic import CycQ, as_cycq, from_ratios, q_power
+from .calculus import CalculusConfig
+from .cyclotomic import (_Q_TRIPLES, CycQ, _int_inverse, _int_power, _times, as_cycq,
+                         from_ratios, q_power)
 from .polynomial import ModeMismatchError, Poly, _from_sums, _mul_into, _Sparse, _triples
 
 
@@ -220,14 +221,14 @@ class Form(_Sparse):
         for (k, m), f in self._terms.items():
             left, bracket = _triples(f), False
             if not k and m:  # is alpha**m, the table's top entry (m, 0), not q**m?
-                key, q_m = (_TOP, m, 0, alpha._a, alpha._b, alpha._d), q_power(m)
-                bracket = (_SCALARS.get(key) or _scalar(key, cfg)) != (q_m._a, q_m._b, q_m._d)
+                key = (_TOP, m, 0, alpha._a, alpha._b, alpha._d)
+                bracket = (_SCALARS.get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
             for j, n, g in right:
                 if k + j < 3:
-                    pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, cfg) if m + k else g
+                    pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, alpha) if m + k else g
                     _mul_into(out.setdefault((k + j, m + n), {}), left, pushed, truncated)
                 if bracket and not j:
-                    pushed = _scaled(g, _BRACKET, 1, m, cfg)
+                    pushed = _scaled(g, _BRACKET, 1, m, alpha)
                     if pushed:
                         _mul_into(out.setdefault((2, m - 1 + n), {}), left, pushed, truncated)
         return _from_word_sums(out, truncated)
@@ -295,55 +296,76 @@ class Form(_Sparse):
 
 # The scalars of Form.mul and differential as canonical int triples (a, b, d),
 # keyed by ints: a kind, two exponents and alpha's own three ints, since a
-# CycQ in a key would hash through CycQ.__hash__ on every lookup. Bounded like
-# the calculus caches: a full table is emptied and refills with what is used.
+# CycQ in a key would hash through CycQ.__hash__ on every lookup. The engine's
+# only scalar memo, and bounded: a full table is emptied and refills with what
+# is used.
 _TOP, _BRACKET, _DERIVATIVE = 0, 1, 2
 _SCALARS: dict[tuple[int, ...], tuple[int, int, int]] = {}
+_CACHE_SIZE = 1024
 
 
-def _scalar(key: tuple[int, ...], cfg: CalculusConfig) -> tuple[int, int, int]:
-    """Compute, store and return the scalar that a missing key names:
+def _scalar(key: tuple[int, ...]) -> tuple[int, int, int]:
+    """Compute, store and return the scalar that a missing key names, on the
+    ints of alpha that the key ends with:
 
       (_TOP, x, y, ...)         alpha**x * q**y
       (_BRACKET, x, y, ...)     [x]_alpha * alpha**((x-1)*y) * (alpha**y - q**y)
       (_DERIVATIVE, x, 0, ...)  [x]_alpha
+
+    alpha**n and [x]_alpha are read from, or stored as, the table's own
+    entries (_TOP, n, 0) and (_DERIVATIVE, x, 0), so misses share them.
     """
     kind, x, y = key[:3]
+    alpha = key[3:]
     if kind == _TOP:
-        value = cfg.alpha_power(x) * q_power(y)
-    else:
-        value = q_number(x, cfg.alpha)
-        if kind == _BRACKET:
-            value = value * cfg.alpha_power((x - 1) * y) * (cfg.alpha_power(y) - q_power(y))
+        value = _times(_entry(_TOP, x, alpha), _Q_TRIPLES[y % 3]) if y else _int_power(alpha, x)
+    elif kind == _BRACKET:
+        a, b, d = _entry(_TOP, y, alpha)
+        qa, qb, _ = _Q_TRIPLES[y % 3]
+        factor = _times(_entry(_DERIVATIVE, x, alpha), _entry(_TOP, (x - 1) * y, alpha))
+        value = _times(factor, (a - qa * d, b - qb * d, d))  # alpha**y - q**y, canonical
+    elif alpha == _Q_TRIPLES[0]:
+        value = (x, 0, 1)  # [x]_1 == x
+    else:  # the geometric sum (alpha**x - 1) / (alpha - 1), both canonical
+        (a, b, d), (aa, ab, ad) = _entry(_TOP, x, alpha), alpha
+        value = _times((a - d, b, d), _int_inverse((aa - ad, ab, ad)))
     if len(_SCALARS) >= _CACHE_SIZE:
         _SCALARS.clear()
-    triple = _SCALARS[key] = (value._a, value._b, value._d)
-    return triple
+    _SCALARS[key] = value
+    return value
 
 
-def _scaled(terms: list, kind: int, t: int, y: int, cfg: CalculusConfig) -> list:
+def _entry(kind: int, x: int, alpha: tuple[int, ...]) -> tuple[int, int, int]:
+    """The table's entry (kind, x, 0) at alpha, computed on a miss."""
+    key = (kind, x, 0, *alpha)
+    return _SCALARS.get(key) or _scalar(key)
+
+
+def _scaled(terms: list, kind: int, t: int, y: int, alpha: CycQ) -> list:
     """Each (degree, a, b, d) term c * x**e times the table's scalar (kind,
     e*t, y): on x**e for _TOP, on x**(e-1) for the other kinds, which kill the
     constants. A zero scalar leaves no term; nothing is reduced."""
-    alpha, get, shift = cfg.alpha, _SCALARS.get, kind != _TOP
+    get, shift = _SCALARS.get, kind != _TOP
     aa, ab, ad = alpha._a, alpha._b, alpha._d
     out = []
     for e, a, b, d in terms:
         if e or not shift:
             key = (kind, e * t, y, aa, ab, ad)
-            sa, sb, sd = get(key) or _scalar(key, cfg)
+            sa, sb, sd = get(key) or _scalar(key)
             if sa or sb:
-                cross = b * sb
+                cross = b * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
                 out.append((e - shift, a * sa - cross, a * sb + b * sa - cross, d * sd))
     return out
 
 
 def _from_word_sums(out: Mapping[tuple[int, int], dict[int, list[int]]], truncated: bool) -> Form:
     """The Form of one _add_into sums map per word (k, m), k <= 2 and m >= 0
-    unchecked; a word whose sums all cancel is dropped."""
-    word = tuple.__new__
-    polys = {word(FormMonomial, mon): _from_sums(sums, truncated) for mon, sums in out.items()}
-    return Form._trusted(polys, truncated)
+    unchecked, in one pass; a word whose sums all cancel is dropped."""
+    word, form = tuple.__new__, object.__new__(Form)
+    form._terms = {word(FormMonomial, mon): poly for mon, sums in out.items()
+                   if (poly := _from_sums(sums, truncated))._terms}
+    form._truncated = truncated
+    return form
 
 
 def _json_int(value: object) -> int:

@@ -44,10 +44,10 @@ and parentheses may nest at most MAX_DEPTH levels deep.
 
 from __future__ import annotations
 
-from math import comb, gcd
+from math import comb
 
 from .calculus import CalculusConfig
-from .cyclotomic import CycQ, Q
+from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_power, _lowest, _times
 from .forms import Form, _from_word_sums
 from .polynomial import Poly, _add_into, _mul_into
 
@@ -81,11 +81,10 @@ Token = tuple[str, str, int]  # kind, text, position
 Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]
 Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, as _add_into sums
 
-_ONE = (1, 0, 1)
-_Q_POWERS = (_ONE, (0, 1, 1), (-1, -1, 1))  # q**0, q**1, q**2 == -1 - q
+_ONE = _Q_TRIPLES[0]
 _ATOMS: dict[str, Value] = {
     "x": {(0, 0): {1: _ONE}},
-    "q": {(0, 0): {0: _Q_POWERS[1]}},
+    "q": {(0, 0): {0: _Q_TRIPLES[1]}},
     "dx": {(1, 0): {0: _ONE}},
     "d2x": {(0, 1): {0: _ONE}},
 }
@@ -201,8 +200,7 @@ class _Parser:
                     raise ParseError("zero denominator", denom_pos)
             if not numerator:
                 return {}
-            g = gcd(numerator, denominator)
-            return {(0, 0): {0: (numerator // g, 0, denominator // g)}}
+            return {(0, 0): {0: _lowest(numerator, 0, denominator)}}
         if kind == "name":
             return _ATOMS[text]
         if kind == "op" and text == "(":
@@ -251,25 +249,9 @@ def _power_terms(base: Value, n: int, truncated: bool) -> int:
     return min(per_multiset * comb(n + t - 1, n), words_times_degrees)
 
 
-def _mul(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:
-    """The canonical product of two (a, b, d) scalars, q**2 folded as CycQ does."""
-    (a1, b1, d1), (a2, b2, d2) = s, t
-    cross = b1 * b2
-    return _canonical(a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, d1 * d2)
-
-
-def _canonical(a: int, b: int, d: int) -> tuple[int, int, int]:
-    """(a, b, d) for d > 0 in lowest terms, as cyclotomic._make stores it."""
-    if d != 1:
-        g = gcd(a, b, d)
-        if g != 1:
-            return a // g, b // g, d // g
-    return a, b, d
-
-
 def _reduced(sums: Sums) -> Value:
     """The value of the sums: each in lowest terms, zeros and empty words dropped."""
-    out = {word: {e: _canonical(a, b, d) for e, (a, b, d) in terms.items() if a or b}
+    out = {word: {e: _lowest(a, b, d) for e, (a, b, d) in terms.items() if a or b}
            for word, terms in sums.items()}
     return {word: poly for word, poly in out.items() if poly}
 
@@ -297,8 +279,8 @@ def _product(left: Value, right: Value, cfg: CalculusConfig) -> Value:
             out = {}
             for (k, m), f in left.items():
                 if k + j < 3:
-                    c = _mul(g[0], _Q_POWERS[2 * m * j % 3])
-                    out[k + j, m + n] = {e: _mul(t, c) for e, t in f.items()}
+                    c = _times(g[0], _Q_TRIPLES[2 * m * j % 3])
+                    out[k + j, m + n] = {e: _times(t, c) for e, t in f.items()}
             return out
     truncated = cfg.anyonic
     if left.keys() <= _EMPTY_WORD:
@@ -319,8 +301,7 @@ def _power(base: Value, n: int, cfg: CalculusConfig) -> Value:
     pushes its coefficient past a word, so its power is c**n * x**(d*n) *
     dx**(j*n) d2x**(m*n) times q**(2mj) for each of the n(n-1)/2 swaps of a
     dx**j left past a d2x**m; zero once j*n >= 3, or d*n >= 3 when
-    truncated. c**n is square-and-multiply on ints, reduced at every step as
-    CycQ.__pow__ is.
+    truncated. c**n is cyclotomic._int_power, as in CycQ.__pow__.
     """
     truncated = cfg.anyonic
     if len(base) == 1:
@@ -330,12 +311,8 @@ def _power(base: Value, n: int, cfg: CalculusConfig) -> Value:
             if not d or not (j or m):
                 if j * n >= 3 or truncated and d * n >= 3:
                     return {}
-                out = _ONE
-                for bit in bin(n)[2:] if c != _ONE else "":
-                    out = _mul(out, out)
-                    if bit == "1":
-                        out = _mul(out, c)
-                return {(j * n, m * n): {d * n: _mul(out, _Q_POWERS[m * j * n * (n - 1) % 3])}}
+                swaps = _Q_TRIPLES[m * j * n * (n - 1) % 3]
+                return {(j * n, m * n): {d * n: _times(_int_power(c, n), swaps)}}
     if not n:
         return {(0, 0): {0: _ONE}}
     form, out = _from_word_sums(base, truncated), None

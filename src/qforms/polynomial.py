@@ -218,8 +218,8 @@ def _add_into(sums: dict[int, list[int]], terms: _Terms) -> None:
 
 def _mul_into(sums: dict[int, list[int]], left: _Terms, right: _Terms, truncated: bool) -> None:
     """Add the pairwise products of two (degree, a, b, d) sequences into sums,
-    folding q**2 == -1 - q as CycQ does; truncated skips degrees of three or more."""
-    _add_into(sums, [
+    unreduced; truncated skips degrees of three or more."""
+    _add_into(sums, [  # cyclotomic._times's q**2 fold, inlined
         (e1 + e2, a1 * a2 - (cross := b1 * b2), a1 * b2 + b1 * a2 - cross, d1 * d2)
         for e1, a1, b1, d1 in left
         for e2, a2, b2, d2 in right

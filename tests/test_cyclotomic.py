@@ -13,7 +13,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from qforms.calculus import CalculusConfig
+from qforms import cyclotomic, forms
+from qforms.calculus import CalculusConfig, q_number
 from qforms.checks import run_suites
 from qforms.cli import main
 from qforms.cyclotomic import ONE, Q, ZERO, CycQ, as_cycq, from_ratios, q_power
@@ -91,14 +92,15 @@ class TestPowers:
         for _ in range(69):
             products.append(products[-1] * base)
         made = 0
-        original = CycQ.__mul__
+        original = cyclotomic._times
 
-        def counting_mul(self, other):
+        def counting_times(s, t):
             nonlocal made
             made += 1
-            return original(self, other)
+            return original(s, t)
 
-        monkeypatch.setattr(CycQ, "__mul__", counting_mul)
+        # every Q(q) product, CycQ.__mul__'s included, is a call of the int core's _times
+        monkeypatch.setattr(cyclotomic, "_times", counting_times)
         for n in range(71):
             made = 0
             power = base**n
@@ -395,6 +397,147 @@ class TestAgainstFractionOracle:
     def test_zero_is_stored_as_zero_over_one(self):
         for zero in (ZERO, CycQ(Fraction(0, 5), 0), CycQ(Fraction(1, 3)) - CycQ(Fraction(1, 3))):
             assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+
+
+# Fraction parts over mixed denominators, zero included
+A_DENOMINATORS, B_DENOMINATORS = (1, 2, 3, 4, 6, 9, 12), (1, 2, 5, 7)
+mixed_parts = st.tuples(
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from(A_DENOMINATORS)),
+    st.builds(Fraction, st.integers(-40, 40), st.sampled_from(B_DENOMINATORS)),
+)
+ZERO_PARTS = (Fraction(0), Fraction(0))
+
+
+def reference(parts):
+    return FractionCycQ(*parts)
+
+
+def canonical_triple(ref):
+    """The canonical (a, b, d) of a reference value, read off its two
+    Fractions: d is the lcm of their denominators."""
+    a, b = ref.a, ref.b
+    d = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+    return int(a * d), int(b * d), d
+
+
+def unreduced(triple, k):
+    a, b, d = triple
+    return a * k, b * k, d * k
+
+
+class TestIntCoreAgainstFractionPairs:
+    """cyclotomic's int core (_lowest, _times, _int_inverse, _int_power)
+    against FractionCycQ, which pairs two Fractions and shares no code with it."""
+
+    @given(mixed_parts, st.integers(1, 60))
+    def test_lowest_terms(self, parts, k):
+        triple = canonical_triple(reference(parts))
+        assert cyclotomic._lowest(*triple) == triple
+        assert cyclotomic._lowest(*unreduced(triple, k)) == triple
+        assert cyclotomic._lowest(0, 0, k) == (0, 0, 1)
+
+    @given(mixed_parts, mixed_parts)
+    def test_products(self, p1, p2):
+        for s, t in ((p1, p2), (p1, ZERO_PARTS), (p1, p1)):
+            s, t = reference(s), reference(t)
+            got = cyclotomic._times(canonical_triple(s), canonical_triple(t))
+            assert got == canonical_triple(s * t)
+
+    @given(mixed_parts)
+    def test_inverse(self, parts):
+        ref = reference(parts)
+        if ref.a or ref.b:
+            assert cyclotomic._int_inverse(canonical_triple(ref)) == canonical_triple(ref.inverse())
+        else:
+            with pytest.raises(ZeroDivisionError):
+                cyclotomic._int_inverse(canonical_triple(ref))
+
+    @given(mixed_parts, st.integers(0, 40))
+    def test_powers(self, parts, n):
+        ref = reference(parts)
+        assert cyclotomic._int_power(canonical_triple(ref), n) == canonical_triple(ref**n)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            ZERO_PARTS,
+            (Fraction(1), Fraction(0)),
+            (Fraction(-1), Fraction(0)),
+            (Fraction(0), Fraction(1)),
+            (Fraction(-5, 12), Fraction(3, 7)),
+            (Fraction(7, 9), Fraction(-1, 2)),
+            (Fraction(2), Fraction(1, 5)),
+        ],
+        ids=["0", "1", "-1", "q", "(-5/12)+(3/7)q", "(7/9)-(1/2)q", "2+(1/5)q"],
+    )
+    def test_every_power_up_to_40(self, parts):
+        ref, out = reference(parts), FractionCycQ(1)
+        triple = canonical_triple(ref)
+        for n in range(41):
+            assert cyclotomic._int_power(triple, n) == canonical_triple(out), n
+            out = out * ref
+
+    def test_q_triples_are_the_powers_of_q(self):
+        q = FractionCycQ(0, 1)
+        assert cyclotomic._Q_TRIPLES == tuple(canonical_triple(q**n) for n in range(3))
+
+
+TABLE_ALPHAS = [
+    CycQ(0), CycQ(1), CycQ(-1), CycQ(2), CycQ(Fraction(1, 2)), Q, Q * Q, CycQ(1, 1),
+    CycQ(Fraction(-3, 7), Fraction(5, 7)),
+]
+TABLE_ALPHA_IDS = ["0", "1", "-1", "2", "1/2", "q", "q^2", "1+q", "(-3+5q)/7"]
+
+
+def table_oracles(alpha):
+    """Every key the scalar table may hold for x <= 12 and y <= 5, with the
+    CycQ value it names, from CycQ powers, q_number and the bracket formula."""
+    ints = (alpha._a, alpha._b, alpha._d)
+    cases = []
+    for x in range(13):
+        geometric = sum((alpha**i for i in range(x)), ZERO)
+        assert q_number(x, alpha) == geometric
+        cases.append(((forms._DERIVATIVE, x, 0, *ints), geometric))
+        for y in range(6):
+            cases.append(((forms._TOP, x, y, *ints), alpha**x * q_power(y)))
+            if x:
+                bracket = q_number(x, alpha) * alpha ** ((x - 1) * y) * (alpha**y - q_power(y))
+                cases.append(((forms._BRACKET, x, y, *ints), bracket))
+    return cases
+
+
+class TestScalarTableOnInts:
+    """forms._scalar computes each entry on alpha's ints; every kind must
+    equal its CycQ oracle, whether the entries it reads are there or not."""
+
+    @pytest.mark.parametrize("alpha", TABLE_ALPHAS, ids=TABLE_ALPHA_IDS)
+    def test_entries_match_the_cycq_oracles(self, monkeypatch, alpha):
+        cases = table_oracles(alpha)
+        for order in (cases, cases[::-1]):  # the top entries stored first, then last
+            warm = {}
+            monkeypatch.setattr(forms, "_SCALARS", warm)
+            for key, value in order:
+                expected = (value._a, value._b, value._d)
+                assert forms._scalar(key) == expected, key
+                assert warm[key] == expected
+        for key, value in cases:  # each on an empty table
+            monkeypatch.setattr(forms, "_SCALARS", {})
+            assert forms._scalar(key) == (value._a, value._b, value._d), key
+
+    def test_the_values_vanish_in_different_places(self):
+        # [x]_alpha and the bracket factor alpha**y - q**y are zero at
+        # different keys for different alphas; the oracle covers them all
+        zeros = {}
+        for alpha, name in zip(TABLE_ALPHAS, TABLE_ALPHA_IDS):
+            zeros[name] = {key[:3] for key, value in table_oracles(alpha) if not value}
+        _BRACKET, _DERIVATIVE = forms._BRACKET, forms._DERIVATIVE
+        assert (_DERIVATIVE, 3, 0) in zeros["q^2"] and (_DERIVATIVE, 2, 0) not in zeros["q^2"]
+        assert (_DERIVATIVE, 2, 0) in zeros["-1"] and (_DERIVATIVE, 3, 0) not in zeros["-1"]
+        assert (_DERIVATIVE, 3, 0) in zeros["q"]
+        assert not {k for k in zeros["1"] if k[0] == _DERIVATIVE} - {(_DERIVATIVE, 0, 0)}
+        assert (_BRACKET, 1, 3) in zeros["q^2"] and (_BRACKET, 1, 1) not in zeros["q^2"]
+        assert all((_BRACKET, 1, y) in zeros["q"] for y in range(6))
+        assert (_BRACKET, 1, 3) in zeros["1"] and (_BRACKET, 1, 1) not in zeros["1"]
 
 
 class TestNoFractionArithmetic:

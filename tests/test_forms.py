@@ -5,14 +5,15 @@ from __future__ import annotations
 import importlib
 import itertools
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from qforms import calculus, forms, polynomial
-from qforms.calculus import CalculusConfig, derivative, q_bracket, q_number, twist, twist_power
+from qforms import cyclotomic, forms, polynomial
+from qforms.calculus import CalculusConfig, derivative, q_bracket, twist, twist_power
 from qforms.differential import differential
 from qforms.checks import random_form, random_homogeneous_form, random_poly, run_suites
 from qforms.cyclotomic import ONE, Q, CycQ, q_power
@@ -68,7 +69,7 @@ def push_left(k, m, g, cfg):
     on (2, m-1) when k == 0 and m >= 1. Computes every word, dead or not."""
     words = [(FormMonomial(k, m), twist_power(g, m + k, cfg))]
     if k == 0 and m:
-        scale = cfg.alpha_power(m) - q_power(m)
+        scale = cfg.alpha**m - q_power(m)
         if scale:
             low = derivative(g, cfg)
             if low:
@@ -105,14 +106,18 @@ def count_kernel_work(monkeypatch, limit=None):
     """Count the scalar work of Form.mul, differential and Poly.__mul__.
 
     "products" counts the pairs that polynomial._mul_into multiplies; "top",
-    "bracket" and "derivative" count the scalar table's lookups by key kind,
-    each at most one product of a coefficient with a scalar; "misses" counts
-    the lookups that compute their scalar, the kernel's only calls into
-    calculus. The table starts empty, so misses do not depend on what ran
-    before. Past `limit` products and lookups in all, the next one raises.
+    "bracket" and "derivative" count the kernel's lookups in the scalar table
+    by key kind, each at most one product of a coefficient with a scalar;
+    "misses" counts the lookups that compute their scalar. The entries that
+    a miss reads or computes on the way (alpha**n, [x]_alpha) are the
+    table's own work, not the kernel's lookups, and are not counted here;
+    count_scalar_products counts their int-core products. The table starts
+    empty, so misses do not depend on what ran before. Past `limit` products
+    and lookups in all, the next one raises.
     """
     work = Counter()
     kinds = {forms._TOP: "top", forms._BRACKET: "bracket", forms._DERIVATIVE: "derivative"}
+    computing = 0  # nesting depth of _scalar calls
 
     def tally(name, n):
         work[name] += n
@@ -121,7 +126,8 @@ def count_kernel_work(monkeypatch, limit=None):
 
     class CountingTable(dict):
         def get(self, key):
-            tally(kinds[key[0]], 1)
+            if not computing:
+                tally(kinds[key[0]], 1)
             return super().get(key)
 
     mul_into, scalar = polynomial._mul_into, forms._scalar
@@ -131,9 +137,14 @@ def count_kernel_work(monkeypatch, limit=None):
         tally("products", sum(not truncated or e1 + e2 < 3 for e1, *_ in left for e2, *_ in right))
         mul_into(sums, left, right, truncated)
 
-    def counted_scalar(key, cfg):
-        work["misses"] += 1
-        return scalar(key, cfg)
+    def counted_scalar(key):
+        nonlocal computing
+        work["misses"] += not computing
+        computing += 1
+        try:
+            return scalar(key)
+        finally:
+            computing -= 1
 
     for module in (polynomial, forms):
         monkeypatch.setattr(module, "_mul_into", counted_mul_into)
@@ -483,13 +494,13 @@ class TestFusedKernel:
                 seen["dead bracket"] += k == 0 and m >= 1 and j >= 1
                 # alpha**m == q**m: at alpha == q**2 exactly when 3 | m
                 seen["zero factor"] += (
-                    k == 0 and m >= 1 and j == 0 and cfg.alpha_power(m) == q_power(m)
+                    k == 0 and m >= 1 and j == 0 and cfg.alpha**m == q_power(m)
                 )
             # pieces that a per-call memo would have shared between left words
             brackets = [
                 mon
                 for mon, _ in u.items()
-                if mon.dx == 0 and mon.d2x and cfg.alpha_power(mon.d2x) != q_power(mon.d2x)
+                if mon.dx == 0 and mon.d2x and cfg.alpha**mon.d2x != q_power(mon.d2x)
             ]
             for mon_v, _ in v.items():
                 j = mon_v.dx
@@ -525,17 +536,18 @@ class TestFusedKernel:
     @pytest.mark.parametrize("cfg", [CalculusConfig(CycQ(2)), CFG_Q, CFG_ANY], ids=["2", "q", "anyonic"])
     def test_bracket_factor_comes_from_the_scalar_table(self, monkeypatch, cfg):
         # alpha**m is read from the table's top entry (m, 0); once the table
-        # holds it, Form.mul makes no lookup in calculus' alpha**m cache
+        # holds it, Form.mul computes no power of alpha
         u = Form({(0, 3): Poly.x(cfg.anyonic), (0, 4): Poly.one(cfg.anyonic)}, cfg.anyonic)
         v = Form({(0, 0): Poly.x(cfg.anyonic), (0, 1): Poly.one(cfg.anyonic)}, cfg.anyonic)
         expected = pairwise_mul(u, v, cfg)
         assert u.mul(v, cfg) == expected
 
-        def no_lookup(*args):
-            raise AssertionError("alpha**m looked up in calculus")
+        def no_power(*args):
+            raise AssertionError("a power of alpha computed")
 
-        monkeypatch.setattr(CalculusConfig, "alpha_power", no_lookup)
-        monkeypatch.setattr(calculus, "_alpha_power", no_lookup)
+        monkeypatch.setattr(CycQ, "__pow__", no_power)
+        monkeypatch.setattr(cyclotomic, "_int_power", no_power)
+        monkeypatch.setattr(forms, "_int_power", no_power)
         assert u.mul(v, cfg) == expected
 
     def test_makes_no_poly_products(self, monkeypatch):
@@ -631,7 +643,7 @@ class TestIntegerKernel:
         table = {}
         monkeypatch.setattr(forms, "_SCALARS", table)
         cfg = CalculusConfig(CycQ(2))
-        bound = calculus._CACHE_SIZE
+        bound = forms._CACHE_SIZE
         dx, emptied = Form.basis(1, 0), 0
         for e in range(bound + 100):  # 2 * (bound + 100) distinct keys
             size = len(table)
@@ -644,10 +656,46 @@ class TestIntegerKernel:
         assert all(type(x) is int for key in table for x in key)
 
 
+def count_scalar_products(monkeypatch):
+    """Count Q(q) products outside the kernel's inlined loops: "cycq" counts
+    CycQ products, "int" the int core's products (cyclotomic._times under
+    every name a qforms module holds it by) that no CycQ product makes."""
+    made = Counter()
+    inside = 0  # nesting depth of CycQ products
+
+    def counting_mul(fn):
+        def wrapper(self, other):
+            nonlocal inside
+            made["cycq"] += 1
+            inside += 1
+            try:
+                return fn(self, other)
+            finally:
+                inside -= 1
+
+        return wrapper
+
+    times = cyclotomic._times
+
+    def counting_times(s, t):
+        made["int"] += not inside
+        return times(s, t)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(CycQ, name, counting_mul(getattr(CycQ, name)))
+    for module in [m for name, m in sys.modules.items() if name.startswith("qforms.")]:
+        for name, value in list(vars(module).items()):
+            if value is times:
+                monkeypatch.setattr(module, name, counting_times)
+    return made
+
+
 class TestScalarProductBudget:
     """Counts Q(q) products through the property suites, a deterministic
-    stand-in for the cost of the product kernel: CycQ products plus the
-    products the kernel does on CycQ's ints (count_kernel_work)."""
+    stand-in for the cost of the product kernel: CycQ products and int-core
+    products (count_scalar_products) plus the products the kernel does on
+    CycQ's ints (count_kernel_work). The process keeps no scalar memo but
+    the table, which count_kernel_work starts empty, so every run is cold."""
 
     @pytest.mark.parametrize(
         "cfg, budget",
@@ -660,26 +708,28 @@ class TestScalarProductBudget:
         ids=["2", "anyonic", "2-fused", "anyonic-fused"],
     )
     def test_suites_stay_within_the_product_budget(self, monkeypatch, cfg, budget):
-        calculus._alpha_power.cache_clear()
-        q_number.cache_clear()
-        made = 0
-
-        def counting(fn):
-            def wrapper(self, other):
-                nonlocal made
-                made += 1
-                return fn(self, other)
-
-            return wrapper
-
-        for name in ("__mul__", "__rmul__"):
-            monkeypatch.setattr(CycQ, name, counting(getattr(CycQ, name)))
+        made = count_scalar_products(monkeypatch)
         work = count_kernel_work(monkeypatch)
         results = run_suites(("assoc", "leibniz", "d3"), cfg, 7, 20, 6)
         monkeypatch.undo()
         assert all(r.passed for r in results)
         assert work["products"] and lookups(work)
-        assert made + work["products"] + lookups(work) <= budget
+        assert sum(made.values()) + work["products"] + lookups(work) <= budget
+
+    @pytest.mark.parametrize(
+        "cfg, before",
+        [(CalculusConfig(CycQ(2)), 350), (CFG_ANY, 108)],
+        ids=["2", "anyonic"],
+    )
+    def test_scalar_products_do_not_grow(self, monkeypatch, cfg, before):
+        # `before` is the count with two CycQ-keyed lru_caches in calculus
+        # beside the table, all three cold: all of it CycQ products
+        made = count_scalar_products(monkeypatch)
+        count_kernel_work(monkeypatch)
+        results = run_suites(("assoc", "leibniz", "d3"), cfg, 7, 20, 6)
+        monkeypatch.undo()
+        assert all(r.passed for r in results)
+        assert made["int"] and sum(made.values()) <= before
 
 
 class TestSwapOracle:

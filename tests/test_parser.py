@@ -17,7 +17,7 @@ from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
 from qforms.differential import differential
-from qforms import cyclotomic, parser, polynomial
+from qforms import cyclotomic, forms, parser, polynomial
 from qforms.forms import Form, FormMonomial
 from qforms.parser import (
     MAX_DEPTH,
@@ -733,6 +733,7 @@ class TestParseCounts:
     ):
         counts = {"forms": 0, "scalars": 0}
         init, trusted, make = Form.__init__, Form._trusted.__func__, cyclotomic._make
+        from_word_sums = forms._from_word_sums
 
         def counting_init(self, *args):
             counts["forms"] += 1
@@ -742,12 +743,18 @@ class TestParseCounts:
             counts["forms"] += 1
             return trusted(cls, *args)
 
+        def counting_from_word_sums(*args):  # builds its Form without either
+            counts["forms"] += 1
+            return from_word_sums(*args)
+
         def counting_make(*args):
             counts["scalars"] += 1
             return make(*args)
 
         monkeypatch.setattr(Form, "__init__", counting_init)
         monkeypatch.setattr(Form, "_trusted", classmethod(counting_trusted))
+        for module in (forms, parser):
+            monkeypatch.setattr(module, "_from_word_sums", counting_from_word_sums)
         monkeypatch.setattr(cyclotomic, "_make", counting_make)
         monkeypatch.setattr(polynomial, "_make", counting_make)
         texts = typed_sums(107, 500)
