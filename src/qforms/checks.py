@@ -6,8 +6,8 @@ byte-identical report. Samples are evaluated sequentially in sample order.
 The samples are exactly the draws random.Random(seed).randint makes, in the
 same order, but taken straight from rng.getrandbits by _below: the same
 getrandbits calls, so the same bits and the same generator state after.
-The samplers build canonical values of the configured mode, so they skip
-the checks of Poly and Form construction.
+The samplers draw straight into a Form's int layout (forms.Value), so they
+build no Poly or CycQ and skip the checks of Poly and Form construction.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from .calculus import CalculusConfig, check_homogeneity, derivative, q_bracket
 from .cyclotomic import Q, CycQ, q_power
 from .differential import differential, differential_power
-from .forms import Form, FormMonomial, swap_scalar
+from .forms import Form, FormMonomial, _form, _poly, _reduced, swap_scalar
 from .parser import render
 from .polynomial import Poly
 
@@ -60,18 +60,23 @@ def random_cycq(rng: random.Random, lo: int = -5, hi: int = 5) -> CycQ:
     return CycQ(lo + _below(bits, n), lo + _below(bits, n))
 
 
+def _random_coeffs(bits, truncated: bool, max_degree: int, max_terms: int) -> dict:
+    """random_poly's draws as a map degree -> (a, b, 1), zeros kept; each
+    scalar is random_cycq's two draws."""
+    top = min(max_degree, 2) if truncated else max_degree
+    coeffs: dict[int, tuple[int, int, int]] = {}
+    for _ in range(1 + _below(bits, max_terms)):
+        coeffs[_below(bits, top + 1)] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1)  # the scalar first
+    return coeffs
+
+
 def random_poly(
     rng: random.Random,
     truncated: bool = False,
     max_degree: int = 6,
     max_terms: int = 3,
 ) -> Poly:
-    bits = rng.getrandbits
-    top = min(max_degree, 2) if truncated else max_degree
-    coeffs: dict[int, CycQ] = {}
-    for _ in range(1 + _below(bits, max_terms)):
-        coeffs[_below(bits, top + 1)] = random_cycq(rng)  # the scalar is drawn first
-    return Poly._trusted(coeffs, truncated)
+    return _poly(_random_coeffs(rng.getrandbits, truncated, max_degree, max_terms), truncated)
 
 
 def random_form(
@@ -82,12 +87,11 @@ def random_form(
     max_d2x: int = 3,
     max_terms: int = 3,
 ) -> Form:
-    bits = rng.getrandbits
-    terms: dict[FormMonomial, Poly] = {}
+    bits, value = rng.getrandbits, {}
     for _ in range(1 + _below(bits, max_terms)):
-        mon = FormMonomial(_below(bits, max_dx + 1), _below(bits, max_d2x + 1))
-        terms[mon] = random_poly(rng, cfg.anyonic, max_degree)
-    return Form._trusted(terms, cfg.anyonic)
+        k, m = FormMonomial(_below(bits, max_dx + 1), _below(bits, max_d2x + 1))
+        value[k, m] = _random_coeffs(bits, cfg.anyonic, max_degree, 3)
+    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped
 
 
 def random_homogeneous_form(
@@ -99,13 +103,13 @@ def random_homogeneous_form(
     bits = rng.getrandbits
     grade = _below(bits, 3 + 2 * max_d2x)
     candidates = [
-        FormMonomial(k, (grade - k) // 2)
+        (k, (grade - k) // 2)
         for k in range(3)
         if (grade - k) % 2 == 0 and 0 <= (grade - k) // 2 <= max_d2x
     ]
     picked = rng.sample(candidates, 1 + _below(bits, len(candidates)))
-    terms = {mon: random_poly(rng, cfg.anyonic, max_degree) for mon in picked}
-    return Form._trusted(terms, cfg.anyonic)
+    value = {w: _random_coeffs(bits, cfg.anyonic, max_degree, 3) for w in picked}
+    return _form(_reduced(value), cfg.anyonic)
 
 
 def random_odd_form(
@@ -116,13 +120,10 @@ def random_odd_form(
     max_terms: int = 3,
 ) -> Form:
     # odd grade forces dx power 1
-    bits = rng.getrandbits
-    terms: dict[FormMonomial, Poly] = {}
+    bits, value = rng.getrandbits, {}
     for _ in range(1 + _below(bits, max_terms)):
-        terms[FormMonomial(1, _below(bits, max_d2x + 1))] = random_poly(
-            rng, cfg.anyonic, max_degree
-        )
-    return Form._trusted(terms, cfg.anyonic)
+        value[1, _below(bits, max_d2x + 1)] = _random_coeffs(bits, cfg.anyonic, max_degree, 3)
+    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped
 
 
 def random_closed_even_form(
@@ -138,7 +139,7 @@ def random_closed_even_form(
         f = random_poly(rng, cfg.anyonic, max_degree)
         terms[FormMonomial(0, k)] = f
         terms[FormMonomial(2, k - 1)] = derivative(f, cfg)
-    return Form._trusted(terms, cfg.anyonic)
+    return Form(terms, cfg.anyonic)
 
 
 def run_assoc(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> SuiteResult:

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .calculus import CalculusConfig
-from .cyclotomic import Q, CycQ
+from .cyclotomic import Q, _ratios
 from .differential import differential_power, is_closed
 from .parser import MAX_DIGITS, MAX_EXPONENT, ParseError, parse, parse_scalar, render
 from .polynomial import ModeMismatchError
@@ -51,16 +51,17 @@ _TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
 _SHORT_BITS = 14_284  # 2**14284 < 10**4300: an int of this many bits has at most 4300 digits
 
 
-def _too_long(values: Iterable[CycQ]) -> bool:
-    """Whether the text or JSON of any of these scalars would write an integer
-    of more than MAX_DIGITS digits, which CPython refuses to convert to str.
+def _too_long(scalars: Iterable[tuple[int, int, int]]) -> bool:
+    """Whether the text or JSON of any of these (a, b, d) scalars would write
+    an integer of more than MAX_DIGITS digits, which CPython refuses to print.
 
-    Lowest terms only shrink the stored ints, so ratios() and its gcds are
+    Lowest terms only shrink the stored ints, so _ratios and its gcds are
     needed only for a scalar with an int longer than _SHORT_BITS.
     """
     return any(
-        value.max_bits() > _SHORT_BITS and any(abs(n) >= _TOO_LONG for n in value.ratios())
-        for value in values
+        max(a.bit_length(), b.bit_length(), d.bit_length()) > _SHORT_BITS
+        and any(abs(n) >= _TOO_LONG for n in _ratios(a, b, d))
+        for a, b, d in scalars
     )
 
 
@@ -202,7 +203,7 @@ def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConf
             alpha = parse_scalar(args.alpha)
         except (ParseError, ValueError) as exc:
             raise _ConfigError(f"bad --alpha value: {exc}") from exc
-        if _too_long((alpha, alpha - Q)):  # check prints alpha, and prop2 alpha - q
+        if _too_long((c._a, c._b, c._d) for c in (alpha, alpha - Q)):  # check prints alpha, prop2 alpha - q
             raise _ConfigError(f"bad --alpha value: an integer has more than {MAX_DIGITS} digits")
     if args.seed < 0:
         raise _ConfigError("--seed must be nonnegative")
@@ -254,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "diff":
             form = differential_power(form, args.times, cfg)
         # one check for text and JSON, before anything is printed
-        if _too_long(c for _, poly in form.items() for _, c in poly.items()):
+        if _too_long(t for coeffs in form._terms.values() for t in coeffs.values()):
             raise _OutputError(f"the result has an integer of more than {MAX_DIGITS} digits")
         if args.command == "grade":
             components = form.decompose()

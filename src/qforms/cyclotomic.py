@@ -15,9 +15,9 @@ build Fractions (_fraction). The text of a scalar comes from
 parser.scalar_text.
 
 The int core is the one definition of Q(q) arithmetic on such (a, b, d)
-triples, which CycQ, the parser and the kernel's scalar table (forms._SCALARS)
-compute with: _lowest, _times (q**2 folded to -1 - q), _int_inverse,
-_int_power and the powers of q, _Q_TRIPLES. Two hot kernel loops inline _times.
+triples, which CycQ and every Form compute with: _lowest, _times (q**2
+folded to -1 - q), _int_inverse, _int_power, _ratios (the parts that text
+and JSON write), _Q_TRIPLES (the powers of q). Two hot loops inline _times.
 """
 
 from __future__ import annotations
@@ -56,9 +56,7 @@ class CycQ:
     def ratios(self) -> tuple[int, int, int, int]:
         """(a_num, a_den, b_num, b_den): a and b in lowest terms, the four ints
         that JSON writes and from_ratios reads, with no Fraction built."""
-        a, b, d = self._a, self._b, self._d
-        g, h = gcd(a, d), gcd(b, d)
-        return a // g, d // g, b // h, d // h
+        return _ratios(self._a, self._b, self._d)
 
     def max_bits(self) -> int:
         """Bit length of the longest stored int; no int of ratios() is longer."""
@@ -191,6 +189,12 @@ def _lowest(a: int, b: int, d: int) -> tuple[int, int, int]:
         if g != 1:
             return a // g, b // g, d // g
     return a, b, d
+
+
+def _ratios(a: int, b: int, d: int) -> tuple[int, int, int, int]:
+    """CycQ.ratios of the canonical triple (a, b, d)."""
+    g, h = gcd(a, d), gcd(b, d)
+    return a // g, d // g, b // h, d // h
 
 
 def _times(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -7,8 +7,8 @@ forms already die after two applications, even forms generally need three.
 from __future__ import annotations
 
 from .calculus import CalculusConfig
-from .forms import _DERIVATIVE, Form, _from_word_sums, _scaled
-from .polynomial import ModeMismatchError, _add_into, _triples
+from .forms import _DERIVATIVE, Form, Sums, _flat, _form, _reduced, _scaled
+from .polynomial import ModeMismatchError, _add_into
 
 
 def differential(u: Form, cfg: CalculusConfig) -> Form:
@@ -19,22 +19,22 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
         k == 2:  -f * dx * d2x**(m+1)
 
     On grade-0 forms this is the usual f -> derivative(f) * dx. The terms
-    are summed on ints by the product kernel's accumulator, the derivative
-    taking c * x**e to c * [e]_alpha * x**(e-1) with [e]_alpha from the
-    kernel's scalar table, so each output coefficient becomes a CycQ once.
+    are summed on u's ints by the product kernel's accumulator, the
+    derivative taking c * x**e to c * [e]_alpha * x**(e-1) with [e]_alpha
+    from the kernel's scalar table, and each sum is reduced once.
     """
     if u.truncated != cfg.anyonic:
         raise ModeMismatchError("form mode does not match the configuration")
-    out: dict[tuple[int, int], dict[int, list[int]]] = {}
-    for (k, m), f in u.items():
-        terms = _triples(f)
+    out: Sums = {}
+    for (k, m), f in u._terms.items():
+        terms = _flat(f)
         if k == 2:
             _add_into(out.setdefault((1, m + 1), {}), [(e, -a, -b, d) for e, a, b, d in terms])
             continue
         if k:
             _add_into(out.setdefault((0, m + 1), {}), terms)
         _add_into(out.setdefault((k + 1, m), {}), _scaled(terms, _DERIVATIVE, 1, 0, cfg.alpha))
-    return _from_word_sums(out, u.truncated)
+    return _form(_reduced(out), u.truncated)
 
 
 def differential_power(u: Form, n: int, cfg: CalculusConfig) -> Form:

@@ -1,9 +1,15 @@
 """Differential forms on the line.
 
 A Form is a finite sum of terms f * dx**k * d2x**m with polynomial f, k at
-most 2 and m unbounded; the grade of a basis word is k + 2*m. A basis word
-is a FormMonomial, the int pair (k, m) as a tuple, so the dicts keyed by
-words hash and compare them in C. Coefficients always sit on the left.
+most 2 and m unbounded; the grade of a basis word is k + 2*m. Coefficients
+always sit on the left. A Form stores the one value layout that the parser,
+the product kernel, differential, render and to_dict compute on: a
+canonical, zero-free map word (k, m) -> degree -> (a, b, d), the ints of the
+scalar (a + b*q) / d, keyed by plain int tuples, so equality is dict
+equality and runs in C. Values are never mutated, so Forms share them.
+FormMonomial words and Poly and CycQ coefficients are built only on request:
+items(), terms(), coefficient().
+
 Products are reduced to that normal form with the relations
 
     dx * g    == twist(g) * dx                      for g in the coordinate algebra
@@ -12,40 +18,44 @@ Products are reduced to that normal form with the relations
     dx**3     == 0
 
 which depend on the twist scalar, so multiplication takes a CalculusConfig.
-Addition, scaling by polynomials from the left, and grading do not; Form
-takes its sums, negation, equality and mode from polynomial._Sparse, the
-additive core it shares with Poly.
+Addition, scaling by polynomials from the left, and grading do not.
 
-Form.mul applies them in closed form, one fused pass over the term pairs: a
-pair leaves at most two words, the words dx**3 == 0 kills are skipped before
-anything is computed, and each live word is a product of the left
-coefficient with the right one times one scalar per degree. The scalars come
-from one bounded table keyed by ints, shared across calls and with
-differential; the arithmetic runs on CycQ's ints (polynomial._mul_into), and
-each output coefficient becomes a CycQ once.
+The kernel _mul applies them in closed form, one fused pass over the term
+pairs: a pair leaves at most two words, the words dx**3 == 0 kills are
+skipped before anything is computed, and each live word is a product of the
+left coefficient with the right one times one scalar per degree. The
+scalars come from one bounded table keyed by ints, shared across calls and
+with differential; the arithmetic runs in polynomial._mul_into, and _reduced
+puts each output sum in lowest terms once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import ItemsView, Iterable, Mapping
 from numbers import Rational
 
 from .calculus import CalculusConfig
-from .cyclotomic import (_Q_TRIPLES, CycQ, _int_inverse, _int_power, _times, as_cycq,
-                         from_ratios, q_power)
-from .polynomial import ModeMismatchError, Poly, _from_sums, _mul_into, _Sparse, _triples
+from .cyclotomic import (_Q_TRIPLES, CycQ, _int_inverse, _int_power, _lowest, _of, _ratios, _times,
+                         as_cycq, from_ratios, q_power)
+from .polynomial import ModeMismatchError, Poly, _add_into, _mul_into, _Sparse
+
+Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]  # the canonical layout; {} is 0
+Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, one _add_into map per word
 
 
 class FormMonomial(tuple):
     """The basis word dx**k * d2x**m, stored as the power pair (k, m).
 
     A tuple, so hashing, equality and order are the pair's own and run in C:
-    FormMonomial(k, m) == (k, m), with the same hash.
+    FormMonomial(k, m) == (k, m), with the same hash. Both powers must be
+    ints, bool and float excluded (TypeError).
     """
 
     __slots__ = ()
 
     def __new__(cls, dx: int, d2x: int) -> FormMonomial:
+        if type(dx) is not int or type(d2x) is not int:
+            raise TypeError(f"dx and d2x powers must be ints, got {dx!r} and {d2x!r}")
         if not 0 <= dx <= 2:
             raise ValueError("dx power must lie in {0, 1, 2}")  # dx**3 == 0
         if d2x < 0:
@@ -71,17 +81,8 @@ class FormMonomial(tuple):
         return f"FormMonomial(dx={self[0]!r}, d2x={self[1]!r})"
 
 
-def _sort_key(mon: FormMonomial) -> tuple[int, int]:
-    # canonical order for rendering and serialization: m ascending, then k
-    return (mon.d2x, mon.dx)
-
-
 class Form(_Sparse):
-    """Immutable form in left-coefficient normal form.
-
-    Stored canonically: no zero coefficients, every coefficient in the mode
-    named by the truncation flag.
-    """
+    """Immutable form in left-coefficient normal form, stored as its value."""
 
     __slots__ = ()
 
@@ -90,25 +91,15 @@ class Form(_Sparse):
         terms: Mapping[FormMonomial | tuple[int, int], Poly] | None = None,
         truncated: bool = False,
     ) -> None:
-        canonical: dict[FormMonomial, Poly] = {}
+        value: Value = {}
         for mon, poly in (terms or {}).items():
-            if not isinstance(mon, FormMonomial):
-                mon = FormMonomial(*mon)
+            k, m = mon if isinstance(mon, FormMonomial) else FormMonomial(*mon)
             if poly.truncated != truncated:
                 raise ModeMismatchError("coefficient mode does not match the form")
-            if not poly.is_zero():
-                canonical[mon] = poly
-        self._terms = canonical
+            if poly:
+                value[k, m] = {e: (c._a, c._b, c._d) for e, c in poly.items()}
+        self._terms = value
         self._truncated = truncated
-
-    @classmethod
-    def _trusted(cls, terms: Mapping[FormMonomial, Poly], truncated: bool) -> Form:
-        """Build from FormMonomial keys and coefficients of the given mode
-        without the checks of __init__; still drops zero coefficients."""
-        out = object.__new__(cls)
-        out._terms = {mon: poly for mon, poly in terms.items() if poly}
-        out._truncated = truncated
-        return out
 
     @classmethod
     def zero(cls, truncated: bool = False) -> Form:
@@ -132,17 +123,21 @@ class Form(_Sparse):
         """The bare word dx**dx * d2x**d2x with unit coefficient."""
         return cls({FormMonomial(dx, d2x): Poly.one(truncated)}, truncated)
 
+    def items(self) -> ItemsView[FormMonomial, Poly]:
+        """(monomial, coefficient) pairs in storage order; terms() sorts."""
+        word = tuple.__new__  # a stored word is a valid FormMonomial
+        return {word(FormMonomial, w): _poly(c, self._truncated) for w, c in self._terms.items()}.items()
+
     def terms(self) -> list[tuple[FormMonomial, Poly]]:
         """(monomial, coefficient) pairs in canonical order."""
-        return sorted(self._terms.items(), key=lambda item: _sort_key(item[0]))
+        return _by_word(self.items())
 
     def coefficient(self, mon: FormMonomial | tuple[int, int]) -> Poly:
-        if not isinstance(mon, FormMonomial):
-            mon = FormMonomial(*mon)
-        return self._terms.get(mon, Poly.zero(self._truncated))
+        k, m = mon if isinstance(mon, FormMonomial) else FormMonomial(*mon)
+        return _poly(self._terms.get((k, m), {}), self._truncated)
 
     def grades(self) -> list[int]:
-        return sorted({mon.grade for mon in self._terms})
+        return sorted({k + 2 * m for k, m in self._terms})
 
     def is_homogeneous(self) -> bool:
         return len(self.grades()) <= 1
@@ -154,96 +149,56 @@ class Form(_Sparse):
 
     def decompose(self) -> dict[int, Form]:
         """Split into homogeneous components keyed by grade, ascending."""
-        buckets: dict[int, dict[FormMonomial, Poly]] = {}
-        for mon, poly in self._terms.items():
-            buckets.setdefault(mon.grade, {})[mon] = poly
-        return {g: Form(t, self._truncated) for g, t in sorted(buckets.items())}
+        buckets: dict[int, Value] = {}
+        for (k, m), coeffs in self._terms.items():
+            buckets.setdefault(k + 2 * m, {})[k, m] = coeffs
+        return {g: _form(value, self._truncated) for g, value in sorted(buckets.items())}
 
     def left_mul(self, factor: Poly | CycQ | int | Rational) -> Form:
         """Left action of the coordinate algebra; needs no twist scalar."""
+        truncated = self._truncated
         if not isinstance(factor, Poly):
             c = as_cycq(factor)
-            return Form._trusted({m: p.scale(c) for m, p in self._terms.items()}, self._truncated)
-        if factor.truncated != self._truncated:
+            s, value = (c._a, c._b, c._d), self._terms if c else {}
+            return _form({w: {e: _times(t, s) for e, t in coeffs.items()} for w, coeffs in value.items()},
+                         truncated)
+        if factor.truncated != truncated:
             raise ModeMismatchError("factor mode does not match the form")
-        return Form(
-            {m: factor * p for m, p in self._terms.items()}, self._truncated
-        )
+        f = {e: (c._a, c._b, c._d) for e, c in factor.items()}
+        return _form(_mul({(0, 0): f}, self._terms, None, truncated), truncated)  # reads no alpha
 
     def __rmul__(self, factor: Poly | CycQ | int | Rational) -> Form:
         if isinstance(factor, (Poly, CycQ, int, Rational)):
             return self.left_mul(factor)
         return NotImplemented
 
-    def mul(self, other: Form, cfg: CalculusConfig) -> Form:
-        """Product reduced to normal form, in one fused pass over term pairs.
+    def __neg__(self) -> Form:
+        return _form({w: {e: (-a, -b, d) for e, (a, b, d) in coeffs.items()}
+                      for w, coeffs in self._terms.items()}, self._truncated)
 
-        A pair (f, dx**k d2x**m) * (g, dx**j d2x**n) leaves at most two words,
-        and whether each lives is decided from (k, m, j) before it is computed:
-
-          top      f * q**(2mj) * twist**(m+k)(g) on dx**(k+j) d2x**(m+n),
-                   alive while k + j < 3;
-          bracket  f * (alpha**m - q**m) * twist**m(derivative(g)) on
-                   dx**2 d2x**(m-1+n), alive only when k == 0, m >= 1, j == 0
-                   and the factor is nonzero.
-
-        The top word pushes g through every dx and d2x, then swaps the dx**j
-        left past d2x**m at q**2 per crossing. Each d2x that g passes also
-        yields a q-bracket word carrying dx**2, which dies at a second bracket
-        (dx**4 == 0), under any dx in front (k >= 1) and under any dx behind
-        (j >= 1). Taking the bracket at copy i from the right leaves
-
-            alpha**i * q**(m-1-i) * twist**(m-1)(q_bracket(g))
-
-        on dx**2 * d2x**(m-1): alpha**i because q_bracket(twist(f)) ==
-        alpha * twist(q_bracket(f)), and q per copy further left because
-        d2x * dx**2 == q**4 * dx**2 * d2x and q**3 == 1. Since q_bracket(f) ==
-        (alpha - q) * twist(derivative(f)) and the sum over i is
-        (alpha**m - q**m) / (alpha - q), those words add up to the bracket
-        word above, whose factor is zero at alpha == q (and at alpha == q**2
-        when 3 | m).
-
-        On a term c * x**e of g, both words are one scalar from the table
-        _SCALARS: the top word takes c to c * alpha**(e*(m+k)) * q**(2mj) on
-        x**e, the bracket word to c * [e]_alpha * alpha**((e-1)*m) *
-        (alpha**m - q**m) on x**(e-1). Those products and their products with
-        f are made on CycQ's ints and summed by polynomial._add_into, one
-        degree -> sum map per output word, so that each output coefficient
-        becomes a CycQ once and no Poly or CycQ is built per pair.
-        """
+    def __add__(self, other: Form) -> Form:
+        if not isinstance(other, Form):
+            return NotImplemented
         self._require_same_mode(other)
-        truncated = self._truncated
-        if truncated != cfg.anyonic:
+        sums: Sums = {}
+        _add_value(sums, self._terms)
+        _add_value(sums, other._terms)
+        return _form(_reduced(sums), self._truncated)
+
+    def mul(self, other: Form, cfg: CalculusConfig) -> Form:
+        """Product reduced to normal form, by the kernel _mul."""
+        self._require_same_mode(other)
+        if self._truncated != cfg.anyonic:
             raise ModeMismatchError("form mode does not match the configuration")
-        right = [(j, n, _triples(g)) for (j, n), g in other._terms.items()]
-        out: dict[tuple[int, int], dict[int, list[int]]] = {}
-        alpha = cfg.alpha
-        for (k, m), f in self._terms.items():
-            left, bracket = _triples(f), False
-            if not k and m:  # is alpha**m, the table's top entry (m, 0), not q**m?
-                key = (_TOP, m, 0, alpha._a, alpha._b, alpha._d)
-                bracket = (_SCALARS.get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
-            for j, n, g in right:
-                if k + j < 3:
-                    pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, alpha) if m + k else g
-                    _mul_into(out.setdefault((k + j, m + n), {}), left, pushed, truncated)
-                if bracket and not j:
-                    pushed = _scaled(g, _BRACKET, 1, m, alpha)
-                    if pushed:
-                        _mul_into(out.setdefault((2, m - 1 + n), {}), left, pushed, truncated)
-        return _from_word_sums(out, truncated)
+        return _form(_mul(self._terms, other._terms, cfg.alpha, self._truncated), self._truncated)
 
     def to_dict(self) -> dict:
         """JSON-ready encoding with terms and coefficients in canonical order."""
         return {
             "mode": "anyonic" if self._truncated else "generic",
             "terms": [
-                {
-                    "dx": mon.dx,
-                    "d2x": mon.d2x,
-                    "coeff": [[degree, list(c.ratios())] for degree, c in poly.terms()],
-                }
-                for mon, poly in self.terms()
+                {"dx": k, "d2x": m, "coeff": [[e, list(_ratios(*t))] for e, t in sorted(coeffs.items())]}
+                for (k, m), coeffs in _by_word(self._terms.items())
             ],
         }
 
@@ -294,7 +249,97 @@ class Form(_Sparse):
         return f"<Form {render(self)!r} mode={mode}>"
 
 
-# The scalars of Form.mul and differential as canonical int triples (a, b, d),
+def _form(value: Value, truncated: bool) -> Form:
+    """The Form of a canonical value of the given mode, taken as it is."""
+    form = object.__new__(Form)
+    form._terms = value
+    form._truncated = truncated
+    return form
+
+
+def _poly(coeffs: dict[int, tuple[int, int, int]], truncated: bool) -> Poly:
+    """The Poly of a value's coefficient map, one CycQ per term."""
+    return Poly._trusted({e: _of(t) for e, t in coeffs.items()}, truncated)
+
+
+def _by_word(pairs: Iterable[tuple[tuple[int, int], object]]) -> list:
+    """(word, coefficient) pairs in canonical order: d2x power ascending, then dx."""
+    return sorted(pairs, key=lambda item: (item[0][1], item[0][0]))
+
+
+def _flat(coeffs: Mapping[int, tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """A coefficient map as the (degree, a, b, d) terms that _add_into and _mul_into take."""
+    return [(e, a, b, d) for e, (a, b, d) in coeffs.items()]
+
+
+def _add_value(sums: Sums, value: Value, sign: int = 1) -> None:
+    """Add sign * value into sums."""
+    for word, coeffs in value.items():
+        _add_into(sums.setdefault(word, {}), [(e, sign * a, sign * b, d) for e, (a, b, d) in coeffs.items()])
+
+
+def _reduced(sums: Sums) -> Value:
+    """The value of the sums, the one canonicaliser: each sum in lowest terms,
+    zeros and then empty words dropped, in the order the sums were made."""
+    return {word: coeffs for word, terms in sums.items()
+            if (coeffs := {e: _lowest(a, b, d) for e, (a, b, d) in terms.items() if a or b})}
+
+
+def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:
+    """The product kernel: left * right, in normal form, in one fused pass.
+
+    A pair (f, dx**k d2x**m) * (g, dx**j d2x**n) leaves at most two words,
+    and whether each lives is decided from (k, m, j) before it is computed:
+
+      top      f * q**(2mj) * twist**(m+k)(g) on dx**(k+j) d2x**(m+n),
+               alive while k + j < 3;
+      bracket  f * (alpha**m - q**m) * twist**m(derivative(g)) on
+               dx**2 d2x**(m-1+n), alive only when k == 0, m >= 1, j == 0
+               and the factor is nonzero.
+
+    The top word pushes g through every dx and d2x, then swaps the dx**j
+    left past d2x**m at q**2 per crossing. Each d2x that g passes also
+    yields a q-bracket word carrying dx**2, which dies at a second bracket
+    (dx**4 == 0), under any dx in front (k >= 1) and under any dx behind
+    (j >= 1). Taking the bracket at copy i from the right leaves
+
+        alpha**i * q**(m-1-i) * twist**(m-1)(q_bracket(g))
+
+    on dx**2 * d2x**(m-1): alpha**i because q_bracket(twist(f)) ==
+    alpha * twist(q_bracket(f)), and q per copy further left because
+    d2x * dx**2 == q**4 * dx**2 * d2x and q**3 == 1. Since q_bracket(f) ==
+    (alpha - q) * twist(derivative(f)) and the sum over i is
+    (alpha**m - q**m) / (alpha - q), those words add up to the bracket
+    word above, whose factor is zero at alpha == q (and at alpha == q**2
+    when 3 | m).
+
+    On a term c * x**e of g, both words are one scalar from the table
+    _SCALARS: the top word takes c to c * alpha**(e*(m+k)) * q**(2mj) on
+    x**e, the bracket word to c * [e]_alpha * alpha**((e-1)*m) *
+    (alpha**m - q**m) on x**(e-1). Those products and their products with
+    f are summed by polynomial._mul_into, one degree -> sum map per output
+    word, and _reduced puts each sum in lowest terms once. A left word
+    k == m == 0 only multiplies coefficients and never reads alpha.
+    """
+    right = [(j, n, _flat(g)) for (j, n), g in right.items()]
+    out: Sums = {}
+    for (k, m), f in left.items():
+        f, bracket = _flat(f), False
+        if not k and m:  # is alpha**m, the table's top entry (m, 0), not q**m?
+            key = (_TOP, m, 0, alpha._a, alpha._b, alpha._d)
+            bracket = (_SCALARS.get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
+        for j, n, g in right:
+            if k + j < 3:
+                pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, alpha) if m + k else g
+                _mul_into(out.setdefault((k + j, m + n), {}), f, pushed, truncated)
+            if bracket and not j:
+                pushed = _scaled(g, _BRACKET, 1, m, alpha)
+                if pushed:
+                    _mul_into(out.setdefault((2, m - 1 + n), {}), f, pushed, truncated)
+    return _reduced(out)
+
+
+# The scalars of _mul and differential as canonical int triples (a, b, d),
 # keyed by ints: a kind, two exponents and alpha's own three ints, since a
 # CycQ in a key would hash through CycQ.__hash__ on every lookup. The engine's
 # only scalar memo, and bounded: a full table is emptied and refills with what
@@ -356,16 +401,6 @@ def _scaled(terms: list, kind: int, t: int, y: int, alpha: CycQ) -> list:
                 cross = b * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
                 out.append((e - shift, a * sa - cross, a * sb + b * sa - cross, d * sd))
     return out
-
-
-def _from_word_sums(out: Mapping[tuple[int, int], dict[int, list[int]]], truncated: bool) -> Form:
-    """The Form of one _add_into sums map per word (k, m), k <= 2 and m >= 0
-    unchecked, in one pass; a word whose sums all cancel is dropped."""
-    word, form = tuple.__new__, object.__new__(Form)
-    form._terms = {word(FormMonomial, mon): poly for mon, sums in out.items()
-                   if (poly := _from_sums(sums, truncated))._terms}
-    form._truncated = truncated
-    return form
 
 
 def _json_int(value: object) -> int:

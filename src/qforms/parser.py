@@ -12,27 +12,25 @@ Grammar (whitespace insignificant):
 A leading '-' reads as 0 - term. '^' binds tighter than '*', which binds
 tighter than '+' and '-'; '*' evaluates left to right, and the product is
 associative and exact, so re-associating a product cannot change the
-parsed value. Values are the product kernel's ints, not Forms: a canonical,
+parsed value. Values are a Form's own layout (forms.Value): a canonical,
 zero-free map word (k, m) -> degree -> (a, b, d), reduced after every
-operation. A sum adds its terms into one polynomial._add_into map, and
-parse makes the one Form of its result through forms._from_word_sums.
-Coefficients sit on the left of the normal form, so two products need no
-rewriting and are written down on those ints (_product): a left factor
-that is a polynomial times the empty word multiplies each right
-coefficient, and a right factor that is a constant times one word shifts
-each left word, at the swap scalar q**(2mj). A power of one term c*x**d on
-the empty word, or of a constant on any word, is one closed formula
-(_power). Every other '*' converts both factors to Forms once and is the
-form product Form.mul, and every other 'base^N' converts the base once and
-takes O(log N) form products by repeated squaring; either way the value is
-that of N left-to-right factors.
+operation by forms._reduced. A sum adds its terms into one unreduced map
+(forms._add_value), and parse wraps its reduced result in the one Form it
+builds. A right factor that is a constant times one word needs no rewriting
+and is written down on those ints (_product): it shifts each left word, at
+the swap scalar q**(2mj), and never reaches the scalar table. A power of one
+term c*x**d on the empty word, or of a constant on any word, is one closed
+formula (_power). Every other '*' is the product kernel forms._mul, and
+every other 'base^N' takes O(log N) kernel products by repeated squaring;
+either way the value is that of N left-to-right factors.
 
 All canonical text is written here: render for forms, poly_text for
 coefficient polynomials (Poly.__str__) and scalar_text for scalars
 (CycQ.__str__). Each is built from one primitive, the sign and unsigned
 text of coeff * tail, where an empty tail is a bare scalar, and one join:
-' + '/' - ' between form terms, '+'/'-' inside a coefficient. Rendered text
-parses back to the same form under the same configuration.
+' + '/' - ' between form terms, '+'/'-' inside a coefficient. Scalars are
+written from cyclotomic._ratios, render's straight from a Form's ints.
+Rendered text parses back to the same form under the same configuration.
 
 Limits, each raising ParseError at the offending token: an integer literal
 may have at most MAX_DIGITS significant digits, an exponent token may not
@@ -47,9 +45,8 @@ from __future__ import annotations
 from math import comb
 
 from .calculus import CalculusConfig
-from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_power, _lowest, _times
-from .forms import Form, _from_word_sums
-from .polynomial import Poly, _add_into, _mul_into
+from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_power, _lowest, _ratios, _times
+from .forms import Form, Sums, Value, _add_value, _by_word, _form, _mul, _reduced
 
 
 class ParseError(Exception):
@@ -75,12 +72,7 @@ MAX_DIGITS = 4_300
 Token = tuple[str, str, int]  # kind, text, position
 
 
-# A parsed value is a canonical, zero-free map word (k, m) -> degree ->
-# (a, b, d), the ints of a canonical CycQ (a + b*q) / d; the empty map is 0.
 # Values are never mutated, so the atoms below are shared by every parse.
-Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]
-Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, as _add_into sums
-
 _ONE = _Q_TRIPLES[0]
 _ATOMS: dict[str, Value] = {
     "x": {(0, 0): {1: _ONE}},
@@ -88,7 +80,6 @@ _ATOMS: dict[str, Value] = {
     "dx": {(1, 0): {0: _ONE}},
     "d2x": {(0, 1): {0: _ONE}},
 }
-_EMPTY_WORD = {(0, 0)}
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -130,7 +121,7 @@ class _Parser:
 
     def expr(self) -> Sums:
         """The signed sum of the terms as one _add_into sums map per word,
-        unreduced: parse makes a CycQ of each sum, a group reduces them."""
+        unreduced: parse and a group reduce it once."""
         tokens = self.tokens
         sums: Sums = {}
         sign = 1
@@ -139,9 +130,7 @@ class _Parser:
             tokens.pop()
             sign = -1
         while True:
-            for word, poly in self.term().items():
-                terms = [(e, sign * a, sign * b, d) for e, (a, b, d) in poly.items()]
-                _add_into(sums.setdefault(word, {}), terms)
+            _add_value(sums, self.term(), sign)
             kind, text, _ = tokens[-1]
             if not (kind == "op" and text in "+-"):
                 return sums
@@ -249,29 +238,14 @@ def _power_terms(base: Value, n: int, truncated: bool) -> int:
     return min(per_multiset * comb(n + t - 1, n), words_times_degrees)
 
 
-def _reduced(sums: Sums) -> Value:
-    """The value of the sums: each in lowest terms, zeros and empty words dropped."""
-    out = {word: {e: _lowest(a, b, d) for e, (a, b, d) in terms.items() if a or b}
-           for word, terms in sums.items()}
-    return {word: poly for word, poly in out.items() if poly}
-
-
-def _value(form: Form) -> Value:
-    """The value of a form: its coefficients' canonical ints."""
-    return {word: {e: (c._a, c._b, c._d) for e, c in poly.items()} for word, poly in form.items()}
-
-
 def _product(left: Value, right: Value, cfg: CalculusConfig) -> Value:
     """left * right in cfg's mode; equal to the form product.
 
-    Written down without the form product when no relation applies: a left
-    factor f on the empty word gives f*g on each right word (g, j, n), and
-    a right factor that is one constant c on one word dx**j d2x**n, which
-    every twist fixes and whose derivative is zero, moves each left term
-    (f, k, m) to f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once
-    k + j >= 3. Neither leaves a bracket term; the second, the cheaper, is
-    tried first. Any other product converts both factors to Forms once and
-    calls Form.mul.
+    A right factor that is one constant c on one word dx**j d2x**n, which
+    every twist fixes and whose derivative is zero, needs no rewriting: it
+    moves each left term (f, k, m) to f * c * q**(2mj) on dx**(k+j)
+    d2x**(m+n), dropped once k + j >= 3, and leaves no bracket term. Any
+    other product is the kernel forms._mul.
     """
     if len(right) == 1:
         (((j, n), g),) = right.items()
@@ -282,20 +256,12 @@ def _product(left: Value, right: Value, cfg: CalculusConfig) -> Value:
                     c = _times(g[0], _Q_TRIPLES[2 * m * j % 3])
                     out[k + j, m + n] = {e: _times(t, c) for e, t in f.items()}
             return out
-    truncated = cfg.anyonic
-    if left.keys() <= _EMPTY_WORD:
-        f = [(e, a, b, d) for e, (a, b, d) in left.get((0, 0), {}).items()]
-        sums: Sums = {}
-        for word, g in right.items():
-            terms = [(e, a, b, d) for e, (a, b, d) in g.items()]
-            _mul_into(sums.setdefault(word, {}), f, terms, truncated)
-        return _reduced(sums)
-    return _value(_from_word_sums(left, truncated).mul(_from_word_sums(right, truncated), cfg))
+    return _mul(left, right, cfg.alpha, cfg.anyonic)
 
 
 def _power(base: Value, n: int, cfg: CalculusConfig) -> Value:
     """base^n, in closed form or by square-and-multiply (at most 2*log2(n)
-    form products on the base converted to a Form once).
+    kernel products).
 
     A one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
     pushes its coefficient past a word, so its power is c**n * x**(d*n) *
@@ -315,14 +281,14 @@ def _power(base: Value, n: int, cfg: CalculusConfig) -> Value:
                 return {(j * n, m * n): {d * n: _times(_int_power(c, n), swaps)}}
     if not n:
         return {(0, 0): {0: _ONE}}
-    form, out = _from_word_sums(base, truncated), None
+    out = None
     while True:
         if n & 1:
-            out = form if out is None else out.mul(form, cfg)
+            out = base if out is None else _mul(out, base, cfg.alpha, truncated)
         n >>= 1
         if not n:
-            return _value(out)
-        form = form.mul(form, cfg)
+            return out
+        base = _mul(base, base, cfg.alpha, truncated)
 
 
 def parse(text: str, cfg: CalculusConfig) -> Form:
@@ -332,7 +298,7 @@ def parse(text: str, cfg: CalculusConfig) -> Form:
     kind, _, pos = parser.tokens[-1]
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
-    return _from_word_sums(sums, cfg.anyonic)
+    return _form(_reduced(sums), cfg.anyonic)
 
 
 _SCALAR_CFG = CalculusConfig(Q)
@@ -358,18 +324,17 @@ def render(u: Form) -> str:
     then coefficient degree); multi-term coefficients are parenthesized.
     """
     pieces: list[tuple[str, str]] = []
-    for mon, poly in u.terms():
-        terms = poly.terms()
-        if (mon.dx or mon.d2x) and len(terms) > 1:
-            pieces.append(("+", f"({poly_text(poly)})*{_word(0, mon.dx, mon.d2x)}"))
+    for (k, m), coeffs in _by_word(u._terms.items()):
+        if (k or m) and len(coeffs) > 1:
+            pieces.append(("+", f"({poly_text(coeffs)})*{_word(0, k, m)}"))
             continue
-        for degree, coeff in terms:
-            tail = _word(degree, mon.dx, mon.d2x)
+        for degree, scalar in sorted(coeffs.items()):
+            ratios, tail = _ratios(*scalar), _word(degree, k, m)
             if tail:
-                pieces.append(_piece(coeff, tail))
+                pieces.append(_piece(ratios, tail))
                 continue
             # a constant at the empty word splits into its rational and q parts
-            a_num, a_den, b_num, b_den = coeff.ratios()
+            a_num, a_den, b_num, b_den = ratios
             if a_num:
                 pieces.append(_signed(a_num, a_den, ""))
             if b_num:
@@ -377,14 +342,14 @@ def render(u: Form) -> str:
     return _join(pieces, " ")
 
 
-def poly_text(poly: Poly) -> str:
-    """Canonical text of a coefficient polynomial, e.g. '1-1*q+x^2'."""
-    return _join([_piece(coeff, _word(degree)) for degree, coeff in poly.terms()], "")
+def poly_text(coeffs: dict[int, tuple[int, int, int]]) -> str:
+    """Canonical text of a coefficient map degree -> (a, b, d), e.g. '1-1*q+x^2'."""
+    return _join([_piece(_ratios(*t), _word(e)) for e, t in sorted(coeffs.items())], "")
 
 
 def scalar_text(value: CycQ) -> str:
     """Canonical text of a scalar, e.g. '-1/2', 'q' or '1-1*q'."""
-    return _join([_piece(value, "")], "")
+    return _join([_piece(value.ratios(), "")], "")
 
 
 def _join(pieces: list[tuple[str, str]], gap: str) -> str:
@@ -397,9 +362,9 @@ def _join(pieces: list[tuple[str, str]], gap: str) -> str:
     return "".join(out)
 
 
-def _piece(coeff: CycQ, tail: str) -> tuple[str, str]:
-    """Sign and unsigned text of coeff * tail; an empty tail is a bare scalar."""
-    a_num, a_den, b_num, b_den = coeff.ratios()
+def _piece(ratios: tuple[int, int, int, int], tail: str) -> tuple[str, str]:
+    """Sign and unsigned text of coeff * tail from coeff.ratios(); tail '' is a bare scalar."""
+    a_num, a_den, b_num, b_den = ratios
     if not b_num:
         return _signed(a_num, a_den, tail)
     if not a_num:

@@ -1,10 +1,9 @@
-"""Sparse polynomials in one variable x over Q(q), and the additive core
-they share with forms.
+"""Sparse polynomials in one variable x over Q(q), the core they share with
+forms, and the int accumulator of every product.
 
 _Sparse is a finite sum of nonzero coefficients on basis keys, tagged with a
-truncation flag; it holds the mode, equality, negation, sums and
-differences. Poly puts CycQ scalars on the powers x**d, and forms.Form puts
-Poly coefficients on the words dx**k * d2x**m.
+truncation flag; it holds the mode, equality and differences. Poly puts
+CycQ scalars on the powers x**d; forms.Form stores its own int layout.
 
 A truncated Poly lives in the quotient by x**3 == 0: degrees of three or
 more are discarded on construction and multiplication. Values of different
@@ -12,9 +11,9 @@ modes never mix; combining them raises ModeMismatchError. Instances are
 immutable and stored canonically (no zero coefficients, no negative
 degrees). Their text comes from parser.poly_text.
 
-Poly.__mul__, forms.Form.mul and differential share one kernel on CycQ's
-ints: _mul_into and _add_into sum (degree, a, b, d) terms, and _from_sums
-makes each sum a canonical CycQ once.
+Poly.__mul__, forms' product kernel and differential share one accumulator
+on CycQ's ints: _mul_into and _add_into sum (degree, a, b, d) terms,
+unreduced, and each caller reduces each sum once.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ _S = TypeVar("_S", bound="_Sparse")
 class _Sparse:
     """Immutable map from basis keys to nonzero coefficients, in one mode.
 
-    Subclasses define _trusted(terms, truncated), which builds an instance
-    from canonical keys and values of that mode and drops the zero values;
-    negation and sums go through it, so they repeat none of __init__'s checks.
+    Subclasses define negation and sums; a difference is a sum with the
+    negation.
     """
 
     __slots__ = ("_terms", "_truncated")
@@ -70,19 +68,6 @@ class _Sparse:
             return NotImplemented
         return self._truncated == other._truncated and self._terms == other._terms
 
-    def __neg__(self: _S) -> _S:
-        return type(self)._trusted({k: -c for k, c in self._terms.items()}, self._truncated)
-
-    def __add__(self: _S, other: _S) -> _S:
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        self._require_same_mode(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-        return type(self)._trusted(out, self._truncated)
-
     def __sub__(self: _S, other: _S) -> _S:
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -90,7 +75,11 @@ class _Sparse:
 
 
 class Poly(_Sparse):
-    """Immutable sparse polynomial with CycQ coefficients."""
+    """Immutable sparse polynomial with CycQ coefficients.
+
+    A degree must be an int, bool and float excluded (TypeError), and
+    nonnegative (ValueError).
+    """
 
     __slots__ = ()
 
@@ -101,6 +90,8 @@ class Poly(_Sparse):
     ) -> None:
         canonical: dict[int, CycQ] = {}
         for degree, value in (coeffs or {}).items():
+            if type(degree) is not int:  # bool and float included
+                raise TypeError(f"degree must be an int, got {degree!r}")
             if degree < 0:
                 raise ValueError(f"negative degree {degree}")
             if truncated and degree >= 3:
@@ -160,6 +151,19 @@ class Poly(_Sparse):
         """(degree, coefficient) pairs in ascending degree order."""
         return sorted(self._terms.items())
 
+    def __neg__(self) -> Poly:
+        return Poly._trusted({d: -c for d, c in self._terms.items()}, self._truncated)
+
+    def __add__(self, other: Poly) -> Poly:
+        if not isinstance(other, Poly):
+            return NotImplemented
+        self._require_same_mode(other)
+        out = dict(self._terms)
+        for degree, coeff in other._terms.items():
+            acc = out.get(degree)
+            out[degree] = coeff if acc is None else acc + coeff
+        return Poly._trusted(out, self._truncated)
+
     def __mul__(self, other: Poly | CycQ | int | Rational) -> Poly:
         # the concrete types first: Poly * Poly never reaches the ABC's isinstance
         if not isinstance(other, Poly):
@@ -168,8 +172,9 @@ class Poly(_Sparse):
             return NotImplemented
         self._require_same_mode(other)
         sums: dict[int, list[int]] = {}
-        _mul_into(sums, _triples(self), _triples(other), self._truncated)
-        return _from_sums(sums, self._truncated)
+        left, right = ([(e, c._a, c._b, c._d) for e, c in p._terms.items()] for p in (self, other))
+        _mul_into(sums, left, right, self._truncated)
+        return Poly._trusted({e: _make(a, b, d) for e, (a, b, d) in sums.items() if a or b}, self._truncated)
 
     def __rmul__(self, other: CycQ | int | Rational) -> Poly:
         if isinstance(other, (CycQ, int, Rational)):
@@ -183,7 +188,7 @@ class Poly(_Sparse):
     def __str__(self) -> str:
         from .parser import poly_text  # local import avoids a module cycle
 
-        return poly_text(self)
+        return poly_text({d: (c._a, c._b, c._d) for d, c in self._terms.items()})
 
     def __repr__(self) -> str:
         return f"Poly({self.__str__()!r}, truncated={self._truncated})"
@@ -192,14 +197,9 @@ class Poly(_Sparse):
 _Terms = Sequence[tuple[int, int, int, int]]  # (degree, a, b, d) for (a + b*q) / d * x**degree
 
 
-def _triples(poly: Poly) -> list[tuple[int, int, int, int]]:
-    """The terms of poly as (degree, a, b, d): each scalar's canonical ints."""
-    return [(e, c._a, c._b, c._d) for e, c in poly._terms.items()]
-
-
 def _add_into(sums: dict[int, list[int]], terms: _Terms) -> None:
     """Add terms into sums, a map degree -> [a, b, d]: the one accumulator of
-    Poly.__mul__, Form.mul and differential. Nothing is reduced; two
+    Poly.__mul__ and of every Form operation that sums. Nothing is reduced; two
     denominators add over their lcm, not their product. Zero sums stay."""
     for e, a, b, d in terms:
         acc = sums.get(e)
@@ -226,10 +226,3 @@ def _mul_into(sums: dict[int, list[int]], left: _Terms, right: _Terms, truncated
         if not truncated or e1 + e2 < 3
     ])
 
-
-def _from_sums(sums: Mapping[int, list[int]], truncated: bool) -> Poly:
-    """The Poly of the sums: each nonzero one becomes a CycQ through _make."""
-    out = _new(Poly)
-    out._terms = {e: _make(a, b, d) for e, (a, b, d) in sums.items() if a or b}
-    out._truncated = truncated
-    return out

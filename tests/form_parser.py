@@ -1,11 +1,12 @@
 """The Form-valued parser that qforms.parser replaced, kept as its oracle.
 
-qforms.parser evaluates expressions on the ints of the product kernel and
-builds one Form per parse. This module is the parser it replaced: every
+qforms.parser evaluates expressions on a Form's own ints and builds one
+Form per parse. This module is the parser it replaced: every
 intermediate value is a Form, the two closed forms (_product, _power) are
 written on Forms, and every other product is Form.mul. The code between
 the imports and compare_with_oracle is that parser verbatim, tokenizer
-included; it shares the literal check and the limits with qforms.parser.
+included, except that its closed forms build their Forms through the public
+constructors; it shares the literal check and the limits with qforms.parser.
 """
 
 from __future__ import annotations
@@ -219,7 +220,7 @@ def _product(left: Form, right: Form, cfg: CalculusConfig) -> Form:
         (((j, n), g),) = right.items()
         if g.degree == 0:
             c = g.coefficient(0)
-            return Form._trusted(
+            return Form(
                 {
                     FormMonomial(k + j, m + n): f.scale(c * swap_scalar(m, j))
                     for (k, m), f in terms
@@ -249,8 +250,8 @@ def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
                 if j * n >= 3 or truncated and d * n >= 3:
                     return Form.zero(truncated)
                 coeff = c**n * q_power(m * j * n * (n - 1))
-                return Form._trusted(
-                    {FormMonomial(j * n, m * n): Poly._trusted({d * n: coeff}, truncated)},
+                return Form(
+                    {FormMonomial(j * n, m * n): Poly({d * n: coeff}, truncated)},
                     truncated,
                 )
     out = None

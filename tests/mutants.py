@@ -1,0 +1,247 @@
+"""Mutation check: every listed mutant of src/qforms must fail its tests.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py --list
+
+Run it from the repository root with the test dependencies installed
+(pytest, hypothesis); it needs nothing else. It is not part of the Tier-1
+suite, since it runs pytest once per mutant, one after another.
+
+A mutant is (name, file under src/qforms, exact old text, new text, pytest
+selection). The script first runs every selection on an unmutated copy,
+which must pass. Then, for each mutant, it copies src/, tests/ and
+pyproject.toml to a fresh temporary directory, replaces the old text,
+which must occur exactly once, and runs `pytest -x -q` on the selection
+there. The mutant is killed when pytest reports a failing test (exit code
+1). A pass, any other exit code, or an old text that no longer occurs
+exactly once fails the script, so the list has to follow the code. Exit
+code 0 when every mutant was killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    selection: tuple[str, ...]
+
+
+KERNEL = ("tests/test_forms.py::TestIntegerKernel", "tests/test_forms.py::TestFusedKernel")
+WIDE = (
+    "tests/test_forms.py::TestIntegerKernel::test_wide_cases_match_the_references",
+    "tests/test_parser.py::TestClosedForms::test_product_matches_the_pairwise_oracle",
+)
+CLOSED = ("tests/test_parser.py::TestClosedForms", "tests/test_parser.py::TestParseExamples")
+SCALARS = ("tests/test_cyclotomic.py::TestIntCoreAgainstFractionPairs", "tests/test_cyclotomic.py::TestScalarTableOnInts")
+LAYOUT = ("tests/test_layout.py",)
+
+MUTANTS = [
+    # the value layout: one canonicaliser, Form's own arithmetic, its views
+    Mutant("kernel keeps x**3 in the quotient", "polynomial.py",
+           "if not truncated or e1 + e2 < 3", "if not truncated or e1 + e2 < 4", WIDE),
+    Mutant("_reduced keeps empty words", "forms.py",
+           "in terms.items() if a or b})}", "in terms.items() if a or b}) or True}", LAYOUT),
+    Mutant("_reduced keeps zero sums", "forms.py",
+           "for e, (a, b, d) in terms.items() if a or b})}", "for e, (a, b, d) in terms.items()})}",
+           ("tests/test_forms.py::TestIntegerKernel::test_products_that_cancel",)),
+    Mutant("_reduced skips lowest terms", "forms.py",
+           "{e: _lowest(a, b, d) for e, (a, b, d) in terms.items() if a or b}",
+           "{e: (a, b, d) for e, (a, b, d) in terms.items() if a or b}", KERNEL),
+    Mutant("Form.__add__ adds the left twice", "forms.py",
+           "        _add_value(sums, other._terms)\n", "        _add_value(sums, self._terms)\n",
+           ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("Form.__neg__ keeps the q part", "forms.py",
+           "{e: (-a, -b, d) for e, (a, b, d)", "{e: (-a, b, d) for e, (a, b, d)",
+           ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("scalar left_mul ignores the scalar", "forms.py",
+           "{e: _times(t, s) for e, t in coeffs.items()}", "{e: t for e, t in coeffs.items()}",
+           ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("scalar left_mul by zero keeps the words", "forms.py",
+           "s, value = (c._a, c._b, c._d), self._terms if c else {}",
+           "s, value = (c._a, c._b, c._d), self._terms", ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("Form() keeps zero coefficients", "forms.py",
+           "            if poly:\n", "            if True:\n", ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("items() sorts", "forms.py",
+           "for w, c in self._terms.items()}.items()", "for w, c in sorted(self._terms.items())}.items()", LAYOUT),
+    Mutant("canonical order by dx first", "forms.py",
+           "key=lambda item: (item[0][1], item[0][0])", "key=lambda item: (item[0][0], item[0][1])",
+           ("tests/test_parser.py::TestRender", "tests/test_forms.py::TestSerialization")),
+    Mutant("to_dict keeps storage order of degrees", "forms.py",
+           "for e, t in sorted(coeffs.items())]}", "for e, t in coeffs.items()]}",
+           ("tests/test_forms.py::TestSerialization",)),
+    Mutant("grade of a word is k + m", "forms.py",
+           "buckets.setdefault(k + 2 * m, {})", "buckets.setdefault(k + m, {})",
+           ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("coefficient() swaps the word", "forms.py",
+           "self._terms.get((k, m), {})", "self._terms.get((m, k), {})", ("tests/test_forms.py",)),
+    Mutant("Form.mul skips the mode check", "forms.py",
+           "        if self._truncated != cfg.anyonic:\n", "        if False:\n",
+           ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("FormMonomial takes bools", "forms.py",
+           "if type(dx) is not int or type(d2x) is not int:",
+           "if not isinstance(dx, int) or not isinstance(d2x, int):", ("tests/test_forms.py::TestMonomials",)),
+    Mutant("Poly takes float degrees", "polynomial.py",
+           "if type(degree) is not int:", "if not isinstance(degree, (int, float)):",
+           ("tests/test_polynomial.py",)),
+    Mutant("_ratios unreduced", "cyclotomic.py",
+           "    g, h = gcd(a, d), gcd(b, d)\n    return a // g, d // g, b // h, d // h\n\n\ndef _times",
+           "    g, h = 1, 1\n    return a // g, d // g, b // h, d // h\n\n\ndef _times",
+           ("tests/test_parser.py::TestAgainstFractionText", "tests/test_cli.py")),
+    Mutant("_too_long ignores the denominator", "cli.py",
+           "max(a.bit_length(), b.bit_length(), d.bit_length())", "max(a.bit_length(), b.bit_length())",
+           ("tests/test_cli.py::TestLimits",)),
+    Mutant("samplers keep zero draws", "checks.py",
+           "    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped\n\n\ndef random_homogeneous_form",
+           "    return _form(value, cfg.anyonic)\n\n\ndef random_homogeneous_form",
+           ("tests/test_sampling.py",)),
+    Mutant("samplers draw the degree first", "checks.py",
+           "coeffs[_below(bits, top + 1)] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1)",
+           "coeffs[e] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1) if (e := _below(bits, top + 1)) >= 0 else 0",
+           ("tests/test_sampling.py",)),
+    Mutant("differential keeps the sign at dx**2", "differential.py",
+           "[(e, -a, -b, d) for e, a, b, d in terms]", "terms", ("tests/test_differential.py",)),
+    Mutant("differential puts f on the wrong d2x power", "differential.py",
+           "out.setdefault((0, m + 1), {})", "out.setdefault((0, m), {})", KERNEL),
+    # the product kernel (the int kernel's mutations, on the layout)
+    Mutant("kernel swap exponent m*j", "forms.py",
+           "_scaled(g, _TOP, m + k, 2 * m * j % 3, alpha)", "_scaled(g, _TOP, m + k, m * j % 3, alpha)", KERNEL),
+    Mutant("kernel bracket word one d2x too high", "forms.py",
+           "out.setdefault((2, m - 1 + n), {})", "out.setdefault((2, m + n), {})", KERNEL),
+    Mutant("kernel bracket under a right dx", "forms.py",
+           "            if bracket and not j:\n", "            if bracket:\n", KERNEL),
+    Mutant("kernel computes a top scalar for dead words", "forms.py",
+           "            if k + j < 3:\n                pushed",
+           "            if k + j < 3 or not _scaled(g, _TOP, m + k + 1, 0, alpha):\n                pushed",
+           ("tests/test_forms.py::TestFusedKernel::test_dead_words_cost_no_calculus",)),
+    Mutant("kernel bracket test at q**(m+1)", "forms.py",
+           "!= _Q_TRIPLES[m % 3]", "!= _Q_TRIPLES[(m + 1) % 3]", KERNEL),
+    Mutant("accumulator adds without the lcm", "polynomial.py",
+           "            acc[0] = acc[0] * up + a * over\n", "            acc[0] = acc[0] + a\n", KERNEL),
+    Mutant("_scaled folds q**2 with the wrong sign", "forms.py",
+           "a * sb + b * sa - cross, d * sd", "a * sb + b * sa + cross, d * sd", KERNEL),
+    # the scalar table and the int core
+    Mutant("_lowest does not reduce", "cyclotomic.py", "        if g != 1:\n", "        if False:\n", SCALARS),
+    Mutant("_times folds q**2 with the wrong sign", "cyclotomic.py",
+           "return _lowest(a1 * a2 - cross,", "return _lowest(a1 * a2 + cross,", SCALARS),
+    Mutant("_int_inverse wrong sign", "cyclotomic.py",
+           "_lowest(d * (a - b), -d * b, n)", "_lowest(d * (a + b), -d * b, n)", SCALARS),
+    Mutant("_int_power squares wrongly past 32", "cyclotomic.py",
+           "        out = _times(out, out)\n",
+           "        out = _times(out, out) if n <= 32 else _times(out, (-out[0], -out[1], out[2]))\n", SCALARS),
+    Mutant("_int_power starts from s + q", "cyclotomic.py",
+           "    out = s\n", "    out = (s[0], s[1] + s[2], s[2])\n", SCALARS),
+    Mutant("top entries ignore y == 1", "forms.py",
+           "_Q_TRIPLES[y % 3]) if y else _int_power(alpha, x)", "_Q_TRIPLES[y % 3]) if y > 1 else _int_power(alpha, x)",
+           SCALARS),
+    Mutant("[x]_1 off by one", "forms.py", "value = (x, 0, 1)  # [x]_1 == x", "value = (x + 1, 0, 1)", SCALARS),
+    Mutant("bracket's q power from x", "forms.py", "qa, qb, _ = _Q_TRIPLES[y % 3]", "qa, qb, _ = _Q_TRIPLES[x % 3]",
+           SCALARS),
+    Mutant("wrong alpha - 1 denominator", "forms.py",
+           "_int_inverse((aa - ad, ab, ad))", "_int_inverse((aa + ad, ab, ad))", SCALARS),
+    Mutant("wrong bracket exponent", "forms.py",
+           "_entry(_TOP, (x - 1) * y, alpha)", "_entry(_TOP, x * y, alpha)", SCALARS),
+    Mutant("an lru_cache in forms", "forms.py",
+           "def _entry(kind: int", "@__import__('functools').lru_cache(maxsize=None)\ndef _entry(kind: int",
+           ("tests/test_caches.py",)),
+    Mutant("a calculus function in the parser", "parser.py",
+           "from .calculus import CalculusConfig\n", "from .calculus import CalculusConfig, q_number\n",
+           ("tests/test_caches.py",)),
+    Mutant("q_number(5) wrong", "calculus.py",
+           "return (alpha**k - 1) / (alpha - 1)  # geometric sum",
+           "return (alpha**k - 1) / (alpha - 1) + (k == 5)", ("tests/test_calculus.py", "tests/test_cyclotomic.py")),
+    # the parser's closed forms and limits
+    Mutant("parser swap exponent m*j", "parser.py",
+           "c = _times(g[0], _Q_TRIPLES[2 * m * j % 3])", "c = _times(g[0], _Q_TRIPLES[m * j % 3])", CLOSED),
+    Mutant("closed power ignores x**3 == 0", "parser.py",
+           "if j * n >= 3 or truncated and d * n >= 3:", "if j * n >= 3:", CLOSED),
+    Mutant("closed power skips c**n", "parser.py",
+           "_times(_int_power(c, n), swaps)", "_times(c, swaps)", CLOSED),
+    Mutant("closed power at n | 1", "parser.py",
+           "_times(_int_power(c, n), swaps)", "_times(_int_power(c, n | 1), swaps)", CLOSED),
+    Mutant("power cap without the x degree", "parser.py",
+           "top = max(top, m, *poly)", "top = max(top, m)", ("tests/test_parser.py::TestPowers",)),
+    Mutant("tokenizer takes any digit", "parser.py",
+           'elif "0" <= ch <= "9":', "elif ch.isdigit():", ("tests/test_parser.py::TestParseErrors",)),
+    Mutant("groups stay unreduced", "parser.py",
+           "value = _reduced(self.expr())",
+           "value = {w: {e: tuple(t) for e, t in s.items()} for w, s in self.expr().items()}",
+           ("tests/test_parser.py::TestSharedValues",)),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_pytest(where: Path, selection: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(command, cwd=where, env=env, capture_output=True, text=True, timeout=900)
+
+
+def check(mutant: Mutant) -> str | None:
+    """None when the mutant is killed, else why not."""
+    with tempfile.TemporaryDirectory(prefix="qforms-mutant-") as tmp:
+        where = Path(tmp)
+        copy_tree(where)
+        path = where / "src" / "qforms" / mutant.file
+        text = path.read_text()
+        found = text.count(mutant.old)
+        if found != 1:
+            return f"the old text occurs {found} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        done = run_pytest(where, mutant.selection)
+    if done.returncode == 1:
+        return None
+    if done.returncode == 0:
+        return "survived: the selection passed"
+    return f"pytest exit code {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for mutant in MUTANTS:
+            print(mutant.name)
+        return 0
+    names = {mutant.name for mutant in MUTANTS}
+    unknown = [name for name in argv if name not in names]
+    if unknown:
+        print(f"unknown mutants: {unknown}", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not argv or mutant.name in argv]
+    selections = tuple(dict.fromkeys(s for mutant in chosen for s in mutant.selection))
+    with tempfile.TemporaryDirectory(prefix="qforms-unmutated-") as tmp:
+        copy_tree(Path(tmp))
+        baseline = run_pytest(Path(tmp), selections)
+    if baseline.returncode != 0:
+        print(f"the unmutated selections fail:\n{baseline.stdout[-3000:]}", file=sys.stderr)
+        return 1
+    failures = 0
+    for mutant in chosen:
+        why = check(mutant)
+        print(f"{'killed' if why is None else 'FAILED'}: {mutant.name}" + ("" if why is None else f" ({why})"),
+              flush=True)
+        failures += why is not None
+    print(f"{len(chosen) - failures}/{len(chosen)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qforms import cyclotomic, forms, polynomial
 from qforms.calculus import CalculusConfig, derivative, q_bracket, twist, twist_power
@@ -80,7 +81,8 @@ def push_left(k, m, g, cfg):
 def pairwise_mul(u, v, cfg):
     """Reference product: push each right coefficient left with push_left,
     append the right word with its swap scalar q**(2mj), drop words that reach
-    dx**3, and multiply by the left coefficient through Poly products."""
+    dx**3, and multiply by the left coefficient through reference_poly_mul's
+    CycQ loop, which shares no code with the int kernel."""
     out = Form.zero(u.truncated)
     for mon_u, f in u.items():
         for mon_v, g in v.items():
@@ -89,7 +91,7 @@ def pairwise_mul(u, v, cfg):
                     continue
                 word = FormMonomial(mon.dx + mon_v.dx, mon.d2x + mon_v.d2x)
                 scalar = q_power(2 * mon.d2x * mon_v.dx)
-                out = out + Form({word: f * (scalar * poly)}, u.truncated)
+                out = out + Form({word: reference_poly_mul(f, poly.scale(scalar))}, u.truncated)
     return out
 
 
@@ -195,6 +197,49 @@ def reference_poly_mul(f, g):
     return Poly._trusted(out, f.truncated)
 
 
+# Hypothesis cases for the kernel oracles, beyond random_kernel_form and
+# random_fraction_form: the alphas at which scalars vanish or repeat (0, 1,
+# -1, q**2) next to anyonic mode and (-3+5q)/7; parts over the mixed
+# denominators up to 12 and 7; anyonic degrees 1 and 2 only, so that most
+# coefficient products reach x**3, which x**3 == 0 kills; and, one case in
+# three, the pair f - f*dx and g + twist(g)*dx, whose product cancels its dx
+# word whole and its sums on the empty word partly.
+WIDE_CFGS = [
+    CalculusConfig(CycQ(0)),
+    CFG_1,
+    CalculusConfig(CycQ(-1)),
+    CalculusConfig(CycQ(-1, -1)),
+    CFG_ANY,
+    CalculusConfig(CycQ(Fraction(-3, 7), Fraction(5, 7))),
+]
+wide_scalars = st.builds(
+    CycQ,
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+).filter(bool)
+
+
+@st.composite
+def wide_cases(draw):
+    """(cfg, u, v): a configuration of WIDE_CFGS and two forms of its mode."""
+    cfg = draw(st.sampled_from(WIDE_CFGS))
+    t = cfg.anyonic
+    degrees = st.integers(1, 2) if t else st.integers(0, 4)
+
+    def poly():
+        chosen = draw(st.lists(degrees, min_size=1, max_size=3, unique=True))
+        return Poly({d: draw(wide_scalars) for d in chosen}, t)
+
+    if draw(st.integers(0, 2)) == 0:
+        f, g = poly(), poly()
+        return cfg, Form({(0, 0): f, (1, 0): -f}, t), Form({(0, 0): g, (1, 0): twist(g, cfg)}, t)
+    words = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3, unique=True)
+    return cfg, *(Form({w: poly() for w in draw(words)}, t) for _ in range(2))
+
+
+WIDE_SETTINGS = settings(max_examples=45, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
 def reference_differential(u: Form, cfg: CalculusConfig) -> Form:
     """differential on Poly and CycQ arithmetic, as it was before the int kernel."""
     if u.truncated != cfg.anyonic:
@@ -215,7 +260,7 @@ def reference_differential(u: Form, cfg: CalculusConfig) -> Form:
             add((2, m), derivative(f, cfg))
         else:
             add((1, m + 1), -f)
-    return Form._trusted(out, u.truncated)  # every value is a Poly of u's mode
+    return Form(out, u.truncated)
 
 
 def assert_canonical(value):
@@ -241,6 +286,21 @@ class TestMonomials:
         assert FormMonomial(1, 0).grade == 1
         assert FormMonomial(1, 1).grade == 3
         assert FormMonomial(2, 3).grade == 8
+
+    @pytest.mark.parametrize("powers", [(1.0, 0), (0, 0.5), (True, 0), (0, False), (Fraction(1), 0), ("1", 0)])
+    def test_non_int_powers_rejected(self, powers):
+        with pytest.raises(TypeError, match="must be ints"):
+            FormMonomial(*powers)
+
+    @pytest.mark.parametrize("powers", [(1.0, 0), (0, 1.5), (True, 0)])
+    def test_forms_reject_non_int_words(self, powers):
+        # before, Form.basis(1.5, 0) rendered as 'dx^1.5', which parse refuses
+        with pytest.raises(TypeError, match="must be ints"):
+            Form({powers: Poly.one()})
+        with pytest.raises(TypeError, match="must be ints"):
+            Form.basis(*powers)
+        with pytest.raises(TypeError, match="must be ints"):
+            Form.basis(0, 0).coefficient(powers)
 
     def test_dx_power_is_capped(self):
         with pytest.raises(ValueError):
@@ -292,6 +352,15 @@ class TestModuleStructure:
                 u.left_mul("x")
         with pytest.raises(ModeMismatchError):
             Form.basis(1, 0, truncated=True).left_mul(Poly.x())
+
+    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
+    def test_negation_and_difference(self, cfg):
+        rng = random.Random(61)
+        for _ in range(20):
+            u, v = random_fraction_form(rng, cfg), random_form(rng, cfg)
+            assert -u == u.left_mul(-1) and -(-u) == u
+            assert u - v == u + v.left_mul(-1) and (u - v) + v == u
+            assert (u - u).is_zero()
 
     def test_mode_mismatch_detected(self):
         with pytest.raises(ModeMismatchError):
@@ -626,6 +695,38 @@ class TestIntegerKernel:
                 assert not cancelled & left.keys()
                 assert left.keys() == set(dict(low.items())) - cancelled
 
+    @WIDE_SETTINGS
+    @given(case=wide_cases())
+    def test_wide_cases_match_the_references(self, case):
+        cfg, u, v = case
+        product = u.mul(v, cfg)
+        assert product == pairwise_mul(u, v, cfg)
+        assert_canonical(product)
+        du = differential(u, cfg)
+        assert du == reference_differential(u, cfg)
+        assert_canonical(du)
+        f, g = next(iter(u.items()))[1], list(v.items())[-1][1]
+        assert f * g == reference_poly_mul(f, g)
+        assert u.left_mul(g) == Form({mon: reference_poly_mul(g, h) for mon, h in u.items()}, u.truncated)
+
+    def test_wide_cases_reach_what_they_are_for(self):
+        # anyonic degree sums of 3 or more, cancelled words, all the alphas
+        seen = Counter()
+
+        @settings(WIDE_SETTINGS, max_examples=25, derandomize=True, database=None)
+        @given(case=wide_cases())
+        def record(case):
+            cfg, u, v = case
+            seen[cfg] += 1
+            degrees = [d for _, p in u.items() for d, _ in p.items()], [d for _, p in v.items() for d, _ in p.items()]
+            seen["anyonic x**3"] += cfg.anyonic and max(degrees[0]) + max(degrees[1]) >= 3
+            shape = dict(u.items()).keys() == {(0, 0), (1, 0)}
+            seen["cancelled"] += shape and (1, 0) not in dict(u.mul(v, cfg).items())
+
+        record()
+        assert all(seen[cfg] for cfg in WIDE_CFGS)
+        assert seen["anyonic x**3"] and seen["cancelled"]
+
     @pytest.mark.parametrize("truncated", [False, True], ids=["plain", "truncated"])
     def test_poly_products_match_the_scalar_loop(self, truncated):
         rng = random.Random(59)
@@ -780,6 +881,11 @@ class TestSerialization:
             {"dx": 1, "d2x": 0, "coeff": [[1, [0, 1, 1, 1]]]},
             {"dx": 0, "d2x": 1, "coeff": [[0, [1, 1, 0, 1]]]},
         ]
+
+    def test_coefficients_in_ascending_degree(self):
+        # the stored order here is 3, 0, 1; the encoding sorts it
+        u = Form({(0, 1): Poly({3: 1, 0: 2, 1: Q})})
+        assert [degree for degree, _ in u.to_dict()["terms"][0]["coeff"]] == [0, 1, 3]
 
     def test_round_trip_both_modes(self):
         rng = random.Random(23)

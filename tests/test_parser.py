@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import form_parser
 from form_parser import compare_with_oracle
+from test_forms import WIDE_SETTINGS, pairwise_mul, wide_cases
 from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
@@ -189,15 +190,22 @@ def legacy_form_repr(u):
 
 @pytest.fixture
 def count_form_products(monkeypatch):
-    """Count Form.mul calls; returns a one-element list holding the count."""
-    calls = [0]
-    mul = Form.mul
+    """Count the calls of the product kernel forms._mul, from Form.mul and
+    from the parser: "products" counts them all, "rewriting" those whose
+    left factor has a word other than the empty word, the products that
+    push a coefficient past a dx or d2x. A left factor on the empty word only
+    multiplies coefficients, which the parser did without the kernel until
+    the kernel took that case over."""
+    calls = {"products": 0, "rewriting": 0}
+    mul = forms._mul
 
-    def counting_mul(self, other, cfg):
-        calls[0] += 1
-        return mul(self, other, cfg)
+    def counting_mul(left, *args):
+        calls["products"] += 1
+        calls["rewriting"] += any(word != (0, 0) for word in left)
+        return mul(left, *args)
 
-    monkeypatch.setattr(Form, "mul", counting_mul)
+    for module in (forms, parser):
+        monkeypatch.setattr(module, "_mul", counting_mul)
     return calls
 
 
@@ -326,7 +334,7 @@ class TestPowers:
     def test_products_grow_logarithmically(self, count_form_products):
         # square-and-multiply: 7 squarings; the repeated product makes 128
         assert parse("x^128", CFG_Q) == Form.from_poly(Poly.monomial(128))
-        assert count_form_products[0] <= 15
+        assert count_form_products["products"] <= 15
 
     def test_exponent_at_the_cap(self):
         u = parse(f"x^{MAX_EXPONENT}", CFG_Q)
@@ -336,7 +344,7 @@ class TestPowers:
         with pytest.raises(ParseError, match="exponent") as err:
             parse(f"x^{MAX_EXPONENT + 1}", CFG_Q)
         assert err.value.position == 2
-        assert count_form_products[0] == 0
+        assert count_form_products["products"] == 0
 
     def test_nested_power_at_the_cap(self):
         assert parse("(x^100)^100", CFG_Q) == Form.from_poly(Poly.monomial(MAX_EXPONENT))
@@ -344,11 +352,11 @@ class TestPowers:
     @pytest.mark.parametrize("base", ["x^100", "d2x^100", "x*d2x^50 + x^100"])
     def test_nested_power_past_the_cap_computes_nothing(self, count_form_products, base):
         parse(f"({base})", CFG_Q)
-        built = count_form_products[0]
+        built = count_form_products["products"]
         with pytest.raises(ParseError, match="power exceeds") as err:
             parse(f"({base})^101", CFG_Q)
         assert err.value.position == len(base) + 3  # the exponent token
-        assert count_form_products[0] == 2 * built  # the outer '^' made no product
+        assert count_form_products["products"] == 2 * built  # the outer '^' made no product
 
     def test_dense_power_at_the_term_bound(self):
         # 31 * 32 = 992 predicted terms at N = 30, 1,056 at N = 31
@@ -364,7 +372,7 @@ class TestPowers:
         with pytest.raises(ParseError, match=f"exceed {MAX_POWER_TERMS} terms") as err:
             parse(text, CFG_Q)
         assert err.value.position == text.index("^") + 1  # the exponent token
-        assert count_form_products[0] == 0
+        assert count_form_products["products"] == 0
 
     @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
     def test_predicted_terms_bound_the_power(self, cfg):
@@ -620,6 +628,24 @@ class TestClosedForms:
         cfg, base, _ = case
         assert _power(as_value(base), n, cfg) == as_value(repeated_product(base, n, cfg))
 
+    @WIDE_SETTINGS
+    @given(case=wide_cases())
+    def test_product_matches_the_pairwise_oracle(self, case):
+        # the kernel's own reference, which shares no code with the kernel:
+        # at alpha 0, 1, -1 and q**2, over mixed denominators, on anyonic
+        # sums reaching x**3 and on products that cancel
+        cfg, a, b = case
+        assert _product(as_value(a), as_value(b), cfg) == as_value(pairwise_mul(a, b, cfg))
+
+    @settings(WIDE_SETTINGS, max_examples=25)
+    @given(case=wide_cases(), n=st.integers(0, 4))
+    def test_power_matches_the_pairwise_oracle(self, case, n):
+        cfg, base, _ = case
+        expected = Form.one(cfg.anyonic)
+        for _ in range(n):
+            expected = pairwise_mul(expected, base, cfg)
+        assert _power(as_value(base), n, cfg) == as_value(expected)
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -643,18 +669,18 @@ class TestClosedForms:
 
         for cfg in (CFG_Q, CFG_ANY, CalculusConfig(CycQ(2))):
             value = parse(text, cfg)
-            assert count_form_products[0] == 0
+            assert count_form_products["rewriting"] == 0
             with mock.patch.object(parser, "_product", form_product):
                 with mock.patch.object(parser, "_power", form_power):
                     assert value == parse(text, cfg)
-            count_form_products[0] = 0
+            count_form_products.update(products=0, rewriting=0)
 
     @pytest.mark.parametrize(
         "text", ["d2x*x", "dx*(1+x)", "(x+dx)*(x+d2x)", "(x+dx)^2", "(x*d2x)^2", "((1+x)*dx)^2"]
     )
     def test_other_products_fall_through(self, count_form_products, text):
         parse(text, CFG_Q)
-        assert count_form_products[0] > 0
+        assert count_form_products["rewriting"] > 0
 
 
 CORPUS_CFGS = [
@@ -717,54 +743,49 @@ class TestAgainstFormParser:
     def test_typed_sums_with_shuffled_factors(self, cfg, count_form_products):
         for text in typed_sums(103, 300, shuffle=True):
             compare_with_oracle(text, cfg)
-        assert count_form_products[0]  # some products needed rewriting
+        assert count_form_products["rewriting"]  # some products needed rewriting
 
 
 class TestParseCounts:
-    """Typed sums need no rewriting: one Form per parse, and one CycQ per
-    output coefficient. The Form-valued parser (tests/form_parser.py), over
-    the 3,000 expressions of the benchmark's cli_requests at seed 1, built
-    9,642 Forms, 5,461 Polys through Poly() and Poly._trusted, and 14,657
-    CycQs through cyclotomic._make, and made 11,262 CycQ products, for 4,061
-    output coefficients; parse builds 3,000 Forms and 4,061 CycQs there."""
+    """Typed sums need no rewriting: one Form per parse, and no CycQ at all,
+    since a Form stores the parser's ints. The Form-valued parser
+    (tests/form_parser.py), over the 3,000 expressions of the benchmark's
+    cli_requests at seed 1, built 9,642 Forms, 5,461 Polys through Poly() and
+    Poly._trusted, and 14,657 CycQs through cyclotomic._make, and made 11,262
+    CycQ products, for 4,061 output coefficients; parse builds 3,000 Forms
+    and no CycQ there."""
 
     def test_one_form_per_parse_and_no_more_scalars_than_coefficients(
         self, monkeypatch, count_form_products
     ):
         counts = {"forms": 0, "scalars": 0}
-        init, trusted, make = Form.__init__, Form._trusted.__func__, cyclotomic._make
-        from_word_sums = forms._from_word_sums
+        init, wrap, make = Form.__init__, forms._form, cyclotomic._make
 
         def counting_init(self, *args):
             counts["forms"] += 1
             init(self, *args)
 
-        def counting_trusted(cls, *args):
+        def counting_form(*args):  # builds its Form without __init__
             counts["forms"] += 1
-            return trusted(cls, *args)
-
-        def counting_from_word_sums(*args):  # builds its Form without either
-            counts["forms"] += 1
-            return from_word_sums(*args)
+            return wrap(*args)
 
         def counting_make(*args):
             counts["scalars"] += 1
             return make(*args)
 
         monkeypatch.setattr(Form, "__init__", counting_init)
-        monkeypatch.setattr(Form, "_trusted", classmethod(counting_trusted))
         for module in (forms, parser):
-            monkeypatch.setattr(module, "_from_word_sums", counting_from_word_sums)
+            monkeypatch.setattr(module, "_form", counting_form)
         monkeypatch.setattr(cyclotomic, "_make", counting_make)
         monkeypatch.setattr(polynomial, "_make", counting_make)
         texts = typed_sums(107, 500)
         coefficients = 0
         for cfg in CORPUS_CFGS:
             for text in texts:
-                coefficients += sum(len(poly.items()) for _, poly in parse(text, cfg).items())
-        assert count_form_products[0] == 0
+                coefficients += sum(len(coeffs) for coeffs in parse(text, cfg)._terms.values())
+        assert count_form_products["rewriting"] == 0
         assert counts["forms"] == len(texts) * len(CORPUS_CFGS)
-        assert 0 < counts["scalars"] <= coefficients
+        assert coefficients and counts["scalars"] == 0
 
 
 class TestSharedValues:
@@ -851,7 +872,7 @@ class TestAgainstFractionText:
 
     @given(text_scalars, st.sampled_from(["", "x", "x^2*dx*d2x^3"]))
     def test_scalars(self, c, tail):
-        assert parser._piece(c, tail) == fraction_piece(c, tail)
+        assert parser._piece(c.ratios(), tail) == fraction_piece(c, tail)
         assert str(c) == parser._join([fraction_piece(c, "")], "")
 
     @given(st.dictionaries(st.integers(0, 4), text_scalars, max_size=4), st.booleans())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +103,22 @@ def test_canonical_text():
     assert str(Poly({0: -1, 2: CycQ(0, -1)})) == "-1-q*x^2"
     assert str(Poly({1: CycQ(1, -1)})) == "(1-1*q)*x"
     assert str(Poly({2: -2})) == "-2*x^2"
+
+
+@pytest.mark.parametrize("degree", [0.5, 1.0, True, False, Fraction(1), "1"])
+def test_constructor_rejects_non_int_degrees(degree):
+    # before, Poly({0.5: 1}) rendered as 'x^0.5', which parse refuses, and a
+    # True degree wrote JSON that from_dict refuses
+    with pytest.raises(TypeError, match="degree must be an int"):
+        Poly({degree: 1})
+    with pytest.raises(TypeError, match="degree must be an int"):
+        Poly({5: 1, degree: 2}, truncated=True)
+
+
+@pytest.mark.parametrize("degree", [0.5, 1.0, True, Fraction(2)])
+def test_monomial_rejects_non_int_degrees(degree):
+    with pytest.raises(TypeError, match="degree must be an int"):
+        Poly.monomial(degree)
 
 
 @given(
