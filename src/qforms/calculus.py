@@ -20,9 +20,10 @@ identically exactly when alpha == q; q_bracket itself keeps the definition
 so that the Proposition 2 check evaluates it.
 
 CalculusConfig is a plain immutable class with two slots, alpha and
-anyonic. The maps here keep no cache: they are the plain oracles that the
-Proposition 2 check and the tests use, and the product kernel computes its
-scalars on ints in its own table (forms._SCALARS).
+anyonic. The maps here keep no cache and compute on CycQs through the public
+Poly API: they are the plain oracles that the Proposition 2 check and the
+tests use, and the product kernel computes its scalars on ints in its own
+table (forms._SCALARS).
 """
 
 from __future__ import annotations
@@ -105,17 +106,14 @@ def twist_power(f: Poly, n: int, cfg: CalculusConfig) -> Poly:
     if n == 0:
         return f
     alpha = cfg.alpha
-    return Poly._trusted({m: alpha ** (m * n) * c for m, c in f.items()}, f.truncated)
+    return Poly({m: alpha ** (m * n) * c for m, c in f.items()}, f.truncated)
 
 
 def derivative(f: Poly, cfg: CalculusConfig) -> Poly:
     """Twisted derivative, x**m -> q_number(m, alpha) * x**(m-1)."""
     _require_mode(f, cfg)
     alpha = cfg.alpha
-    return Poly._trusted(
-        {m - 1: q_number(m, alpha) * c for m, c in f.items() if m >= 1},
-        f.truncated,
-    )
+    return Poly({m - 1: q_number(m, alpha) * c for m, c in f.items() if m >= 1}, f.truncated)
 
 
 def q_bracket(f: Poly, cfg: CalculusConfig) -> Poly:

@@ -6,8 +6,9 @@ byte-identical report. Samples are evaluated sequentially in sample order.
 The samples are exactly the draws random.Random(seed).randint makes, in the
 same order, but taken straight from rng.getrandbits by _below: the same
 getrandbits calls, so the same bits and the same generator state after.
-The samplers draw straight into a Form's int layout (forms.Value), so they
-build no Poly or CycQ and skip the checks of Poly and Form construction.
+The samplers draw straight into the int layout of Poly and Form, reduced by
+polynomial._canonical, so they build no CycQ and skip the checks of Poly and
+Form construction.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import random
 from .calculus import CalculusConfig, check_homogeneity, derivative, q_bracket
 from .cyclotomic import Q, CycQ, q_power
 from .differential import differential, differential_power
-from .forms import Form, FormMonomial, _form, _poly, _reduced, swap_scalar
+from .forms import Form, FormMonomial, _form, _reduced, swap_scalar
 from .parser import render
-from .polynomial import Poly
+from .polynomial import Poly, _canonical
 
 SUITE_NAMES = ("assoc", "leibniz", "d3", "prop2", "swap")
 
@@ -76,7 +77,7 @@ def random_poly(
     max_degree: int = 6,
     max_terms: int = 3,
 ) -> Poly:
-    return _poly(_random_coeffs(rng.getrandbits, truncated, max_degree, max_terms), truncated)
+    return Poly._wrap(_canonical(_random_coeffs(rng.getrandbits, truncated, max_degree, max_terms)), truncated)
 
 
 def random_form(

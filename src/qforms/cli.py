@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .calculus import CalculusConfig
-from .cyclotomic import Q, _ratios
+from .cyclotomic import Q, _ratios, _triple
 from .differential import differential_power, is_closed
 from .parser import MAX_DIGITS, MAX_EXPONENT, ParseError, parse, parse_scalar, render
 from .polynomial import ModeMismatchError
@@ -203,7 +203,7 @@ def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConf
             alpha = parse_scalar(args.alpha)
         except (ParseError, ValueError) as exc:
             raise _ConfigError(f"bad --alpha value: {exc}") from exc
-        if _too_long((c._a, c._b, c._d) for c in (alpha, alpha - Q)):  # check prints alpha, prop2 alpha - q
+        if _too_long(map(_triple, (alpha, alpha - Q))):  # check prints alpha, prop2 alpha - q
             raise _ConfigError(f"bad --alpha value: an integer has more than {MAX_DIGITS} digits")
     if args.seed < 0:
         raise _ConfigError("--seed must be nonnegative")

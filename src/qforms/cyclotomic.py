@@ -15,9 +15,11 @@ build Fractions (_fraction). The text of a scalar comes from
 parser.scalar_text.
 
 The int core is the one definition of Q(q) arithmetic on such (a, b, d)
-triples, which CycQ and every Form compute with: _lowest, _times (q**2
-folded to -1 - q), _int_inverse, _int_power, _ratios (the parts that text
-and JSON write), _Q_TRIPLES (the powers of q). Two hot loops inline _times.
+triples, which CycQ, Poly and Form compute with: _lowest (the one place
+lowest terms are taken), _times (q**2 folded to -1 - q), _int_inverse,
+_int_power, _ratios (the parts that text and JSON write), _from_ratios,
+_triple (a scalar argument's triple), _Q_TRIPLES (the powers of q). _of
+wraps a canonical triple as a CycQ. Two hot loops inline _times.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ class CycQ:
         if type(a) is int and type(b) is int:
             self._a, self._b, self._d = a, b, 1
             return
-        value = from_ratios(*_ratio(a), *_ratio(b))
-        self._a, self._b, self._d = value._a, value._b, value._d
+        self._a, self._b, self._d = _from_ratios(*_ratio(a), *_ratio(b))
 
     @property
     def a(self) -> Fraction:
@@ -91,7 +92,7 @@ class CycQ:
         return h if a >= 0 else -h  # hash() itself turns -1 into -2, as Fraction does
 
     def __neg__(self) -> CycQ:
-        return _make(-self._a, -self._b, self._d)
+        return _of((-self._a, -self._b, self._d))  # still in lowest terms
 
     def __add__(self, other: CycQ | int | Rational) -> CycQ:
         if not isinstance(other, CycQ):
@@ -100,8 +101,8 @@ class CycQ:
             other = CycQ(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _make(self._a + other._a, self._b + other._b, d1)
-        return _make(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
+            return _of(_lowest(self._a + other._a, self._b + other._b, d1))
+        return _of(_lowest(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2))
 
     __radd__ = __add__
 
@@ -112,8 +113,8 @@ class CycQ:
             other = CycQ(other)
         d1, d2 = self._d, other._d
         if d1 == d2:
-            return _make(self._a - other._a, self._b - other._b, d1)
-        return _make(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
+            return _of(_lowest(self._a - other._a, self._b - other._b, d1))
+        return _of(_lowest(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2))
 
     def __rsub__(self, other: int | Rational) -> CycQ:
         return (-self) + other
@@ -129,7 +130,7 @@ class CycQ:
 
     def conjugate(self) -> CycQ:
         """The image under q -> q**2, namely (a - b) - b*q."""
-        return _make(self._a - self._b, -self._b, self._d)
+        return _of((self._a - self._b, -self._b, self._d))  # gcd(a - b, b, d) == gcd(a, b, d)
 
     def norm(self) -> Fraction:
         """Rational norm a**2 - a*b + b**2; positive except at zero."""
@@ -164,17 +165,6 @@ class CycQ:
 _new = object.__new__
 
 
-def _make(a: int, b: int, d: int) -> CycQ:
-    """The CycQ (a + b*q) / d for d > 0, reduced to canonical form."""
-    if d != 1:  # an Eisenstein integer is already canonical
-        a, b, d = _lowest(a, b, d)
-    out = _new(CycQ)
-    out._a = a
-    out._b = b
-    out._d = d
-    return out
-
-
 def _of(triple: tuple[int, int, int]) -> CycQ:
     """The CycQ of a canonical triple."""
     out = _new(CycQ)
@@ -184,7 +174,7 @@ def _of(triple: tuple[int, int, int]) -> CycQ:
 
 def _lowest(a: int, b: int, d: int) -> tuple[int, int, int]:
     """(a, b, d) for d > 0 in lowest terms: gcd(a, b, d) == 1, zero as (0, 0, 1)."""
-    if d != 1:
+    if d != 1:  # an Eisenstein integer is already canonical
         g = gcd(a, b, d)
         if g != 1:
             return a // g, b // g, d // g
@@ -252,19 +242,29 @@ def from_ratios(a_num: int, a_den: int, b_num: int, b_den: int) -> CycQ:
 
     Raises ZeroDivisionError when a denominator is zero.
     """
+    return _of(_from_ratios(a_num, a_den, b_num, b_den))
+
+
+def _from_ratios(a_num: int, a_den: int, b_num: int, b_den: int) -> tuple[int, int, int]:
+    """The canonical triple of from_ratios, with no CycQ built."""
     d = a_den * b_den
     if not d:
         raise ZeroDivisionError("zero denominator")
     if d < 0:
-        return _make(-a_num * b_den, -b_num * a_den, -d)
-    return _make(a_num * b_den, b_num * a_den, d)
+        return _lowest(-a_num * b_den, -b_num * a_den, -d)
+    return _lowest(a_num * b_den, b_num * a_den, d)
 
 
 def as_cycq(value: CycQ | int | Rational) -> CycQ:
+    return value if isinstance(value, CycQ) else _of(_triple(value))
+
+
+def _triple(value: CycQ | int | Rational) -> tuple[int, int, int]:
+    """The canonical triple of as_cycq(value), with no CycQ built."""
     if isinstance(value, CycQ):
-        return value
+        return value._a, value._b, value._d
     if isinstance(value, (int, Rational)):
-        return CycQ(value)
+        return _from_ratios(value.numerator, value.denominator, 0, 1)
     raise TypeError(f"cannot interpret {value!r} as a Q(q) scalar")
 
 

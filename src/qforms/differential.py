@@ -7,8 +7,8 @@ forms already die after two applications, even forms generally need three.
 from __future__ import annotations
 
 from .calculus import CalculusConfig
-from .forms import _DERIVATIVE, Form, Sums, _flat, _form, _reduced, _scaled
-from .polynomial import ModeMismatchError, _add_into
+from .forms import _DERIVATIVE, Form, Sums, _form, _reduced, _scaled
+from .polynomial import ModeMismatchError, _add_into, _flat
 
 
 def differential(u: Form, cfg: CalculusConfig) -> Form:

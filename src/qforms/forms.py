@@ -6,9 +6,9 @@ always sit on the left. A Form stores the one value layout that the parser,
 the product kernel, differential, render and to_dict compute on: a
 canonical, zero-free map word (k, m) -> degree -> (a, b, d), the ints of the
 scalar (a + b*q) / d, keyed by plain int tuples, so equality is dict
-equality and runs in C. Values are never mutated, so Forms share them.
-FormMonomial words and Poly and CycQ coefficients are built only on request:
-items(), terms(), coefficient().
+equality and runs in C. Each word's map is the one a Poly stores, so
+Form(...), items(), terms(), coefficient() and left_mul by a Poly pass it
+through as it is. Values are never mutated, so Forms and Polys share them.
 
 Products are reduced to that normal form with the relations
 
@@ -35,9 +35,9 @@ from collections.abc import ItemsView, Iterable, Mapping
 from numbers import Rational
 
 from .calculus import CalculusConfig
-from .cyclotomic import (_Q_TRIPLES, CycQ, _int_inverse, _int_power, _lowest, _of, _ratios, _times,
-                         as_cycq, from_ratios, q_power)
-from .polynomial import ModeMismatchError, Poly, _add_into, _mul_into, _Sparse
+from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _ratios, _times, _triple,
+                         q_power)
+from .polynomial import ModeMismatchError, Poly, _add_into, _canonical, _flat, _mul_into, _Sparse
 
 Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]  # the canonical layout; {} is 0
 Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, one _add_into map per word
@@ -82,7 +82,8 @@ class FormMonomial(tuple):
 
 
 class Form(_Sparse):
-    """Immutable form in left-coefficient normal form, stored as its value."""
+    """Immutable form in left-coefficient normal form, stored as its value;
+    a coefficient must be a Poly (TypeError) of the form's mode."""
 
     __slots__ = ()
 
@@ -94,10 +95,12 @@ class Form(_Sparse):
         value: Value = {}
         for mon, poly in (terms or {}).items():
             k, m = mon if isinstance(mon, FormMonomial) else FormMonomial(*mon)
+            if not isinstance(poly, Poly):
+                raise TypeError(f"a coefficient must be a Poly, got {poly!r}")
             if poly.truncated != truncated:
                 raise ModeMismatchError("coefficient mode does not match the form")
             if poly:
-                value[k, m] = {e: (c._a, c._b, c._d) for e, c in poly.items()}
+                value[k, m] = poly._terms
         self._terms = value
         self._truncated = truncated
 
@@ -126,7 +129,7 @@ class Form(_Sparse):
     def items(self) -> ItemsView[FormMonomial, Poly]:
         """(monomial, coefficient) pairs in storage order; terms() sorts."""
         word = tuple.__new__  # a stored word is a valid FormMonomial
-        return {word(FormMonomial, w): _poly(c, self._truncated) for w, c in self._terms.items()}.items()
+        return {word(FormMonomial, w): Poly._wrap(c, self._truncated) for w, c in self._terms.items()}.items()
 
     def terms(self) -> list[tuple[FormMonomial, Poly]]:
         """(monomial, coefficient) pairs in canonical order."""
@@ -134,7 +137,7 @@ class Form(_Sparse):
 
     def coefficient(self, mon: FormMonomial | tuple[int, int]) -> Poly:
         k, m = mon if isinstance(mon, FormMonomial) else FormMonomial(*mon)
-        return _poly(self._terms.get((k, m), {}), self._truncated)
+        return Poly._wrap(self._terms.get((k, m), {}), self._truncated)
 
     def grades(self) -> list[int]:
         return sorted({k + 2 * m for k, m in self._terms})
@@ -158,14 +161,13 @@ class Form(_Sparse):
         """Left action of the coordinate algebra; needs no twist scalar."""
         truncated = self._truncated
         if not isinstance(factor, Poly):
-            c = as_cycq(factor)
-            s, value = (c._a, c._b, c._d), self._terms if c else {}
+            s = _triple(factor)
+            value = self._terms if s[0] or s[1] else {}
             return _form({w: {e: _times(t, s) for e, t in coeffs.items()} for w, coeffs in value.items()},
                          truncated)
         if factor.truncated != truncated:
             raise ModeMismatchError("factor mode does not match the form")
-        f = {e: (c._a, c._b, c._d) for e, c in factor.items()}
-        return _form(_mul({(0, 0): f}, self._terms, None, truncated), truncated)  # reads no alpha
+        return _form(_mul({(0, 0): factor._terms}, self._terms, None, truncated), truncated)  # reads no alpha
 
     def __rmul__(self, factor: Poly | CycQ | int | Rational) -> Form:
         if isinstance(factor, (Poly, CycQ, int, Rational)):
@@ -186,7 +188,9 @@ class Form(_Sparse):
         return _form(_reduced(sums), self._truncated)
 
     def mul(self, other: Form, cfg: CalculusConfig) -> Form:
-        """Product reduced to normal form, by the kernel _mul."""
+        """Product reduced to normal form, by the kernel _mul; TypeError unless other is a Form."""
+        if not isinstance(other, Form):
+            raise TypeError(f"cannot multiply a Form by {other!r}")
         self._require_same_mode(other)
         if self._truncated != cfg.anyonic:
             raise ModeMismatchError("form mode does not match the configuration")
@@ -220,11 +224,12 @@ class Form(_Sparse):
         if mode not in ("generic", "anyonic"):
             raise ValueError(f"unknown mode {mode!r}")
         truncated = mode == "anyonic"
-        terms: dict[FormMonomial, Poly] = {}
+        value: Value = {}
         for entry in _json_list(data.get("terms", [])):
             dx, d2x = _json_field(entry, "dx"), _json_field(entry, "d2x")
-            mon = FormMonomial(_json_int(dx), _json_int(d2x))
-            coeffs: dict[int, CycQ] = {}
+            k, m = FormMonomial(_json_int(dx), _json_int(d2x))
+            sums: dict[int, list[int]] = {}
+            _add_into(sums, _flat(value.get((k, m), {})))
             for pair in _json_list(_json_field(entry, "coeff")):
                 degree, quadruple = _json_list(pair, 2)
                 degree = _json_int(degree)
@@ -233,14 +238,11 @@ class Form(_Sparse):
                 a_num, a_den, b_num, b_den = map(_json_int, _json_list(quadruple, 4))
                 if not a_den or not b_den:
                     raise ValueError("zero denominator")
-                value = from_ratios(a_num, a_den, b_num, b_den)
-                acc = coeffs.get(degree)
-                coeffs[degree] = value if acc is None else acc + value
-            poly = Poly(coeffs, truncated)
-            if mon in terms:
-                poly = terms[mon] + poly
-            terms[mon] = poly
-        return cls(terms, truncated)
+                _add_into(sums, [(degree, *_from_ratios(a_num, a_den, b_num, b_den))])
+            if min(sums, default=0) < 0:  # checked once the entry is read, as Poly(...) did
+                raise ValueError(f"negative degree {next(e for e in sums if e < 0)}")
+            value[k, m] = _canonical(sums)
+        return _form({w: coeffs for w, coeffs in value.items() if coeffs}, truncated)
 
     def __repr__(self) -> str:
         from .parser import render  # local import avoids a module cycle
@@ -249,27 +251,12 @@ class Form(_Sparse):
         return f"<Form {render(self)!r} mode={mode}>"
 
 
-def _form(value: Value, truncated: bool) -> Form:
-    """The Form of a canonical value of the given mode, taken as it is."""
-    form = object.__new__(Form)
-    form._terms = value
-    form._truncated = truncated
-    return form
-
-
-def _poly(coeffs: dict[int, tuple[int, int, int]], truncated: bool) -> Poly:
-    """The Poly of a value's coefficient map, one CycQ per term."""
-    return Poly._trusted({e: _of(t) for e, t in coeffs.items()}, truncated)
+_form = Form._wrap  # the Form of a canonical value of the given mode, taken as it is
 
 
 def _by_word(pairs: Iterable[tuple[tuple[int, int], object]]) -> list:
     """(word, coefficient) pairs in canonical order: d2x power ascending, then dx."""
     return sorted(pairs, key=lambda item: (item[0][1], item[0][0]))
-
-
-def _flat(coeffs: Mapping[int, tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
-    """A coefficient map as the (degree, a, b, d) terms that _add_into and _mul_into take."""
-    return [(e, a, b, d) for e, (a, b, d) in coeffs.items()]
 
 
 def _add_value(sums: Sums, value: Value, sign: int = 1) -> None:
@@ -279,10 +266,9 @@ def _add_value(sums: Sums, value: Value, sign: int = 1) -> None:
 
 
 def _reduced(sums: Sums) -> Value:
-    """The value of the sums, the one canonicaliser: each sum in lowest terms,
-    zeros and then empty words dropped, in the order the sums were made."""
-    return {word: coeffs for word, terms in sums.items()
-            if (coeffs := {e: _lowest(a, b, d) for e, (a, b, d) in terms.items() if a or b})}
+    """The value of the sums: each word's sums through polynomial._canonical,
+    then empty words dropped, in the order the sums were made."""
+    return {word: coeffs for word, terms in sums.items() if (coeffs := _canonical(terms))}
 
 
 def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:

@@ -2,18 +2,21 @@
 forms, and the int accumulator of every product.
 
 _Sparse is a finite sum of nonzero coefficients on basis keys, tagged with a
-truncation flag; it holds the mode, equality and differences. Poly puts
-CycQ scalars on the powers x**d; forms.Form stores its own int layout.
+truncation flag; it holds the mode, equality and differences. A Poly stores
+the coefficient map that every Form word holds: degree -> (a, b, d), the
+canonical ints of the scalar (a + b*q) / d, with no zero coefficient and no
+negative degree, so equality is dict equality. Its sums, products, scalings
+and negation compute on those ints; a CycQ is built only for coefficient(),
+items() and terms().
 
 A truncated Poly lives in the quotient by x**3 == 0: degrees of three or
 more are discarded on construction and multiplication. Values of different
 modes never mix; combining them raises ModeMismatchError. Instances are
-immutable and stored canonically (no zero coefficients, no negative
-degrees). Their text comes from parser.poly_text.
+immutable. Their text comes from parser.poly_text.
 
-Poly.__mul__, forms' product kernel and differential share one accumulator
-on CycQ's ints: _mul_into and _add_into sum (degree, a, b, d) terms,
-unreduced, and each caller reduces each sum once.
+Poly, forms' product kernel and differential share one accumulator on those
+ints: _mul_into and _add_into sum (degree, a, b, d) terms, unreduced, and
+_canonical puts each sum in lowest terms once and drops the zeros.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from math import gcd
 from numbers import Rational
 from typing import TypeVar
 
-from .cyclotomic import ZERO, CycQ, _make, as_cycq
+from .cyclotomic import ZERO, CycQ, _lowest, _of, _triple
 
 
 _new = object.__new__
@@ -45,6 +48,13 @@ class _Sparse:
 
     __slots__ = ("_terms", "_truncated")
 
+    @classmethod
+    def _wrap(cls: type[_S], terms: dict, truncated: bool) -> _S:
+        """The instance of a canonical map of the given mode, taken as it is."""
+        out = _new(cls)
+        out._terms, out._truncated = terms, truncated
+        return out
+
     @property
     def truncated(self) -> bool:
         return self._truncated
@@ -54,10 +64,6 @@ class _Sparse:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def items(self) -> ItemsView:
-        """(key, coefficient) pairs in no particular order; terms() sorts."""
-        return self._terms.items()
 
     def _require_same_mode(self, other: _Sparse) -> None:
         if self._truncated != other._truncated:
@@ -75,7 +81,7 @@ class _Sparse:
 
 
 class Poly(_Sparse):
-    """Immutable sparse polynomial with CycQ coefficients.
+    """Immutable sparse polynomial over Q(q), stored as degree -> (a, b, d).
 
     A degree must be an int, bool and float excluded (TypeError), and
     nonnegative (ValueError).
@@ -88,7 +94,7 @@ class Poly(_Sparse):
         coeffs: Mapping[int, CycQ | int | Rational] | None = None,
         truncated: bool = False,
     ) -> None:
-        canonical: dict[int, CycQ] = {}
+        canonical: dict[int, tuple[int, int, int]] = {}
         for degree, value in (coeffs or {}).items():
             if type(degree) is not int:  # bool and float included
                 raise TypeError(f"degree must be an int, got {degree!r}")
@@ -96,23 +102,11 @@ class Poly(_Sparse):
                 raise ValueError(f"negative degree {degree}")
             if truncated and degree >= 3:
                 continue  # x**3 == 0
-            coeff = as_cycq(value)
-            if coeff:
-                canonical[degree] = coeff
+            a, b, d = _triple(value)
+            if a or b:
+                canonical[degree] = (a, b, d)
         self._terms = canonical
         self._truncated = truncated
-
-    @classmethod
-    def _trusted(cls, coeffs: Mapping[int, CycQ], truncated: bool) -> Poly:
-        """Build from CycQ values at nonnegative degrees without the checks of
-        __init__; still drops zeros and, when truncated, degrees of three or more."""
-        out = _new(cls)
-        if truncated:
-            out._terms = {d: c for d, c in coeffs.items() if d < 3 and c}
-        else:
-            out._terms = {d: c for d, c in coeffs.items() if c}
-        out._truncated = truncated
-        return out
 
     @classmethod
     def zero(cls, truncated: bool = False) -> Poly:
@@ -145,24 +139,28 @@ class Poly(_Sparse):
         return max(self._terms) if self._terms else None
 
     def coefficient(self, degree: int) -> CycQ:
-        return self._terms.get(degree, ZERO)
+        t = self._terms.get(degree)
+        return ZERO if t is None else _of(t)
+
+    def items(self) -> ItemsView[int, CycQ]:
+        """(degree, coefficient) pairs in storage order; terms() sorts."""
+        return {e: _of(t) for e, t in self._terms.items()}.items()
 
     def terms(self) -> list[tuple[int, CycQ]]:
         """(degree, coefficient) pairs in ascending degree order."""
-        return sorted(self._terms.items())
+        return sorted(self.items())
 
     def __neg__(self) -> Poly:
-        return Poly._trusted({d: -c for d, c in self._terms.items()}, self._truncated)
+        return self._times([(0, -1, 0, 1)])
 
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_mode(other)
-        out = dict(self._terms)
-        for degree, coeff in other._terms.items():
-            acc = out.get(degree)
-            out[degree] = coeff if acc is None else acc + coeff
-        return Poly._trusted(out, self._truncated)
+        sums: dict[int, list[int]] = {}
+        _add_into(sums, _flat(self._terms))
+        _add_into(sums, _flat(other._terms))
+        return Poly._wrap(_canonical(sums), self._truncated)
 
     def __mul__(self, other: Poly | CycQ | int | Rational) -> Poly:
         # the concrete types first: Poly * Poly never reaches the ABC's isinstance
@@ -171,24 +169,23 @@ class Poly(_Sparse):
                 return self.scale(other)
             return NotImplemented
         self._require_same_mode(other)
-        sums: dict[int, list[int]] = {}
-        left, right = ([(e, c._a, c._b, c._d) for e, c in p._terms.items()] for p in (self, other))
-        _mul_into(sums, left, right, self._truncated)
-        return Poly._trusted({e: _make(a, b, d) for e, (a, b, d) in sums.items() if a or b}, self._truncated)
+        return self._times(_flat(other._terms))
 
-    def __rmul__(self, other: CycQ | int | Rational) -> Poly:
-        if isinstance(other, (CycQ, int, Rational)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__  # reached only for a scalar
 
     def scale(self, factor: CycQ | int | Rational) -> Poly:
-        factor = as_cycq(factor)
-        return Poly._trusted({d: factor * c for d, c in self._terms.items()}, self._truncated)
+        return self._times([(0, *_triple(factor))])
+
+    def _times(self, right: _Terms) -> Poly:
+        """self times the (degree, a, b, d) terms right, by the accumulator."""
+        sums: dict[int, list[int]] = {}
+        _mul_into(sums, _flat(self._terms), right, self._truncated)
+        return Poly._wrap(_canonical(sums), self._truncated)
 
     def __str__(self) -> str:
         from .parser import poly_text  # local import avoids a module cycle
 
-        return poly_text({d: (c._a, c._b, c._d) for d, c in self._terms.items()})
+        return poly_text(self._terms)
 
     def __repr__(self) -> str:
         return f"Poly({self.__str__()!r}, truncated={self._truncated})"
@@ -199,7 +196,7 @@ _Terms = Sequence[tuple[int, int, int, int]]  # (degree, a, b, d) for (a + b*q) 
 
 def _add_into(sums: dict[int, list[int]], terms: _Terms) -> None:
     """Add terms into sums, a map degree -> [a, b, d]: the one accumulator of
-    Poly.__mul__ and of every Form operation that sums. Nothing is reduced; two
+    every Poly and Form operation that sums. Nothing is reduced; two
     denominators add over their lcm, not their product. Zero sums stay."""
     for e, a, b, d in terms:
         acc = sums.get(e)
@@ -226,3 +223,13 @@ def _mul_into(sums: dict[int, list[int]], left: _Terms, right: _Terms, truncated
         if not truncated or e1 + e2 < 3
     ])
 
+
+def _flat(coeffs: Mapping[int, tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """A coefficient map as the (degree, a, b, d) terms that _add_into and _mul_into take."""
+    return [(e, a, b, d) for e, (a, b, d) in coeffs.items()]
+
+
+def _canonical(sums: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, int, int]]:
+    """The coefficient map of the sums: each in lowest terms, zeros dropped,
+    in the order the sums were made."""
+    return {e: _lowest(a, b, d) for e, (a, b, d) in sums.items() if a or b}

@@ -54,13 +54,13 @@ MUTANTS = [
     Mutant("kernel keeps x**3 in the quotient", "polynomial.py",
            "if not truncated or e1 + e2 < 3", "if not truncated or e1 + e2 < 4", WIDE),
     Mutant("_reduced keeps empty words", "forms.py",
-           "in terms.items() if a or b})}", "in terms.items() if a or b}) or True}", LAYOUT),
-    Mutant("_reduced keeps zero sums", "forms.py",
-           "for e, (a, b, d) in terms.items() if a or b})}", "for e, (a, b, d) in terms.items()})}",
+           "if (coeffs := _canonical(terms))}", "if (coeffs := _canonical(terms)) or True}", LAYOUT),
+    Mutant("_canonical keeps zero sums", "polynomial.py",
+           "for e, (a, b, d) in sums.items() if a or b}", "for e, (a, b, d) in sums.items()}",
            ("tests/test_forms.py::TestIntegerKernel::test_products_that_cancel",)),
-    Mutant("_reduced skips lowest terms", "forms.py",
-           "{e: _lowest(a, b, d) for e, (a, b, d) in terms.items() if a or b}",
-           "{e: (a, b, d) for e, (a, b, d) in terms.items() if a or b}", KERNEL),
+    Mutant("_canonical skips lowest terms", "polynomial.py",
+           "{e: _lowest(a, b, d) for e, (a, b, d) in sums.items() if a or b}",
+           "{e: (a, b, d) for e, (a, b, d) in sums.items() if a or b}", KERNEL),
     Mutant("Form.__add__ adds the left twice", "forms.py",
            "        _add_value(sums, other._terms)\n", "        _add_value(sums, self._terms)\n",
            ("tests/test_forms.py::TestModuleStructure",)),
@@ -71,8 +71,11 @@ MUTANTS = [
            "{e: _times(t, s) for e, t in coeffs.items()}", "{e: t for e, t in coeffs.items()}",
            ("tests/test_forms.py::TestModuleStructure",)),
     Mutant("scalar left_mul by zero keeps the words", "forms.py",
-           "s, value = (c._a, c._b, c._d), self._terms if c else {}",
-           "s, value = (c._a, c._b, c._d), self._terms", ("tests/test_forms.py::TestModuleStructure",)),
+           "value = self._terms if s[0] or s[1] else {}", "value = self._terms",
+           ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("scalar left_mul without the scalar's coercion", "forms.py",
+           "            s = _triple(factor)\n", "            s = (factor, 0, 1)\n",
+           ("tests/test_forms.py::TestModuleStructure",)),
     Mutant("Form() keeps zero coefficients", "forms.py",
            "            if poly:\n", "            if True:\n", ("tests/test_forms.py::TestModuleStructure",)),
     Mutant("items() sorts", "forms.py",
@@ -108,6 +111,12 @@ MUTANTS = [
            "    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped\n\n\ndef random_homogeneous_form",
            "    return _form(value, cfg.anyonic)\n\n\ndef random_homogeneous_form",
            ("tests/test_sampling.py",)),
+    Mutant("_below draws (n - 1).bit_length() bits", "checks.py",
+           "    k = n.bit_length()\n", "    k = (n - 1).bit_length()\n",
+           ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
+    Mutant("_below without its empty-range check", "checks.py",
+           '    if n <= 0:\n        raise ValueError("empty range for a random draw")\n', "",
+           ("tests/test_sampling.py::test_empty_draw_range_raises",)),
     Mutant("samplers draw the degree first", "checks.py",
            "coeffs[_below(bits, top + 1)] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1)",
            "coeffs[e] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1) if (e := _below(bits, top + 1)) >= 0 else 0",
@@ -116,6 +125,22 @@ MUTANTS = [
            "[(e, -a, -b, d) for e, a, b, d in terms]", "terms", ("tests/test_differential.py",)),
     Mutant("differential puts f on the wrong d2x power", "differential.py",
            "out.setdefault((0, m + 1), {})", "out.setdefault((0, m), {})", KERNEL),
+    # Poly on the layout: its sums, scalings and views, and from_dict's sums
+    Mutant("Poly.__add__ keeps zero sums", "polynomial.py",
+           "        _add_into(sums, _flat(other._terms))\n        return Poly._wrap(_canonical(sums), self._truncated)\n",
+           "        _add_into(sums, _flat(other._terms))\n"
+           "        return Poly._wrap({e: _lowest(*s) for e, s in sums.items()}, self._truncated)\n",
+           ("tests/test_polynomial.py",)),
+    Mutant("Poly.scale ignores its factor", "polynomial.py",
+           "return self._times([(0, *_triple(factor))])", "return self._times([(0, 1, 0, 1)])",
+           ("tests/test_polynomial.py",)),
+    Mutant("Poly.items swaps a and b", "polynomial.py",
+           "{e: _of(t) for e, t in self._terms.items()}", "{e: _of((t[1], t[0], t[2])) for e, t in self._terms.items()}",
+           ("tests/test_polynomial.py",)),
+    Mutant("from_dict keeps only the last repeated degree", "forms.py",
+           "_add_into(sums, [(degree, *_from_ratios(a_num, a_den, b_num, b_den))])",
+           "sums[degree] = [*_from_ratios(a_num, a_den, b_num, b_den)]",
+           ("tests/test_forms.py::TestSerialization",)),
     # the product kernel (the int kernel's mutations, on the layout)
     Mutant("kernel swap exponent m*j", "forms.py",
            "_scaled(g, _TOP, m + k, 2 * m * j % 3, alpha)", "_scaled(g, _TOP, m + k, m * j % 3, alpha)", KERNEL),

@@ -74,15 +74,16 @@ def push_left(k, m, g, cfg):
         if scale:
             low = derivative(g, cfg)
             if low:
-                words.append((FormMonomial(2, m - 1), twist_power(low, m, cfg).scale(scale)))
+                words.append((FormMonomial(2, m - 1), reference_scale(scale, twist_power(low, m, cfg))))
     return words
 
 
 def pairwise_mul(u, v, cfg):
     """Reference product: push each right coefficient left with push_left,
     append the right word with its swap scalar q**(2mj), drop words that reach
-    dx**3, and multiply by the left coefficient through reference_poly_mul's
-    CycQ loop, which shares no code with the int kernel."""
+    dx**3, and scale and multiply by the left coefficient through the CycQ
+    loops of reference_scale and reference_poly_mul, which share no code
+    with the int kernel."""
     out = Form.zero(u.truncated)
     for mon_u, f in u.items():
         for mon_v, g in v.items():
@@ -91,7 +92,7 @@ def pairwise_mul(u, v, cfg):
                     continue
                 word = FormMonomial(mon.dx + mon_v.dx, mon.d2x + mon_v.d2x)
                 scalar = q_power(2 * mon.d2x * mon_v.dx)
-                out = out + Form({word: reference_poly_mul(f, poly.scale(scalar))}, u.truncated)
+                out = out + Form({word: reference_poly_mul(f, reference_scale(scalar, poly))}, u.truncated)
     return out
 
 
@@ -184,8 +185,14 @@ def random_fraction_form(rng, cfg, max_d2x=4):
     return Form(terms, cfg.anyonic)
 
 
+def reference_scale(c, f):
+    """Poly.scale as one CycQ product per term, built with the public Poly(...)."""
+    return Poly({e: c * x for e, x in f.items()}, f.truncated)
+
+
 def reference_poly_mul(f, g):
-    """Poly.__mul__ as one double loop of CycQ products and sums."""
+    """Poly.__mul__ as one double loop of CycQ products and sums, built with
+    the public Poly(...)."""
     out = {}
     for d1, c1 in f.items():
         for d2, c2 in g.items():
@@ -194,7 +201,7 @@ def reference_poly_mul(f, g):
                 continue
             acc = out.get(degree)
             out[degree] = c1 * c2 if acc is None else acc + c1 * c2
-    return Poly._trusted(out, f.truncated)
+    return Poly(out, f.truncated)
 
 
 # Hypothesis cases for the kernel oracles, beyond random_kernel_form and
@@ -352,6 +359,21 @@ class TestModuleStructure:
                 u.left_mul("x")
         with pytest.raises(ModeMismatchError):
             Form.basis(1, 0, truncated=True).left_mul(Poly.x())
+
+    @pytest.mark.parametrize("coeff", [5, CycQ(5), None, "x", Form.one()], ids=["int", "CycQ", "None", "str", "Form"])
+    def test_a_coefficient_that_is_not_a_poly_is_a_type_error(self, coeff):
+        # before, a missing .truncated attribute escaped as AttributeError
+        with pytest.raises(TypeError, match="coefficient must be a Poly"):
+            Form({(0, 0): coeff})
+        with pytest.raises(TypeError, match="coefficient must be a Poly"):
+            Form({(1, 0): Poly.x(), (0, 0): coeff})
+
+    @pytest.mark.parametrize("other", [5, Q, Poly.x(), None], ids=["int", "CycQ", "Poly", "None"])
+    def test_multiplying_by_a_non_form_is_a_type_error(self, other):
+        # before, a missing ._truncated attribute escaped as AttributeError
+        for u in (Form.basis(1, 0), Form.zero()):
+            with pytest.raises(TypeError, match="cannot multiply a Form by"):
+                u.mul(other, CFG_Q)
 
     @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
     def test_negation_and_difference(self, cfg):

@@ -18,7 +18,7 @@ from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
 from qforms.differential import differential
-from qforms import cyclotomic, forms, parser, polynomial
+from qforms import cyclotomic, forms, parser
 from qforms.forms import Form, FormMonomial
 from qforms.parser import (
     MAX_DEPTH,
@@ -750,16 +750,15 @@ class TestParseCounts:
     """Typed sums need no rewriting: one Form per parse, and no CycQ at all,
     since a Form stores the parser's ints. The Form-valued parser
     (tests/form_parser.py), over the 3,000 expressions of the benchmark's
-    cli_requests at seed 1, built 9,642 Forms, 5,461 Polys through Poly() and
-    Poly._trusted, and 14,657 CycQs through cyclotomic._make, and made 11,262
-    CycQ products, for 4,061 output coefficients; parse builds 3,000 Forms
-    and no CycQ there."""
+    cli_requests at seed 1, built 9,642 Forms, 5,461 Polys and 14,657 CycQs,
+    and made 11,262 CycQ products, for 4,061 output coefficients; parse
+    builds 3,000 Forms and no CycQ there."""
 
     def test_one_form_per_parse_and_no_more_scalars_than_coefficients(
         self, monkeypatch, count_form_products
     ):
         counts = {"forms": 0, "scalars": 0}
-        init, wrap, make = Form.__init__, forms._form, cyclotomic._make
+        init, wrap, new, scalar_init = Form.__init__, forms._form, cyclotomic._new, CycQ.__init__
 
         def counting_init(self, *args):
             counts["forms"] += 1
@@ -769,15 +768,19 @@ class TestParseCounts:
             counts["forms"] += 1
             return wrap(*args)
 
-        def counting_make(*args):
+        def counting_new(cls):  # behind cyclotomic._of
             counts["scalars"] += 1
-            return make(*args)
+            return new(cls)
+
+        def counting_scalar_init(self, *args):
+            counts["scalars"] += 1
+            scalar_init(self, *args)
 
         monkeypatch.setattr(Form, "__init__", counting_init)
         for module in (forms, parser):
             monkeypatch.setattr(module, "_form", counting_form)
-        monkeypatch.setattr(cyclotomic, "_make", counting_make)
-        monkeypatch.setattr(polynomial, "_make", counting_make)
+        monkeypatch.setattr(cyclotomic, "_new", counting_new)
+        monkeypatch.setattr(CycQ, "__init__", counting_scalar_init)
         texts = typed_sums(107, 500)
         coefficients = 0
         for cfg in CORPUS_CFGS:
