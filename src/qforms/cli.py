@@ -5,11 +5,12 @@ Subcommands: reduce, diff, grade, closed, check. Exit codes: 0 success,
 print, 3 mode or configuration error. The QFORMS_OUTPUT environment
 variable overrides --output when set.
 
-Importing this module loads neither argparse nor qforms.checks. _fast_args
-reads the plain argv shapes; every other argv goes to _build_parser, which
-imports argparse. The check command and that parser's suite names import
-qforms.checks, whose SUITE_NAMES and run_suites this module also serves as
-attributes (__getattr__).
+Every option and expression command is declared once, in the _OPTIONS and
+_COMMANDS table; argparse (_build_parser), the fast path (_fast_args) and
+the bound checks (_configure) all read it. Importing this module loads
+neither argparse nor qforms.checks. _fast_args reads the plain argv shapes;
+every other argv goes to _build_parser, which imports argparse. The check
+command and that parser's suite names import qforms.checks.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .calculus import CalculusConfig
 from .cyclotomic import Q, _ratios, _triple
@@ -65,43 +66,68 @@ def _too_long(scalars: Iterable[tuple[int, int, int]]) -> bool:
     )
 
 
-# option defaults, shared by _fast_args and the argparse parser
+class _Option(NamedTuple):
+    """An option as argparse's add_argument takes it, and for an int option
+    the (low, high or None) bounds that _configure checks."""
+
+    flags: tuple[str, ...]
+    dest: str
+    default: object
+    help: str | None = None
+    type: Callable[[str], int] | None = None
+    choices: tuple[str, ...] | None = None
+    action: str | None = None
+    metavar: str | None = None
+    bounds: tuple[int, int | None] | None = None
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        keywords = self._asdict()
+        del keywords["flags"], keywords["bounds"]
+        parser.add_argument(*self.flags, **{k: v for k, v in keywords.items() if v is not None})
+
+
+# The only declaration of the options and the expression commands: argparse,
+# _fast_args and _configure all read these rows.
+_OPTIONS = (
+    _Option(("--alpha",), "alpha", "q", metavar="SCALAR",
+            help="twist scalar, any constant expression such as 'q', '2' or '1+q' (default: q)"),
+    _Option(("--anyonic",), "anyonic", False, "work in the x^3 = 0 quotient; forces alpha = q", action="store_true"),
+    _Option(("--output",), "output", "text", choices=("text", "json")),
+    _Option(("--seed",), "seed", 0, "seed for randomized suites", int, bounds=(0, None)),
+    _Option(("--samples",), "samples", 200, "samples per randomized suite", int, bounds=(1, MAX_SAMPLES)),
+    _Option(("--max-degree",), "max_degree", 6, "coefficient degree bound for random samples and homogeneity checks",
+            int, bounds=(1, MAX_EXPONENT)),
+)
+_TIMES = _Option(("-n", "--times"), "times", 1, "how often to apply d", int, bounds=(1, None))
+_COMMANDS = {  # name: (help, options); each takes one expression
+    "reduce": ("reduce an expression to normal form", _OPTIONS),
+    "diff": ("apply the exterior differential", _OPTIONS + (_TIMES,)),
+    "grade": ("print the grade decomposition", _OPTIONS),
+    "closed": ("test whether d of the expression vanishes", _OPTIONS),
+}
+
+# built once from the rows, so that a request pays for none of it
+_FLAGS = {name: {flag: o for o in options for flag in o.flags} for name, (_, options) in _COMMANDS.items()}
 _DEFAULTS = {
-    "alpha": "q",
-    "anyonic": False,
-    "output": "text",
-    "seed": 0,
-    "samples": 200,
-    "max_degree": 6,
+    name: {"command": name, **{o.dest: o.default for o in options}} for name, (_, options) in _COMMANDS.items()
 }
-_VALUE_OPTIONS = {
-    "--alpha": "alpha",
-    "--output": "output",
-    "--seed": "seed",
-    "--samples": "samples",
-    "--max-degree": "max_degree",
-    "-n": "times",
-    "--times": "times",
-}
+_BOUNDS = tuple((o.flags[0], o.dest, *o.bounds) for o in _OPTIONS + (_TIMES,) if o.bounds)
 
 
 def _fast_args(argv: list[str]) -> SimpleNamespace | None:
     """The attributes of the Namespace that _build_parser().parse_args(argv)
     returns, for the plain shapes scripts write, or None for every other argv.
 
-    Accepted: reduce, diff, grade or closed, then one positional that does
-    not start with '-' and, in any order, the full option names as separate
-    tokens, each value not starting with '-' (-n and --times for diff only).
-    Everything else, every error, --help, an abbreviation, --opt=value, '--'
-    and check included, is left to argparse, which parses, refuses or
-    explains it.
+    Accepted: an expression command, then one positional that does not start
+    with '-' and, in any order, its options' full flags as separate tokens,
+    each value not starting with '-'. Everything else, every error, --help,
+    an abbreviation, --opt=value, '--' and check included, is left to
+    argparse, which parses, refuses or explains it.
     """
-    if not argv or argv[0] not in ("reduce", "diff", "grade", "closed"):
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is None:
         return None
-    command = argv[0]
-    values = dict(_DEFAULTS, command=command)
-    if command == "diff":
-        values["times"] = 1
+    values = dict(_DEFAULTS[argv[0]])
     expr = None
     tokens = iter(argv[1:])
     for token in tokens:
@@ -109,22 +135,22 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
             if expr is not None:
                 return None
             expr = token
-        elif token == "--anyonic":
-            values["anyonic"] = True
-        else:
-            dest = _VALUE_OPTIONS.get(token)
-            value = next(tokens, "-")  # a missing value declines like a flag
-            if dest is None or value.startswith("-") or dest == "times" and command != "diff":
+            continue
+        option = flags.get(token)
+        if option is None:
+            return None
+        if option.action:  # store_true
+            values[option.dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value declines like a flag
+        if value.startswith("-") or option.choices and value not in option.choices:
+            return None
+        if option.type:
+            try:
+                value = option.type(value)
+            except ValueError:
                 return None
-            if dest == "output":
-                if value not in ("text", "json"):
-                    return None
-            elif dest != "alpha":
-                try:
-                    value = int(value)  # argparse's type=int
-                except ValueError:
-                    return None
-            values[dest] = value
+        values[option.dest] = value
     if expr is None:
         return None
     return SimpleNamespace(expr=expr, **values)
@@ -142,49 +168,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     from .checks import SUITE_NAMES
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--alpha",
-        default=_DEFAULTS["alpha"],
-        metavar="SCALAR",
-        help="twist scalar, any constant expression such as 'q', '2' or '1+q' (default: q)",
-    )
-    common.add_argument(
-        "--anyonic",
-        action="store_true",
-        help="work in the x^3 = 0 quotient; forces alpha = q",
-    )
-    common.add_argument("--output", choices=("text", "json"), default=_DEFAULTS["output"])
-    common.add_argument(
-        "--seed", type=int, default=_DEFAULTS["seed"], help="seed for randomized suites"
-    )
-    common.add_argument(
-        "--samples", type=int, default=_DEFAULTS["samples"], help="samples per randomized suite"
-    )
-    common.add_argument(
-        "--max-degree",
-        type=int,
-        default=_DEFAULTS["max_degree"],
-        dest="max_degree",
-        help="coefficient degree bound for random samples and homogeneity checks",
-    )
-
     parser = argparse.ArgumentParser(
         prog="qforms",
         description="Reduce, differentiate and test differential forms on the line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", parents=[common], help="reduce an expression to normal form")
-    p.add_argument("expr")
-    p = sub.add_parser("diff", parents=[common], help="apply the exterior differential")
-    p.add_argument("-n", "--times", type=int, default=1, dest="times", help="how often to apply d")
-    p.add_argument("expr")
-    p = sub.add_parser("grade", parents=[common], help="print the grade decomposition")
-    p.add_argument("expr")
-    p = sub.add_parser("closed", parents=[common], help="test whether d of the expression vanishes")
-    p.add_argument("expr")
-    p = sub.add_parser("check", parents=[common], help="run a randomized verification suite")
+    for name, (help, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for option in options:
+            option.add_to(p)
+        p.add_argument("expr")
+    p = sub.add_parser("check", help="run a randomized verification suite")
+    for option in _OPTIONS:
+        option.add_to(p)
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     return parser
 
@@ -205,18 +201,12 @@ def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConf
             raise _ConfigError(f"bad --alpha value: {exc}") from exc
         if _too_long(map(_triple, (alpha, alpha - Q))):  # check prints alpha, prop2 alpha - q
             raise _ConfigError(f"bad --alpha value: an integer has more than {MAX_DIGITS} digits")
-    if args.seed < 0:
-        raise _ConfigError("--seed must be nonnegative")
-    if args.samples < 1:
-        raise _ConfigError("--samples must be positive")
-    if args.samples > MAX_SAMPLES:
-        raise _ConfigError(f"--samples must be at most {MAX_SAMPLES}")
-    if args.max_degree < 1:
-        raise _ConfigError("--max-degree must be positive")
-    if args.max_degree > MAX_EXPONENT:
-        raise _ConfigError(f"--max-degree must be at most {MAX_EXPONENT}")
-    if getattr(args, "times", 1) < 1:
-        raise _ConfigError("-n must be positive")
+    for flag, dest, low, high in _BOUNDS:
+        value = getattr(args, dest, low)  # only diff has -n
+        if value < low:
+            raise _ConfigError(f"{flag} must be {'nonnegative' if low == 0 else 'positive'}")
+        if high is not None and value > high:
+            raise _ConfigError(f"{flag} must be at most {high}")
     return CalculusConfig(alpha, anyonic=args.anyonic), output
 
 
@@ -224,13 +214,6 @@ def _print_json(value: object) -> None:
     import json  # only --output json pays for the import
 
     print(json.dumps(value))
-
-
-def _emit_form(form, output: str) -> None:
-    if output == "json":
-        _print_json(form.to_dict())
-    else:
-        print(render(form))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -264,8 +247,10 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 for g, component in components.items():
                     print(f"{g}: {render(component)}")
+        elif output == "json":
+            _print_json(form.to_dict())
         else:
-            _emit_form(form, output)
+            print(render(form))
         return EXIT_OK
     except (ParseError, _OutputError) as exc:
         print(f"qforms: {exc}", file=sys.stderr)
@@ -275,19 +260,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MODE_ERROR
 
 
-def __getattr__(name: str) -> object:
-    """checks.SUITE_NAMES and checks.run_suites, imported on first use."""
-    if name not in ("SUITE_NAMES", "run_suites"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import checks
-
-    return getattr(checks, name)
-
-
 def _run_check(args: argparse.Namespace, cfg: CalculusConfig, output: str) -> int:
-    this = sys.modules[__name__]  # through __getattr__, unless a name is bound here
-    names = this.SUITE_NAMES if args.suite == "all" else (args.suite,)
-    results = this.run_suites(names, cfg, args.seed, args.samples, args.max_degree)
+    from .checks import SUITE_NAMES, run_suites
+
+    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
+    results = run_suites(names, cfg, args.seed, args.samples, args.max_degree)
     passed = all(r.passed for r in results)
     if output == "json":
         report = {

@@ -100,10 +100,8 @@ class Poly(_Sparse):
                 raise TypeError(f"degree must be an int, got {degree!r}")
             if degree < 0:
                 raise ValueError(f"negative degree {degree}")
-            if truncated and degree >= 3:
-                continue  # x**3 == 0
-            a, b, d = _triple(value)
-            if a or b:
+            a, b, d = _triple(value)  # before the x**3 == 0 skip, so a bad value raises in both modes
+            if (a or b) and (degree < 3 or not truncated):
                 canonical[degree] = (a, b, d)
         self._terms = canonical
         self._truncated = truncated

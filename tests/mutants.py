@@ -48,6 +48,8 @@ WIDE = (
 CLOSED = ("tests/test_parser.py::TestClosedForms", "tests/test_parser.py::TestParseExamples")
 SCALARS = ("tests/test_cyclotomic.py::TestIntCoreAgainstFractionPairs", "tests/test_cyclotomic.py::TestScalarTableOnInts")
 LAYOUT = ("tests/test_layout.py",)
+FAST = ("tests/test_cli.py::TestFastArgs",)
+BOUNDS = ("tests/test_cli.py::TestFailureModes::test_bound_messages",)
 
 MUTANTS = [
     # the value layout: one canonicaliser, Form's own arithmetic, its views
@@ -104,6 +106,23 @@ MUTANTS = [
            "    g, h = gcd(a, d), gcd(b, d)\n    return a // g, d // g, b // h, d // h\n\n\ndef _times",
            "    g, h = 1, 1\n    return a // g, d // g, b // h, d // h\n\n\ndef _times",
            ("tests/test_parser.py::TestAgainstFractionText", "tests/test_cli.py")),
+    # the CLI's option table: the fast path and the bound checks read it
+    Mutant("fast path accepts -n outside diff", "cli.py",
+           "{flag: o for o in options for flag in o.flags}", "{flag: o for o in options + (_TIMES,) for flag in o.flags}",
+           FAST),
+    Mutant("fast path skips choices", "cli.py",
+           "if value.startswith(\"-\") or option.choices and value not in option.choices:",
+           "if value.startswith(\"-\"):", FAST),
+    Mutant("fast path leaves int options as text", "cli.py",
+           "                value = option.type(value)\n", "                option.type(value)\n", FAST),
+    Mutant("bound loop skips the upper bound", "cli.py",
+           "if high is not None and value > high:", "if False:", BOUNDS),
+    Mutant("--seed's message says positive", "cli.py",
+           "{'nonnegative' if low == 0 else 'positive'}", "{'positive'}", BOUNDS),
+    Mutant("Poly drops a truncated degree before coercing it", "polynomial.py",
+           "            a, b, d = _triple(value)  # before the x**3 == 0 skip, so a bad value raises in both modes\n",
+           "            if truncated and degree >= 3:\n                continue\n            a, b, d = _triple(value)\n",
+           ("tests/test_polynomial.py::test_constructor_drops_zeros_and_truncated_high_degrees",)),
     Mutant("_too_long ignores the denominator", "cli.py",
            "max(a.bit_length(), b.bit_length(), d.bit_length())", "max(a.bit_length(), b.bit_length())",
            ("tests/test_cli.py::TestLimits",)),

@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import qforms.checks as checks
 import qforms.cli as cli
 from qforms.checks import SuiteResult
 from qforms.cyclotomic import CycQ
@@ -88,6 +89,12 @@ class TestDiff:
         assert code == 0
         assert out == f"{2**1500 - 1}*x^1499*dx\n"
 
+    @pytest.mark.parametrize("alpha, expected", [("-q", "(1-1*q)*x*dx\n"), ("-1-1*q", "-q*x*dx\n")])
+    def test_alpha_starting_with_a_minus_sign(self, run_cli, alpha, expected):
+        # argparse reads '--alpha -q' as an option without its value, so README
+        # tells such a value to be written '--alpha=VALUE'
+        assert run_cli(["diff", "x^2", f"--alpha={alpha}"]) == (0, expected)
+
 
 class TestGrade:
     def test_text_lines(self, run_cli):
@@ -156,7 +163,7 @@ class TestCheck:
         def fake_run_suites(names, cfg, seed, samples, max_degree):
             return [SuiteResult("d3", False, ["counterexample: u"])]
 
-        monkeypatch.setattr(cli, "run_suites", fake_run_suites)
+        monkeypatch.setattr(checks, "run_suites", fake_run_suites)
         code, out = run_cli(["check", "d3"])
         assert code == 1
         assert "d3: FAIL" in out
@@ -201,6 +208,27 @@ class TestFailureModes:
         code, _ = run_cli(argv)
         assert code == 3
         assert capsys.readouterr().err.startswith("qforms:")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["reduce", "x", "--seed", "-1"], "--seed must be nonnegative"),
+            (["reduce", "x", "--samples", "0"], "--samples must be positive"),
+            (["reduce", "x", "--samples", "10001"], "--samples must be at most 10000"),
+            (["reduce", "x", "--max-degree", "0"], "--max-degree must be positive"),
+            (["reduce", "x", "--max-degree", "10001"], "--max-degree must be at most 10000"),
+            (["diff", "x", "-n", "0"], "-n must be positive"),
+        ],
+        ids=["seed-low", "samples-low", "samples-high", "max-degree-low", "max-degree-high", "n-low"],
+    )
+    @pytest.mark.parametrize("joined", [False, True], ids=["split", "joined"])
+    def test_bound_messages(self, argv, message, joined):
+        if joined:
+            argv = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        # the fast path reads '--opt v' unless v starts with '-', as in
+        # '--seed -1'; argparse reads those and every '--opt=v'
+        assert (cli._fast_args(argv) is None) == (joined or argv[-1].startswith("-"))
+        assert run_isolated(argv) == (3, "", f"qforms: {message}\n")
 
     def test_parse_error_reports_position(self, run_cli, capsys):
         code, _ = run_cli(["reduce", "x^"])

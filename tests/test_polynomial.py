@@ -126,6 +126,11 @@ def test_constructor_drops_zeros_and_truncated_high_degrees():
     assert Poly(coeffs, True).items() == {1: CycQ(2)}.items()
     assert Poly(coeffs, False).items() == {1: CycQ(2), 3: CycQ(1)}.items()
     assert Poly({}, False).is_zero() and Poly({2: CycQ(0)}).is_zero()
+    # a truncated degree is dropped only after its value is checked, so both modes refuse the same values
+    for value, shown in [("x", "'x'"), (1.5, "1.5")]:
+        for truncated in (False, True):
+            with pytest.raises(TypeError, match=rf"^cannot interpret {shown} as a Q\(q\) scalar$"):
+                Poly({5: value}, truncated)
 
 
 def test_addition_makes_no_scalar_sum_for_a_new_degree(monkeypatch):

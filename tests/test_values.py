@@ -86,15 +86,6 @@ def test_other_requests_load_what_they_need(argv, last_output, loaded):
     assert lines[-3:] == [last_output, "0", repr(loaded)]
 
 
-def test_cli_serves_the_checks_names():
-    from qforms import checks, cli
-
-    assert cli.SUITE_NAMES is checks.SUITE_NAMES
-    assert cli.run_suites is checks.run_suites
-    with pytest.raises(AttributeError, match="no attribute 'other'"):
-        cli.other
-
-
 class TestFormMonomial:
     def test_repr(self):
         assert repr(FormMonomial(1, 2)) == "FormMonomial(dx=1, d2x=2)"
