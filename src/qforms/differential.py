@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .calculus import CalculusConfig
 from .forms import _DERIVATIVE, Form, Sums, _form, _reduced, _scaled
-from .polynomial import ModeMismatchError, _add_into, _flat
+from .polynomial import ModeMismatchError, _add_into, _negated
 
 
 def differential(u: Form, cfg: CalculusConfig) -> Form:
@@ -27,13 +27,12 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
         raise ModeMismatchError("form mode does not match the configuration")
     out: Sums = {}
     for (k, m), f in u._terms.items():
-        terms = _flat(f)
         if k == 2:
-            _add_into(out.setdefault((1, m + 1), {}), [(e, -a, -b, d) for e, a, b, d in terms])
+            _add_into(out.setdefault((1, m + 1), {}), _negated(f).items())
             continue
         if k:
-            _add_into(out.setdefault((0, m + 1), {}), terms)
-        _add_into(out.setdefault((k + 1, m), {}), _scaled(terms, _DERIVATIVE, 1, 0, cfg.alpha))
+            _add_into(out.setdefault((0, m + 1), {}), f.items())
+        _add_into(out.setdefault((k + 1, m), {}), _scaled(f, _DERIVATIVE, 1, 0, cfg.alpha).items())
     return _form(_reduced(out), u.truncated)
 
 

@@ -6,9 +6,9 @@ always sit on the left. A Form stores the one value layout that the parser,
 the product kernel, differential, render and to_dict compute on: a
 canonical, zero-free map word (k, m) -> degree -> (a, b, d), the ints of the
 scalar (a + b*q) / d, keyed by plain int tuples, so equality is dict
-equality and runs in C. Each word's map is the one a Poly stores, so
-Form(...), items(), terms(), coefficient() and left_mul by a Poly pass it
-through as it is. Values are never mutated, so Forms and Polys share them.
+equality and runs in C. Each word's map is the one a Poly stores and the one
+polynomial's accumulator, _negated and _scale take, so no view or operation
+converts it. Values are never mutated, so Forms and Polys share them.
 
 Products are reduced to that normal form with the relations
 
@@ -25,8 +25,8 @@ pairs: a pair leaves at most two words, the words dx**3 == 0 kills are
 skipped before anything is computed, and each live word is a product of the
 left coefficient with the right one times one scalar per degree. The
 scalars come from one bounded table keyed by ints, shared across calls and
-with differential; the arithmetic runs in polynomial._mul_into, and _reduced
-puts each output sum in lowest terms once.
+with differential; _scaled applies them to a map, polynomial._mul_into
+multiplies the maps, and _reduced puts each output sum in lowest terms once.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from collections.abc import ItemsView, Iterable, Mapping
 from numbers import Rational
 
 from .calculus import CalculusConfig
-from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _ratios, _times, _triple,
-                         q_power)
-from .polynomial import ModeMismatchError, Poly, _add_into, _canonical, _flat, _mul_into, _Sparse
+from .cyclotomic import _Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _ratios, _times, _triple, q_power
+from .polynomial import (Coeffs, ModeMismatchError, Poly, _add_into, _canonical, _mul_into, _negated, _scale,
+                         _Sparse)
 
 Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]  # the canonical layout; {} is 0
 Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, one _add_into map per word
@@ -163,8 +163,7 @@ class Form(_Sparse):
         if not isinstance(factor, Poly):
             s = _triple(factor)
             value = self._terms if s[0] or s[1] else {}
-            return _form({w: {e: _times(t, s) for e, t in coeffs.items()} for w, coeffs in value.items()},
-                         truncated)
+            return _form({w: _scale(coeffs, s) for w, coeffs in value.items()}, truncated)
         if factor.truncated != truncated:
             raise ModeMismatchError("factor mode does not match the form")
         return _form(_mul({(0, 0): factor._terms}, self._terms, None, truncated), truncated)  # reads no alpha
@@ -175,8 +174,7 @@ class Form(_Sparse):
         return NotImplemented
 
     def __neg__(self) -> Form:
-        return _form({w: {e: (-a, -b, d) for e, (a, b, d) in coeffs.items()}
-                      for w, coeffs in self._terms.items()}, self._truncated)
+        return _form({w: _negated(coeffs) for w, coeffs in self._terms.items()}, self._truncated)
 
     def __add__(self, other: Form) -> Form:
         if not isinstance(other, Form):
@@ -229,7 +227,7 @@ class Form(_Sparse):
             dx, d2x = _json_field(entry, "dx"), _json_field(entry, "d2x")
             k, m = FormMonomial(_json_int(dx), _json_int(d2x))
             sums: dict[int, list[int]] = {}
-            _add_into(sums, _flat(value.get((k, m), {})))
+            _add_into(sums, value.get((k, m), {}).items())
             for pair in _json_list(_json_field(entry, "coeff")):
                 degree, quadruple = _json_list(pair, 2)
                 degree = _json_int(degree)
@@ -238,7 +236,7 @@ class Form(_Sparse):
                 a_num, a_den, b_num, b_den = map(_json_int, _json_list(quadruple, 4))
                 if not a_den or not b_den:
                     raise ValueError("zero denominator")
-                _add_into(sums, [(degree, *_from_ratios(a_num, a_den, b_num, b_den))])
+                _add_into(sums, [(degree, _from_ratios(a_num, a_den, b_num, b_den))])
             if min(sums, default=0) < 0:  # checked once the entry is read, as Poly(...) did
                 raise ValueError(f"negative degree {next(e for e in sums if e < 0)}")
             value[k, m] = _canonical(sums)
@@ -260,9 +258,9 @@ def _by_word(pairs: Iterable[tuple[tuple[int, int], object]]) -> list:
 
 
 def _add_value(sums: Sums, value: Value, sign: int = 1) -> None:
-    """Add sign * value into sums."""
+    """Add sign * value into sums, sign being 1 or -1."""
     for word, coeffs in value.items():
-        _add_into(sums.setdefault(word, {}), [(e, sign * a, sign * b, d) for e, (a, b, d) in coeffs.items()])
+        _add_into(sums.setdefault(word, {}), (coeffs if sign == 1 else _negated(coeffs)).items())
 
 
 def _reduced(sums: Sums) -> Value:
@@ -307,14 +305,13 @@ def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:
     word, and _reduced puts each sum in lowest terms once. A left word
     k == m == 0 only multiplies coefficients and never reads alpha.
     """
-    right = [(j, n, _flat(g)) for (j, n), g in right.items()]
     out: Sums = {}
     for (k, m), f in left.items():
-        f, bracket = _flat(f), False
+        bracket = False
         if not k and m:  # is alpha**m, the table's top entry (m, 0), not q**m?
             key = (_TOP, m, 0, alpha._a, alpha._b, alpha._d)
             bracket = (_SCALARS.get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
-        for j, n, g in right:
+        for (j, n), g in right.items():
             if k + j < 3:
                 pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, alpha) if m + k else g
                 _mul_into(out.setdefault((k + j, m + n), {}), f, pushed, truncated)
@@ -372,20 +369,20 @@ def _entry(kind: int, x: int, alpha: tuple[int, ...]) -> tuple[int, int, int]:
     return _SCALARS.get(key) or _scalar(key)
 
 
-def _scaled(terms: list, kind: int, t: int, y: int, alpha: CycQ) -> list:
-    """Each (degree, a, b, d) term c * x**e times the table's scalar (kind,
-    e*t, y): on x**e for _TOP, on x**(e-1) for the other kinds, which kill the
-    constants. A zero scalar leaves no term; nothing is reduced."""
+def _scaled(coeffs: Coeffs, kind: int, t: int, y: int, alpha: CycQ) -> dict[int, tuple[int, int, int]]:
+    """The map of each term c * x**e times the table's scalar (kind, e*t, y):
+    on x**e for _TOP, on x**(e-1), still distinct, for the other kinds, which
+    kill the constants. A zero scalar leaves no term; nothing is reduced."""
     get, shift = _SCALARS.get, kind != _TOP
     aa, ab, ad = alpha._a, alpha._b, alpha._d
-    out = []
-    for e, a, b, d in terms:
+    out = {}
+    for e, (a, b, d) in coeffs.items():
         if e or not shift:
             key = (kind, e * t, y, aa, ab, ad)
             sa, sb, sd = get(key) or _scalar(key)
             if sa or sb:
                 cross = b * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
-                out.append((e - shift, a * sa - cross, a * sb + b * sa - cross, d * sd))
+                out[e - shift] = (a * sa - cross, a * sb + b * sa - cross, d * sd)
     return out
 
 

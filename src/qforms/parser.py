@@ -47,6 +47,7 @@ from math import comb
 from .calculus import CalculusConfig
 from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_power, _lowest, _ratios, _times
 from .forms import Form, Sums, Value, _add_value, _by_word, _form, _mul, _reduced
+from .polynomial import _scale
 
 
 class ParseError(Exception):
@@ -253,8 +254,7 @@ def _product(left: Value, right: Value, cfg: CalculusConfig) -> Value:
             out = {}
             for (k, m), f in left.items():
                 if k + j < 3:
-                    c = _times(g[0], _Q_TRIPLES[2 * m * j % 3])
-                    out[k + j, m + n] = {e: _times(t, c) for e, t in f.items()}
+                    out[k + j, m + n] = _scale(f, _times(g[0], _Q_TRIPLES[2 * m * j % 3]))
             return out
     return _mul(left, right, cfg.alpha, cfg.anyonic)
 

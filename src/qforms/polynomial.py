@@ -15,18 +15,19 @@ modes never mix; combining them raises ModeMismatchError. Instances are
 immutable. Their text comes from parser.poly_text.
 
 Poly, forms' product kernel and differential share one accumulator on those
-ints: _mul_into and _add_into sum (degree, a, b, d) terms, unreduced, and
-_canonical puts each sum in lowest terms once and drops the zeros.
+maps: _add_into sums (degree, (a, b, d)) pairs and _mul_into the products of
+two maps, unreduced, and _canonical reduces each sum once and drops zeros.
+Negation (_negated) and scaling (_scale) stay canonical and need no sums.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, Sequence
+from collections.abc import ItemsView, Iterable, Mapping, Sequence
 from math import gcd
 from numbers import Rational
 from typing import TypeVar
 
-from .cyclotomic import ZERO, CycQ, _lowest, _of, _triple
+from .cyclotomic import ZERO, CycQ, _lowest, _of, _times, _triple
 
 
 _new = object.__new__
@@ -149,15 +150,15 @@ class Poly(_Sparse):
         return sorted(self.items())
 
     def __neg__(self) -> Poly:
-        return self._times([(0, -1, 0, 1)])
+        return Poly._wrap(_negated(self._terms), self._truncated)
 
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_mode(other)
         sums: dict[int, list[int]] = {}
-        _add_into(sums, _flat(self._terms))
-        _add_into(sums, _flat(other._terms))
+        _add_into(sums, self._terms.items())
+        _add_into(sums, other._terms.items())
         return Poly._wrap(_canonical(sums), self._truncated)
 
     def __mul__(self, other: Poly | CycQ | int | Rational) -> Poly:
@@ -167,18 +168,15 @@ class Poly(_Sparse):
                 return self.scale(other)
             return NotImplemented
         self._require_same_mode(other)
-        return self._times(_flat(other._terms))
+        sums: dict[int, list[int]] = {}
+        _mul_into(sums, self._terms, other._terms, self._truncated)
+        return Poly._wrap(_canonical(sums), self._truncated)
 
     __rmul__ = __mul__  # reached only for a scalar
 
     def scale(self, factor: CycQ | int | Rational) -> Poly:
-        return self._times([(0, *_triple(factor))])
-
-    def _times(self, right: _Terms) -> Poly:
-        """self times the (degree, a, b, d) terms right, by the accumulator."""
-        sums: dict[int, list[int]] = {}
-        _mul_into(sums, _flat(self._terms), right, self._truncated)
-        return Poly._wrap(_canonical(sums), self._truncated)
+        s = _triple(factor)
+        return Poly._wrap(_scale(self._terms, s) if s[0] or s[1] else {}, self._truncated)
 
     def __str__(self) -> str:
         from .parser import poly_text  # local import avoids a module cycle
@@ -189,14 +187,14 @@ class Poly(_Sparse):
         return f"Poly({self.__str__()!r}, truncated={self._truncated})"
 
 
-_Terms = Sequence[tuple[int, int, int, int]]  # (degree, a, b, d) for (a + b*q) / d * x**degree
+Coeffs = Mapping[int, tuple[int, int, int]]  # degree -> (a, b, d) for (a + b*q) / d * x**degree
 
 
-def _add_into(sums: dict[int, list[int]], terms: _Terms) -> None:
-    """Add terms into sums, a map degree -> [a, b, d]: the one accumulator of
-    every Poly and Form operation that sums. Nothing is reduced; two
-    denominators add over their lcm, not their product. Zero sums stay."""
-    for e, a, b, d in terms:
+def _add_into(sums: dict[int, list[int]], terms: Iterable[tuple[int, tuple[int, int, int]]]) -> None:
+    """Add (degree, (a, b, d)) terms, such as a map's items(), into sums, a map
+    degree -> [a, b, d]: the one accumulator of every sum. Nothing is reduced;
+    two denominators add over their lcm, not their product. Zero sums stay."""
+    for e, (a, b, d) in terms:
         acc = sums.get(e)
         if acc is None:
             sums[e] = [a, b, d]
@@ -211,20 +209,25 @@ def _add_into(sums: dict[int, list[int]], terms: _Terms) -> None:
             acc[2] *= up
 
 
-def _mul_into(sums: dict[int, list[int]], left: _Terms, right: _Terms, truncated: bool) -> None:
-    """Add the pairwise products of two (degree, a, b, d) sequences into sums,
+def _mul_into(sums: dict[int, list[int]], left: Coeffs, right: Coeffs, truncated: bool) -> None:
+    """Add the pairwise products of two coefficient maps into sums,
     unreduced; truncated skips degrees of three or more."""
     _add_into(sums, [  # cyclotomic._times's q**2 fold, inlined
-        (e1 + e2, a1 * a2 - (cross := b1 * b2), a1 * b2 + b1 * a2 - cross, d1 * d2)
-        for e1, a1, b1, d1 in left
-        for e2, a2, b2, d2 in right
+        (e1 + e2, (a1 * a2 - (cross := b1 * b2), a1 * b2 + b1 * a2 - cross, d1 * d2))
+        for e1, (a1, b1, d1) in left.items()
+        for e2, (a2, b2, d2) in right.items()
         if not truncated or e1 + e2 < 3
     ])
 
 
-def _flat(coeffs: Mapping[int, tuple[int, int, int]]) -> list[tuple[int, int, int, int]]:
-    """A coefficient map as the (degree, a, b, d) terms that _add_into and _mul_into take."""
-    return [(e, a, b, d) for e, (a, b, d) in coeffs.items()]
+def _negated(coeffs: Coeffs) -> dict[int, tuple[int, int, int]]:
+    """The coefficient map of -coeffs; canonical when coeffs is."""
+    return {e: (-a, -b, d) for e, (a, b, d) in coeffs.items()}
+
+
+def _scale(coeffs: Coeffs, s: tuple[int, int, int]) -> dict[int, tuple[int, int, int]]:
+    """The canonical map of coeffs times the nonzero canonical scalar s; no term drops."""
+    return {e: _times(t, s) for e, t in coeffs.items()}
 
 
 def _canonical(sums: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, int, int]]:

@@ -14,9 +14,10 @@ which must pass. Then, for each mutant, it copies src/, tests/ and
 pyproject.toml to a fresh temporary directory, replaces the old text,
 which must occur exactly once, and runs `pytest -x -q` on the selection
 there. The mutant is killed when pytest reports a failing test (exit code
-1). A pass, any other exit code, or an old text that no longer occurs
-exactly once fails the script, so the list has to follow the code. Exit
-code 0 when every mutant was killed, 1 otherwise.
+1). A pass, any other exit code, a run longer than TIMEOUT_S seconds, or an
+old text that no longer occurs exactly once fails the script, so the list
+has to follow the code; a timed-out mutant is reported and the next one
+runs. Exit code 0 when every mutant was killed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900  # per pytest run; a hung run fails its mutant, not the script
 
 
 class Mutant(NamedTuple):
@@ -66,12 +68,18 @@ MUTANTS = [
     Mutant("Form.__add__ adds the left twice", "forms.py",
            "        _add_value(sums, other._terms)\n", "        _add_value(sums, self._terms)\n",
            ("tests/test_forms.py::TestModuleStructure",)),
-    Mutant("Form.__neg__ keeps the q part", "forms.py",
+    Mutant("Form.__neg__ does not negate", "forms.py",
+           "_form({w: _negated(coeffs) for w, coeffs", "_form({w: coeffs for w, coeffs",
+           ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("_negated keeps the q part", "polynomial.py",
            "{e: (-a, -b, d) for e, (a, b, d)", "{e: (-a, b, d) for e, (a, b, d)",
-           ("tests/test_forms.py::TestModuleStructure",)),
+           ("tests/test_polynomial.py", "tests/test_forms.py::TestModuleStructure")),
     Mutant("scalar left_mul ignores the scalar", "forms.py",
-           "{e: _times(t, s) for e, t in coeffs.items()}", "{e: t for e, t in coeffs.items()}",
+           "{w: _scale(coeffs, s) for w, coeffs in value.items()}", "{w: coeffs for w, coeffs in value.items()}",
            ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("_scale ignores s", "polynomial.py",
+           "{e: _times(t, s) for e, t in coeffs.items()}", "{e: t for e, t in coeffs.items()}",
+           ("tests/test_polynomial.py",)),
     Mutant("scalar left_mul by zero keeps the words", "forms.py",
            "value = self._terms if s[0] or s[1] else {}", "value = self._terms",
            ("tests/test_forms.py::TestModuleStructure",)),
@@ -141,23 +149,23 @@ MUTANTS = [
            "coeffs[e] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1) if (e := _below(bits, top + 1)) >= 0 else 0",
            ("tests/test_sampling.py",)),
     Mutant("differential keeps the sign at dx**2", "differential.py",
-           "[(e, -a, -b, d) for e, a, b, d in terms]", "terms", ("tests/test_differential.py",)),
+           "_negated(f).items()", "f.items()", ("tests/test_differential.py",)),
     Mutant("differential puts f on the wrong d2x power", "differential.py",
            "out.setdefault((0, m + 1), {})", "out.setdefault((0, m), {})", KERNEL),
     # Poly on the layout: its sums, scalings and views, and from_dict's sums
     Mutant("Poly.__add__ keeps zero sums", "polynomial.py",
-           "        _add_into(sums, _flat(other._terms))\n        return Poly._wrap(_canonical(sums), self._truncated)\n",
-           "        _add_into(sums, _flat(other._terms))\n"
+           "        _add_into(sums, other._terms.items())\n        return Poly._wrap(_canonical(sums), self._truncated)\n",
+           "        _add_into(sums, other._terms.items())\n"
            "        return Poly._wrap({e: _lowest(*s) for e, s in sums.items()}, self._truncated)\n",
            ("tests/test_polynomial.py",)),
     Mutant("Poly.scale ignores its factor", "polynomial.py",
-           "return self._times([(0, *_triple(factor))])", "return self._times([(0, 1, 0, 1)])",
+           "_wrap(_scale(self._terms, s) if s[0] or s[1] else {}", "_wrap(self._terms if s[0] or s[1] else {}",
            ("tests/test_polynomial.py",)),
     Mutant("Poly.items swaps a and b", "polynomial.py",
            "{e: _of(t) for e, t in self._terms.items()}", "{e: _of((t[1], t[0], t[2])) for e, t in self._terms.items()}",
            ("tests/test_polynomial.py",)),
     Mutant("from_dict keeps only the last repeated degree", "forms.py",
-           "_add_into(sums, [(degree, *_from_ratios(a_num, a_den, b_num, b_den))])",
+           "_add_into(sums, [(degree, _from_ratios(a_num, a_den, b_num, b_den))])",
            "sums[degree] = [*_from_ratios(a_num, a_den, b_num, b_den)]",
            ("tests/test_forms.py::TestSerialization",)),
     # the product kernel (the int kernel's mutations, on the layout)
@@ -209,7 +217,7 @@ MUTANTS = [
            "return (alpha**k - 1) / (alpha - 1) + (k == 5)", ("tests/test_calculus.py", "tests/test_cyclotomic.py")),
     # the parser's closed forms and limits
     Mutant("parser swap exponent m*j", "parser.py",
-           "c = _times(g[0], _Q_TRIPLES[2 * m * j % 3])", "c = _times(g[0], _Q_TRIPLES[m * j % 3])", CLOSED),
+           "_times(g[0], _Q_TRIPLES[2 * m * j % 3])", "_times(g[0], _Q_TRIPLES[m * j % 3])", CLOSED),
     Mutant("closed power ignores x**3 == 0", "parser.py",
            "if j * n >= 3 or truncated and d * n >= 3:", "if j * n >= 3:", CLOSED),
     Mutant("closed power skips c**n", "parser.py",
@@ -237,7 +245,7 @@ def copy_tree(dest: Path) -> None:
 def run_pytest(where: Path, selection: tuple[str, ...]) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
-    return subprocess.run(command, cwd=where, env=env, capture_output=True, text=True, timeout=900)
+    return subprocess.run(command, cwd=where, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
 
 
 def check(mutant: Mutant) -> str | None:
@@ -251,7 +259,10 @@ def check(mutant: Mutant) -> str | None:
         if found != 1:
             return f"the old text occurs {found} times in {mutant.file}"
         path.write_text(text.replace(mutant.old, mutant.new))
-        done = run_pytest(where, mutant.selection)
+        try:
+            done = run_pytest(where, mutant.selection)
+        except subprocess.TimeoutExpired:
+            return f"timed out after {TIMEOUT_S} s"
     if done.returncode == 1:
         return None
     if done.returncode == 0:
@@ -273,7 +284,11 @@ def main(argv: list[str]) -> int:
     selections = tuple(dict.fromkeys(s for mutant in chosen for s in mutant.selection))
     with tempfile.TemporaryDirectory(prefix="qforms-unmutated-") as tmp:
         copy_tree(Path(tmp))
-        baseline = run_pytest(Path(tmp), selections)
+        try:
+            baseline = run_pytest(Path(tmp), selections)
+        except subprocess.TimeoutExpired:
+            print(f"the unmutated selections timed out after {TIMEOUT_S} s", file=sys.stderr)
+            return 1
     if baseline.returncode != 0:
         print(f"the unmutated selections fail:\n{baseline.stdout[-3000:]}", file=sys.stderr)
         return 1

@@ -87,6 +87,10 @@ class TestRingAxioms:
         f, g = Poly(a, mode), Poly(b, mode)
         assert s * (f + g) == s * f + s * g
         assert f.scale(s) == s * f
+        # scale, s * f and -f share _scale and _negated: check each coefficient against CycQ
+        for e, c in f.items():
+            assert f.scale(s).coefficient(e) == s * c
+            assert (-f).coefficient(e) == -c
 
 
 @given(polys(False), polys(False))
