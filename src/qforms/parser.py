@@ -16,13 +16,9 @@ parsed value. Values are a Form's own layout (forms.Value): a canonical,
 zero-free map word (k, m) -> degree -> (a, b, d), reduced after every
 operation by forms._reduced. A sum adds its terms into one unreduced map
 (forms._add_value), and parse wraps its reduced result in the one Form it
-builds. A right factor that is a constant times one word needs no rewriting
-and is written down on those ints (_product): it shifts each left word, at
-the swap scalar q**(2mj), and never reaches the scalar table. A power of one
-term c*x**d on the empty word, or of a constant on any word, is one closed
-formula (_power). Every other '*' is the product kernel forms._mul, and
-every other 'base^N' takes O(log N) kernel products by repeated squaring;
-either way the value is that of N left-to-right factors.
+builds. '*' and '^' are closed formulas where no rewriting is needed
+(_product, _power), and otherwise kernel products forms._mul, O(log N) of
+them for base^N; either way the value is that of N left-to-right factors.
 
 All canonical text is written here: render for forms, poly_text for
 coefficient polynomials (Poly.__str__) and scalar_text for scalars
@@ -30,22 +26,22 @@ coefficient polynomials (Poly.__str__) and scalar_text for scalars
 text of coeff * tail, where an empty tail is a bare scalar, and one join:
 ' + '/' - ' between form terms, '+'/'-' inside a coefficient. Scalars are
 written from cyclotomic._ratios, render's straight from a Form's ints.
-Rendered text parses back to the same form under the same configuration.
 
-Limits, each raising ParseError at the offending token: an integer literal
-may have at most MAX_DIGITS significant digits, an exponent token may not
-exceed MAX_EXPONENT, a power base^N whose x or d2x power could exceed
-MAX_EXPONENT (N times the base's largest) or whose number of terms could
-exceed MAX_POWER_TERMS (_power_terms) is refused at N before any product,
-and parentheses may nest at most MAX_DEPTH levels deep.
+Limits, each raising ParseError at the offending token, are the constants
+below: literal digits, exponents and N times a base's largest x or d2x power
+(checked before any product), nesting depth, and MAX_WORK, the budget each
+kernel product and closed-form c**n is priced against (_price) before it
+runs: (1+x)^300 parses, (1+x)^999 does not. Rendered text parses back to the
+same form under the same configuration only inside these limits:
+x^10000*x^5000 parses to x^15000, whose text does not.
 """
 
 from __future__ import annotations
 
-from math import comb
+from collections.abc import Callable
 
 from .calculus import CalculusConfig
-from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_power, _lowest, _ratios, _times
+from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_norm, _int_power, _lowest, _ratios, _times
 from .forms import Form, Sums, Value, _add_value, _by_word, _form, _mul, _reduced
 from .polynomial import _scale
 
@@ -61,8 +57,8 @@ class ParseError(Exception):
 MAX_EXPONENT = 10_000
 """Largest exponent token after '^', and largest x or d2x power a '^' may build."""
 
-MAX_POWER_TERMS = 1_000
-"""Most terms x^d * dx^k * d2x^m that _power_terms may predict for a power base^N."""
+MAX_WORK = 10_000_000
+"""Most work one parse may price (_price); at the 4-13 ns a unit measured on a Xeon core, 0.04-0.13 s."""
 
 MAX_DEPTH = 100
 """Deepest parenthesis nesting accepted; each level costs four stack frames."""
@@ -70,7 +66,7 @@ MAX_DEPTH = 100
 MAX_DIGITS = 4_300
 """Most significant digits in an integer literal; CPython's default int/str limit."""
 
-Token = tuple[str, str, int]  # kind, text, position
+Token = tuple[str, str, int]  # kind, text, position; no other kind has an operator's text
 
 
 # Values are never mutated, so the atoms below are shared by every parse.
@@ -119,17 +115,21 @@ class _Parser:
         self.tokens = tokens[::-1]  # the next token last: peek is [-1], advance is pop()
         self._cfg = cfg
         self._depth = 0
+        self._work = 0  # the priced work so far, at most MAX_WORK
+
+    def _charge(self, price: int, pos: int) -> None:
+        """Add a step's price to the work; refuse the step at pos past MAX_WORK."""
+        if self._work + price > MAX_WORK:
+            raise ParseError(f"work exceeds the limit of {MAX_WORK} units", pos)
+        self._work += price
 
     def expr(self) -> Sums:
-        """The signed sum of the terms as one _add_into sums map per word,
-        unreduced: parse and a group reduce it once."""
+        """The signed sum of the terms, one _add_into map per word, unreduced."""
         tokens = self.tokens
         sums: Sums = {}
-        sign = 1
-        kind, text, _ = tokens[-1]
-        if kind == "op" and text == "-":
+        sign = -1 if tokens[-1][1] == "-" else 1
+        if sign < 0:
             tokens.pop()
-            sign = -1
         while True:
             _add_value(sums, self.term(), sign)
             kind, text, _ = tokens[-1]
@@ -141,46 +141,39 @@ class _Parser:
     def term(self) -> Value:
         tokens = self.tokens
         value = self.factor()
-        while True:
-            kind, text, _ = tokens[-1]
-            if kind == "op" and text == "*":
-                tokens.pop()
-                value = _product(value, self.factor(), self._cfg)
-            else:
-                return value
+        while tokens[-1][1] == "*":
+            pos = tokens.pop()[2]
+            value = _product(value, self.factor(), self._cfg, lambda price: self._charge(price, pos))
+        return value
 
     def factor(self) -> Value:
         tokens = self.tokens
         base = self.base()
-        kind, text, _ = tokens[-1]
-        if kind == "op" and text == "^":
-            tokens.pop()
-            kind, text, pos = tokens.pop()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            digits = text.lstrip("0") or "0"
-            # the length test keeps int() off tokens too long for it to convert
-            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
-            n = int(digits)
-            # base^n has at most n times the base's top x and d2x powers
-            top = 0
-            for (_, m), poly in base.items():
-                top = max(top, m, *poly)
-            if n * top > MAX_EXPONENT:
-                raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
-            if n > 1 and _power_terms(base, n, self._cfg.anyonic) > MAX_POWER_TERMS:
-                raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms", pos)
-            return _power(base, n, self._cfg)
-        return base
+        if tokens[-1][1] != "^":
+            return base
+        tokens.pop()
+        kind, text, pos = tokens.pop()
+        if kind != "int":
+            raise ParseError("exponent must be a nonnegative integer", pos)
+        digits = text.lstrip("0") or "0"
+        # the length test keeps int() off tokens too long for it to convert
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
+        n = int(digits)
+        # base^n has at most n times the base's top x and d2x powers
+        top = 0
+        for (_, m), poly in base.items():
+            top = max(top, m, *poly)
+        if n * top > MAX_EXPONENT:
+            raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
+        return _power(base, n, self._cfg, lambda price: self._charge(price, pos))
 
     def base(self) -> Value:
         tokens = self.tokens
         kind, text, pos = tokens.pop()
         if kind == "int":
             numerator, denominator = _literal(text, pos), 1
-            kind, slash, _ = tokens[-1]
-            if kind == "op" and slash == "/":
+            if tokens[-1][1] == "/":
                 tokens.pop()
                 kind, denom_text, denom_pos = tokens.pop()
                 if kind != "int":
@@ -188,9 +181,7 @@ class _Parser:
                 denominator = _literal(denom_text, denom_pos)
                 if not denominator:
                     raise ParseError("zero denominator", denom_pos)
-            if not numerator:
-                return {}
-            return {(0, 0): {0: _lowest(numerator, 0, denominator)}}
+            return {(0, 0): {0: _lowest(numerator, 0, denominator)}} if numerator else {}
         if kind == "name":
             return _ATOMS[text]
         if kind == "op" and text == "(":
@@ -214,81 +205,90 @@ def _literal(text: str, pos: int) -> int:
     return int(digits)
 
 
-def _power_terms(base: Value, n: int, truncated: bool) -> int:
-    """An upper bound on the number of terms x^d * dx^k * d2x^m of base^n,
-    read off the base alone.
+def _growth(s: tuple[int, int, int]) -> int:
+    """Bits each factor adds to s**n: none at a root of unity, else those of s's longest int."""
+    return 0 if s[2] == 1 and _int_norm(s[0], s[1]) == 1 else max(map(abs, s)).bit_length()
 
-    The grade k + 2m and the weight d + k + m add up under the product,
-    bracket words included, and together fix a term up to k in {0, 2}. So
-    each of the C(n+t-1, n) multisets of n of the base's t terms leaves at
-    most one term, or two once a d2x can push past a nonconstant coefficient.
-    And base^n has at most one term per word and degree in range: m <= n*M
-    and d <= n*A for the base's largest d2x and x powers, d <= 2 when
-    truncated, and k in {0, 1, 2}, only {0, 2} without a dx in the base, and
-    only 0 without brackets either. The bound is the smaller of the two.
+
+def _limbs(value: Value) -> int:
+    """64-bit limbs of the longest int of a value; | keeps the longest bit length."""
+    top = 0
+    for coeffs in value.values():
+        for a, b, d in coeffs.values():
+            top |= abs(a) | abs(b) | d
+    return 1 + top.bit_length() // 64
+
+
+def _price(left: Value, right: Value, alpha: CycQ) -> int:
+    """The price of the kernel product left * right, in units of about one
+    64-bit limb product. Each live word of a pair (f on dx**k d2x**m, g on
+    dx**j), the top word and off alpha == q the bracket word, costs 256, and
+    per term of g its twist scalar alpha**x, x = e*(m+k) for g's top degree
+    e: 64 per bit of x plus the square of its limbs. Per term pair it costs
+    64 plus twice the product of the limbs of f and of g times the scalar.
     """
-    t = sum(map(len, base.values()))
-    if t < 2:
-        return 2 * t  # one multiset, or none
-    top_x = max(max(poly) for poly in base.values())
-    top_d2x = max(m for _, m in base)
-    per_multiset = 2 if top_x and top_d2x else 1
-    dx_powers = 3 if any(k for k, _ in base) else per_multiset
-    degrees = min(n * top_x, 2) if truncated else n * top_x
-    words_times_degrees = dx_powers * (n * top_d2x + 1) * (degrees + 1)
-    return min(per_multiset * comb(n + t - 1, n), words_times_degrees)
+    ints = (alpha._a, alpha._b, alpha._d)
+    grow, brackets = _growth(ints), ints != _Q_TRIPLES[1]
+    lf, lg, price = _limbs(left), _limbs(right), 0
+    for (k, m), f in left.items():
+        for (j, _), g in right.items():
+            live = (k + j < 3) + (brackets and not k and not j and m > 0)  # the top and bracket words
+            x = max(g) * (m + k)
+            ls = 1 + x * grow // 64
+            price += live * (256 + len(g) * (64 * x.bit_length() + ls * ls + len(f) * (64 + 2 * lf * (lg + ls))))
+    return price
 
 
-def _product(left: Value, right: Value, cfg: CalculusConfig) -> Value:
-    """left * right in cfg's mode; equal to the form product.
-
-    A right factor that is one constant c on one word dx**j d2x**n, which
-    every twist fixes and whose derivative is zero, needs no rewriting: it
-    moves each left term (f, k, m) to f * c * q**(2mj) on dx**(k+j)
-    d2x**(m+n), dropped once k + j >= 3, and leaves no bracket term. Any
-    other product is the kernel forms._mul.
-    """
+def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[int], None]) -> Value:
+    """left * right in cfg's mode, equal to the form product. A right factor
+    that is one constant c on one word dx**j d2x**n, which every twist fixes
+    and whose derivative is zero, needs no rewriting: it moves each left term
+    (f, k, m) to f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once
+    k + j >= 3. Any other product is the kernel forms._mul. Both are charged
+    _price first, the first only for a c longer than 64 bits: the text bounds
+    what shorter ones cost."""
     if len(right) == 1:
         (((j, n), g),) = right.items()
         if len(g) == 1 and 0 in g:
+            if (abs(g[0][0]) | abs(g[0][1]) | g[0][2]) >> 64:
+                charge(_price(left, right, cfg.alpha))
             out = {}
             for (k, m), f in left.items():
                 if k + j < 3:
                     out[k + j, m + n] = _scale(f, _times(g[0], _Q_TRIPLES[2 * m * j % 3]))
             return out
+    charge(_price(left, right, cfg.alpha))
     return _mul(left, right, cfg.alpha, cfg.anyonic)
 
 
-def _power(base: Value, n: int, cfg: CalculusConfig) -> Value:
-    """base^n, in closed form or by square-and-multiply (at most 2*log2(n)
-    kernel products).
-
-    A one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
+def _power(base: Value, n: int, cfg: CalculusConfig, charge: Callable[[int], None]) -> Value:
+    """base^n, in closed form or by square-and-multiply from the top bit down
+    (at most 2*log2(n) products, each through _product and so charged). A
+    one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
     pushes its coefficient past a word, so its power is c**n * x**(d*n) *
     dx**(j*n) d2x**(m*n) times q**(2mj) for each of the n(n-1)/2 swaps of a
     dx**j left past a d2x**m; zero once j*n >= 3, or d*n >= 3 when
-    truncated. c**n is cyclotomic._int_power, as in CycQ.__pow__.
+    truncated. c**n, cyclotomic._int_power, is charged as _price charges alpha**x.
     """
-    truncated = cfg.anyonic
     if len(base) == 1:
         (((j, m), poly),) = base.items()
         if len(poly) == 1:
             ((d, c),) = poly.items()
             if not d or not (j or m):
-                if j * n >= 3 or truncated and d * n >= 3:
+                if j * n >= 3 or cfg.anyonic and d * n >= 3:
                     return {}
+                if c != _ONE:  # 1**n stays 1
+                    charge(64 * n.bit_length() + (1 + n * _growth(c) // 64) ** 2)
                 swaps = _Q_TRIPLES[m * j * n * (n - 1) % 3]
                 return {(j * n, m * n): {d * n: _times(_int_power(c, n), swaps)}}
     if not n:
         return {(0, 0): {0: _ONE}}
-    out = None
-    while True:
-        if n & 1:
-            out = base if out is None else _mul(out, base, cfg.alpha, truncated)
-        n >>= 1
-        if not n:
-            return out
-        base = _mul(base, base, cfg.alpha, truncated)
+    out = base
+    for bit in bin(n)[3:]:
+        out = _product(out, out, cfg, charge)
+        if bit == "1":
+            out = _product(out, base, cfg, charge)
+    return out
 
 
 def parse(text: str, cfg: CalculusConfig) -> Form:
@@ -305,11 +305,9 @@ _SCALAR_CFG = CalculusConfig(Q)
 
 
 def parse_scalar(text: str) -> CycQ:
-    """Parse a constant scalar such as 'q', '2', '1/2', '1+q' or '-1-1*q'.
-
-    Constant expressions reduce independently of the twist scalar, so this
-    is safe to use while building a configuration.
-    """
+    """Parse a constant scalar such as 'q', '2', '1/2', '1+q' or '-1-1*q';
+    constant expressions reduce independently of the twist scalar, so this
+    is safe to use while building a configuration."""
     form = parse(text, _SCALAR_CFG)
     constant = form.coefficient((0, 0)).coefficient(0)
     if form != Form.scalar(constant):
@@ -318,7 +316,8 @@ def parse_scalar(text: str) -> CycQ:
 
 
 def render(u: Form) -> str:
-    """Deterministic canonical text; parses back to u under u's own mode.
+    """Deterministic canonical text; parses back to u under u's own mode
+    while the text stays inside the parser's limits (see the module doc).
 
     Terms appear in canonical order (d2x power ascending, then dx power,
     then coefficient degree); multi-term coefficients are parenthesized.

@@ -6,12 +6,13 @@ intermediate value is a Form, the two closed forms (_product, _power) are
 written on Forms, and every other product is Form.mul. The code between
 the imports and compare_with_oracle is that parser verbatim, tokenizer
 included, except that its closed forms build their Forms through the public
-constructors; it shares the literal check and the limits with qforms.parser.
+constructors, that its powers square and multiply from the top bit down, and
+that it meters its work through qforms.parser's _price, applied to its
+Forms' _terms, with its own running total; it shares the literal check and
+the limits with qforms.parser.
 """
 
 from __future__ import annotations
-
-import math
 
 from qforms import parser as int_parser
 from qforms.calculus import CalculusConfig
@@ -20,10 +21,12 @@ from qforms.forms import Form, FormMonomial, swap_scalar
 from qforms.parser import (
     MAX_DEPTH,
     MAX_EXPONENT,
-    MAX_POWER_TERMS,
+    MAX_WORK,
     ParseError,
     Token,
+    _growth,
     _literal,
+    _price,
 )
 from qforms.polynomial import Poly
 
@@ -71,6 +74,12 @@ class _Parser:
         self._pos = 0
         self._cfg = cfg
         self._depth = 0
+        self._work = 0
+
+    def _charge(self, price: int, pos: int) -> None:
+        if self._work + price > MAX_WORK:
+            raise ParseError(f"work exceeds the limit of {MAX_WORK} units", pos)
+        self._work += price
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -99,10 +108,10 @@ class _Parser:
     def term(self) -> Form:
         value = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, pos = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                value = _product(value, self.factor(), self._cfg)
+                value = _product(value, self.factor(), self._cfg, lambda price: self._charge(price, pos))
             else:
                 return value
 
@@ -124,9 +133,7 @@ class _Parser:
             top = max((max(poly.degree, mon.d2x) for mon, poly in base.items()), default=0)
             if n * top > MAX_EXPONENT:
                 raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
-            if n > 1 and _power_terms(base, n) > MAX_POWER_TERMS:
-                raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms", pos)
-            return _power(base, n, self._cfg)
+            return _power(base, n, self._cfg, lambda price: self._charge(price, pos))
         return base
 
     def base(self) -> Form:
@@ -176,50 +183,24 @@ _NAMED = {
 
 
 
-def _power_terms(base: Form, n: int) -> int:
-    """An upper bound on the number of terms x^d * dx^k * d2x^m of base^n,
-    read off the base alone.
-
-    The grade k + 2m and the weight d + k + m add up under the product,
-    bracket words included, and together fix a term up to k in {0, 2}. So
-    each of the C(n+t-1, n) multisets of n of the base's t terms leaves at
-    most one term, or two once a d2x can push past a nonconstant coefficient.
-    And base^n has at most one term per word and degree in range: m <= n*M
-    and d <= n*A for the base's largest d2x and x powers, d <= 2 when
-    truncated, and k in {0, 1, 2}, only {0, 2} without a dx in the base, and
-    only 0 without brackets either. The bound is the smaller of the two.
-    """
-    t = sum(len(poly.items()) for _, poly in base.items())
-    if t < 2:
-        return 2 * t  # one multiset, or none
-    top_x = max(poly.degree for _, poly in base.items())
-    top_d2x = max(mon.d2x for mon, _ in base.items())
-    per_multiset = 2 if top_x and top_d2x else 1
-    dx_powers = 3 if any(mon.dx for mon, _ in base.items()) else per_multiset
-    degrees = min(n * top_x, 2) if base.truncated else n * top_x
-    words_times_degrees = dx_powers * (n * top_d2x + 1) * (degrees + 1)
-    return min(per_multiset * math.comb(n + t - 1, n), words_times_degrees)
-
-
-def _product(left: Form, right: Form, cfg: CalculusConfig) -> Form:
+def _product(left: Form, right: Form, cfg: CalculusConfig, charge) -> Form:
     """left * right for two forms in cfg's mode; equal to left.mul(right, cfg).
 
-    Written down without the form product when no relation applies: a left
-    factor f on the empty word gives f*g on each right word (g, j, n), and
-    a right factor that is one constant c on one word dx**j d2x**n, which
-    every twist fixes and whose derivative is zero, moves each left term
-    (f, k, m) to f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once
-    k + j >= 3. Neither leaves a bracket term.
+    Written down without the form product when no relation applies: a right
+    factor that is one constant c on one word dx**j d2x**n, which every twist
+    fixes and whose derivative is zero, moves each left term (f, k, m) to
+    f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once k + j >= 3, and
+    a left factor f on the empty word gives f*g on each right word (g, j, n).
+    Neither leaves a bracket term. Every product is charged _price first, as
+    in qforms.parser, but for a first kind whose constant fits in 64 bits.
     """
     terms = left.items()
-    if len(terms) == 1:
-        ((word, f),) = terms
-        if word == (0, 0):
-            return right.left_mul(f)
     if len(right.items()) == 1:
         (((j, n), g),) = right.items()
         if g.degree == 0:
             c = g.coefficient(0)
+            if max(map(abs, (c._a, c._b, c._d))) >> 64:
+                charge(_price(left._terms, right._terms, cfg.alpha))
             return Form(
                 {
                     FormMonomial(k + j, m + n): f.scale(c * swap_scalar(m, j))
@@ -228,12 +209,17 @@ def _product(left: Form, right: Form, cfg: CalculusConfig) -> Form:
                 },
                 left.truncated,
             )
+    charge(_price(left._terms, right._terms, cfg.alpha))
+    if len(terms) == 1:
+        ((word, f),) = terms
+        if word == (0, 0):
+            return right.left_mul(f)
     return left.mul(right, cfg)
 
 
-def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
-    """base^n, in closed form or by square-and-multiply (at most 2*log2(n)
-    form products).
+def _power(base: Form, n: int, cfg: CalculusConfig, charge) -> Form:
+    """base^n, in closed form or by square-and-multiply from the top bit
+    down (at most 2*log2(n) form products).
 
     A one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
     pushes its coefficient past a word, so its power is c**n * x**(d*n) *
@@ -249,19 +235,21 @@ def _power(base: Form, n: int, cfg: CalculusConfig) -> Form:
             if not d or not (j or m):
                 if j * n >= 3 or truncated and d * n >= 3:
                     return Form.zero(truncated)
+                if c != 1:
+                    charge(64 * n.bit_length() + (1 + n * _growth((c._a, c._b, c._d)) // 64) ** 2)
                 coeff = c**n * q_power(m * j * n * (n - 1))
                 return Form(
                     {FormMonomial(j * n, m * n): Poly({d * n: coeff}, truncated)},
                     truncated,
                 )
-    out = None
-    while True:
-        if n & 1:
-            out = base if out is None else out.mul(base, cfg)
-        n >>= 1
-        if not n:
-            return Form.one(truncated) if out is None else out
-        base = base.mul(base, cfg)
+    if not n:
+        return Form.one(truncated)
+    out = base
+    for bit in bin(n)[3:]:
+        out = _product(out, out, cfg, charge)
+        if bit == "1":
+            out = _product(out, base, cfg, charge)
+    return out
 
 
 def parse(text: str, cfg: CalculusConfig) -> Form:

@@ -52,6 +52,7 @@ SCALARS = ("tests/test_cyclotomic.py::TestIntCoreAgainstFractionPairs", "tests/t
 LAYOUT = ("tests/test_layout.py",)
 FAST = ("tests/test_cli.py::TestFastArgs",)
 BOUNDS = ("tests/test_cli.py::TestFailureModes::test_bound_messages",)
+BUDGET = ("tests/test_parser.py::TestWorkBudget",)
 
 MUTANTS = [
     # the value layout: one canonicaliser, Form's own arithmetic, its views
@@ -219,13 +220,29 @@ MUTANTS = [
     Mutant("parser swap exponent m*j", "parser.py",
            "_times(g[0], _Q_TRIPLES[2 * m * j % 3])", "_times(g[0], _Q_TRIPLES[m * j % 3])", CLOSED),
     Mutant("closed power ignores x**3 == 0", "parser.py",
-           "if j * n >= 3 or truncated and d * n >= 3:", "if j * n >= 3:", CLOSED),
+           "if j * n >= 3 or cfg.anyonic and d * n >= 3:", "if j * n >= 3:", CLOSED),
     Mutant("closed power skips c**n", "parser.py",
            "_times(_int_power(c, n), swaps)", "_times(c, swaps)", CLOSED),
     Mutant("closed power at n | 1", "parser.py",
            "_times(_int_power(c, n), swaps)", "_times(_int_power(c, n | 1), swaps)", CLOSED),
     Mutant("power cap without the x degree", "parser.py",
            "top = max(top, m, *poly)", "top = max(top, m)", ("tests/test_parser.py::TestPowers",)),
+    # the parser's work budget
+    Mutant("a squaring in _power is not priced", "parser.py",
+           "        out = _product(out, out, cfg, charge)\n",
+           "        out = _mul(out, out, cfg.alpha, cfg.anyonic)\n", BUDGET),
+    Mutant("the _product fallback is not priced", "parser.py",
+           "    charge(_price(left, right, cfg.alpha))\n    return _mul(", "    return _mul(", BUDGET),
+    Mutant("scaling by a long constant is not priced", "parser.py",
+           "if (abs(g[0][0]) | abs(g[0][1]) | g[0][2]) >> 64:", "if False:", BUDGET),
+    Mutant("a closed-form c**n is not priced", "parser.py",
+           "charge(64 * n.bit_length() + (1 + n * _growth(c) // 64) ** 2)", "pass", BUDGET),
+    Mutant("_price leaves out the left's terms", "parser.py",
+           "len(f) * (64 + 2 * lf * (lg + ls))", "(64 + 2 * lf * (lg + ls))", BUDGET),
+    Mutant("_price leaves out the bracket word", "parser.py",
+           "live = (k + j < 3) + (brackets and not k and not j and m > 0)", "live = (k + j < 3)", BUDGET),
+    Mutant("the budget compare ten times too lenient", "parser.py",
+           "if self._work + price > MAX_WORK:", "if self._work + price > 10 * MAX_WORK:", BUDGET),
     Mutant("tokenizer takes any digit", "parser.py",
            'elif "0" <= ch <= "9":', "elif ch.isdigit():", ("tests/test_parser.py::TestParseErrors",)),
     Mutant("groups stay unreduced", "parser.py",

@@ -311,6 +311,25 @@ class TestLimits:
         assert err.startswith("qforms:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "expr, alpha",
+        [
+            ("(1+x)^999*(1+q*x)^999", "q"),
+            ("(x+d2x)^300", "2"),
+            ("(x+d2x)^499", "2"),
+            ("*".join(["(x+d2x)"] * 400), "2"),
+            ("(1" + "0" * 4299 + ")^1000", "q"),
+        ],
+        ids=["binomials", "twisted-300", "twisted-499", "chain-400", "literal-power"],
+    )
+    def test_work_past_the_budget_exits_two_and_in_alpha_three(self, run_cli, expr, alpha, capsys):
+        assert run_cli(["reduce", expr, "--alpha", alpha]) == (2, "")
+        assert run_cli(["reduce", "x", f"--alpha={expr}"]) == (3, "")
+        errors = capsys.readouterr().err.splitlines()
+        assert errors[0].startswith("qforms: work exceeds the limit of")
+        assert errors[1].startswith("qforms: bad --alpha value: ")  # not always the budget: alpha is parsed at q
+        assert len(errors) == 2
+
     def test_digit_check_at_the_exact_boundary(self):
         last, first = 10**MAX_DIGITS - 1, 10**MAX_DIGITS  # the longest printable, the shortest not
         for value, too_long in [

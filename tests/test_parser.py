@@ -24,10 +24,9 @@ from qforms.parser import (
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_EXPONENT,
-    MAX_POWER_TERMS,
+    MAX_WORK,
     ParseError,
     _power,
-    _power_terms,
     _product,
     parse,
     parse_scalar,
@@ -50,6 +49,10 @@ POWER_CFGS = [
     CalculusConfig(CycQ(-1)),
 ]
 POWER_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7", "-1"]
+
+
+def unmetered(price):
+    """A charge that accepts every price, for _product and _power called alone."""
 
 
 def repeated_product(base, n, cfg):
@@ -358,47 +361,148 @@ class TestPowers:
         assert err.value.position == len(base) + 3  # the exponent token
         assert count_form_products["products"] == 2 * built  # the outer '^' made no product
 
-    def test_dense_power_at_the_term_bound(self):
-        # 31 * 32 = 992 predicted terms at N = 30, 1,056 at N = 31
-        base = parse("1+x+d2x", CFG_Q)
-        terms = [_power_terms(as_value(base), n, False) for n in (30, 31)]
-        assert terms[0] <= MAX_POWER_TERMS < terms[1]
-        assert parse("(1+x+d2x)^30", CFG_Q) == repeated_product(base, 30, CFG_Q)
-
-    @pytest.mark.parametrize(
-        "text", ["(1+x)^1000", "(1+d2x)^1000", "(1+x+dx+d2x)^18", "(1+x+d2x)^31"]
-    )
-    def test_dense_power_past_the_term_bound_computes_nothing(self, count_form_products, text):
-        with pytest.raises(ParseError, match=f"exceed {MAX_POWER_TERMS} terms") as err:
-            parse(text, CFG_Q)
-        assert err.value.position == text.index("^") + 1  # the exponent token
-        assert count_form_products["products"] == 0
-
-    @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
-    def test_predicted_terms_bound_the_power(self, cfg):
-        rng = random.Random(67)
-        tight = past_multisets = 0
-        # (1+x)^n meets the bound; x*d2x and d2x*x leave a bracket word off alpha == q
-        bases = [parse("1+x", cfg), parse("x+d2x", cfg)]
-        while len(bases) < 20:
-            base = random_form(rng, cfg, max_degree=2, max_d2x=2, max_terms=3)
-            bases += [base] if base else []
-        for base in bases:
-            t = sum(len(poly.items()) for _, poly in base.items())
-            for n in range(2, 6):
-                actual = sum(len(poly.items()) for _, poly in repeated_product(base, n, cfg).items())
-                predicted = _power_terms(as_value(base), n, cfg.anyonic)
-                assert actual <= predicted
-                tight += actual == predicted
-                past_multisets += actual > math.comb(n + t - 1, n)
-        assert tight  # the bound is reached
-        if cfg.alpha != Q:
-            assert past_multisets  # one multiset can leave two terms
-
     def test_exponent_tokens_of_any_length(self):
         assert parse("x^" + "0" * 5000 + "3", CFG_Q) == parse("x^3", CFG_Q)
         with pytest.raises(ParseError, match="exponent"):
             parse("x^" + "9" * 5000, CFG_Q)
+
+
+CFG_2 = CalculusConfig(CycQ(2))
+
+# Short inputs whose products cost seconds, each refused by the work budget
+# at alpha 2 or q: (1+x)^999 alone takes 0.6 s, (x+d2x)^499 82 s.
+COSTLY = [
+    ("(1+x)^999*(1+q*x)^999", CFG_Q),
+    ("(x+d2x)^300", CFG_2),
+    ("(x+d2x)^499", CFG_2),
+    ("*".join(["(x+d2x)"] * 400), CFG_2),
+    ("(1" + "0" * 4299 + ")^1000", CFG_Q),
+]
+COSTLY_IDS = ["binomials", "twisted-300", "twisted-499", "chain-400", "literal-power"]
+
+
+@pytest.fixture
+def metered(monkeypatch):
+    """The prices that parse charged: "accepted" in order, and "refused",
+    the price of the step that would have passed MAX_WORK, if any."""
+    charges = {"accepted": [], "refused": []}
+    charge = parser._Parser._charge
+
+    def recording(self, price, pos):
+        try:
+            charge(self, price, pos)
+        except ParseError:
+            charges["refused"].append(price)
+            raise
+        charges["accepted"].append(price)
+
+    monkeypatch.setattr(parser._Parser, "_charge", recording)
+    return charges
+
+
+class TestWorkBudget:
+    """Every kernel product and closed-form c**n is priced before it runs,
+    and a parse whose priced total would pass MAX_WORK is refused."""
+
+    def test_dense_power_just_under_the_budget(self, metered):
+        # the term predictor refused N = 31; the budget prices it at 97% of MAX_WORK
+        base = parse("1+x+d2x", CFG_2)
+        assert parse("(1+x+d2x)^31", CFG_2) == repeated_product(base, 31, CFG_2)
+        assert MAX_WORK // 10 < sum(metered["accepted"]) <= MAX_WORK
+
+    def test_first_step_over_the_budget_runs_no_product(self, count_form_products, metered):
+        # N = 32 is five squarings, and the last one alone passes MAX_WORK
+        with pytest.raises(ParseError, match="work exceeds") as err:
+            parse("(1+x+d2x)^32", CFG_2)
+        assert err.value.position == 10  # the exponent token
+        accepted, (refused,) = sum(metered["accepted"]), metered["refused"]
+        assert accepted <= MAX_WORK < accepted + refused < 10 * MAX_WORK
+        # each product that ran was charged first, and the refused one did not run
+        assert count_form_products["products"] == len(metered["accepted"]) == 4
+
+    @pytest.mark.parametrize(
+        "text, cfg",
+        [("(1+x)^1000", CFG_Q), ("(1+d2x)^1000", CFG_Q), ("(1+x+d2x)^32", CFG_2), ("(1+x+dx+d2x)^40", CFG_Q)],
+        ids=["(1+x)^1000", "(1+d2x)^1000", "(1+x+d2x)^32", "(1+x+dx+d2x)^40"],
+    )
+    def test_dense_power_past_the_budget(self, count_form_products, metered, text, cfg):
+        with pytest.raises(ParseError, match="work exceeds") as err:
+            parse(text, cfg)
+        assert err.value.position == text.index("^") + 1  # the exponent token
+        accepted, (refused,) = sum(metered["accepted"]), metered["refused"]
+        assert accepted <= MAX_WORK < accepted + refused
+        assert count_form_products["products"] == len(metered["accepted"])
+
+    @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
+    def test_prices_bound_the_kernel_work(self, monkeypatch, cfg):
+        # _price is at least 64 per term pair the kernel multiplies plus 1 per
+        # scalar it looks up, on random products and their powers
+        work = {"pairs": 0, "scalars": 0}
+        mul_into, scaled = forms._mul_into, forms._scaled
+
+        def counting_mul_into(sums, left, right, truncated):
+            work["pairs"] += len(left) * len(right)
+            mul_into(sums, left, right, truncated)
+
+        def counting_scaled(coeffs, *args):
+            work["scalars"] += len(coeffs)
+            return scaled(coeffs, *args)
+
+        monkeypatch.setattr(forms, "_mul_into", counting_mul_into)
+        monkeypatch.setattr(forms, "_scaled", counting_scaled)
+        rng = random.Random(67)
+        for _ in range(10):
+            a, b = (as_value(random_form(rng, cfg, max_degree=3, max_d2x=2, max_terms=3)) for _ in range(2))
+            square = forms._mul(a, a, cfg.alpha, cfg.anyonic)
+            fourth = forms._mul(square, square, cfg.alpha, cfg.anyonic)
+            for left, right in [(a, b), (b, a), (square, b), (fourth, square), (square, fourth)]:
+                work.update(pairs=0, scalars=0)
+                forms._mul(left, right, cfg.alpha, cfg.anyonic)
+                assert 64 * work["pairs"] + work["scalars"] <= parser._price(left, right, cfg.alpha)
+
+    @pytest.mark.parametrize("text, cfg", COSTLY, ids=COSTLY_IDS)
+    def test_costly_inputs_are_refused_by_count(self, count_form_products, metered, text, cfg):
+        with pytest.raises(ParseError, match="work exceeds") as err:
+            parse(text, cfg)
+        pos = err.value.position
+        assert text[pos] == "*" or text[pos - 1] == "^"  # a '*' or an exponent token
+        accepted, (refused,) = sum(metered["accepted"]), metered["refused"]
+        assert accepted <= MAX_WORK < accepted + refused
+        assert count_form_products["products"] == len(metered["accepted"])
+
+    @pytest.mark.parametrize("text, cfg", COSTLY, ids=COSTLY_IDS)
+    def test_parse_scalar_inherits_the_budget(self, text, cfg):
+        # parse_scalar works at alpha q, where (x+d2x)^300 costs less than
+        # MAX_WORK and is refused only as no scalar
+        costly = text != "(x+d2x)^300"
+        with pytest.raises(ParseError if costly else ValueError, match="work exceeds" if costly else "not a scalar"):
+            parse_scalar(text)
+
+    def test_scaling_by_long_constants_is_priced(self, count_form_products, metered):
+        # no product here reaches the kernel, yet each '*' scales a growing
+        # constant by 7^5000; unpriced, the chain ran 1.9 s before its powers
+        # alone passed MAX_WORK
+        text = "*".join(["7^5000"] * 400)
+        with pytest.raises(ParseError, match="work exceeds") as err:
+            parse(text, CFG_Q)
+        assert text[err.value.position] == "*"
+        assert count_form_products["products"] == 0
+        assert sum(metered["accepted"]) <= MAX_WORK
+
+    def test_library_parse_refuses_a_long_literal_power(self, count_form_products):
+        # the CLI refused its output; parse now refuses the power itself
+        with pytest.raises(ParseError, match="work exceeds") as err:
+            parse("(10^4299)^100", CFG_Q)
+        assert err.value.position == 10
+        assert count_form_products["products"] == 0
+
+    def test_prices_read_coefficient_sizes(self, metered):
+        # the same shape and term pairs, at under 30 and up to 10,000 bits a coefficient
+        parse("(1+x)^30", CFG_Q)
+        small = sum(metered["accepted"])
+        metered["accepted"].clear()
+        parse("(1+10^100*x)^30", CFG_Q)
+        assert 10 * small < sum(metered["accepted"])
 
 
 class TestNesting:
@@ -449,6 +553,16 @@ class TestRender:
     def test_terms_come_out_in_canonical_order(self):
         u = Form({(0, 1): Poly.x(), (2, 0): Poly.constant(CycQ(1, -1))})
         assert render(u) == "(1-1*q)*dx^2 + x*d2x"
+
+    def test_round_trip_up_to_the_exponent_cap(self):
+        u = parse(f"x^{MAX_EXPONENT}*d2x^{MAX_EXPONENT}", CFG_Q)
+        assert render(u) == "x^10000*d2x^10000"
+        assert parse(render(u), CFG_Q) == u
+        # a product may pass the cap, and then its text does not parse back
+        v = parse("x^10000*x^5000", CFG_Q)
+        assert render(v) == "x^15000"
+        with pytest.raises(ParseError, match="exponent"):
+            parse(render(v), CFG_Q)
 
     def test_renders_are_reparseable_spot_checks(self):
         for text in ["-1 - q", "(1+x)*dx", "q*x*dx - dx^2", "1/2*x^2*d2x^2"]:
@@ -620,13 +734,13 @@ class TestClosedForms:
     @given(case=oracle_cases())
     def test_product_matches_the_form_product(self, case):
         cfg, a, b = case
-        assert _product(as_value(a), as_value(b), cfg) == as_value(a.mul(b, cfg))
+        assert _product(as_value(a), as_value(b), cfg, unmetered) == as_value(a.mul(b, cfg))
 
     @ORACLE_SETTINGS
     @given(case=oracle_cases(), n=st.integers(0, 7))
     def test_power_matches_the_repeated_product(self, case, n):
         cfg, base, _ = case
-        assert _power(as_value(base), n, cfg) == as_value(repeated_product(base, n, cfg))
+        assert _power(as_value(base), n, cfg, unmetered) == as_value(repeated_product(base, n, cfg))
 
     @WIDE_SETTINGS
     @given(case=wide_cases())
@@ -635,7 +749,7 @@ class TestClosedForms:
         # at alpha 0, 1, -1 and q**2, over mixed denominators, on anyonic
         # sums reaching x**3 and on products that cancel
         cfg, a, b = case
-        assert _product(as_value(a), as_value(b), cfg) == as_value(pairwise_mul(a, b, cfg))
+        assert _product(as_value(a), as_value(b), cfg, unmetered) == as_value(pairwise_mul(a, b, cfg))
 
     @settings(WIDE_SETTINGS, max_examples=25)
     @given(case=wide_cases(), n=st.integers(0, 4))
@@ -644,7 +758,7 @@ class TestClosedForms:
         expected = Form.one(cfg.anyonic)
         for _ in range(n):
             expected = pairwise_mul(expected, base, cfg)
-        assert _power(as_value(base), n, cfg) == as_value(expected)
+        assert _power(as_value(base), n, cfg, unmetered) == as_value(expected)
 
     @pytest.mark.parametrize(
         "text",
@@ -661,10 +775,10 @@ class TestClosedForms:
         ],
     )
     def test_closed_forms_make_no_form_product(self, count_form_products, text):
-        def form_product(a, b, cfg):
+        def form_product(a, b, cfg, charge):
             return as_value(as_form(a, cfg.anyonic).mul(as_form(b, cfg.anyonic), cfg))
 
-        def form_power(base, n, cfg):
+        def form_power(base, n, cfg, charge):
             return as_value(repeated_product(as_form(base, cfg.anyonic), n, cfg))
 
         for cfg in (CFG_Q, CFG_ANY, CalculusConfig(CycQ(2))):

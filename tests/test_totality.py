@@ -5,22 +5,28 @@ only ParseError or ValueError escape, and the CLI returns 0-3 with at most
 one 'qforms:' line on stderr (argparse's own usage errors exit 2). Inputs are
 drawn both as raw text and from the grammar, with the work kept small:
 exponents of at most 12, --samples at most 3 and --max-degree at most 8.
+Costly inputs, '*' chains and nested powers of up to 4 KB, are drawn apart:
+the parser's work budget must refuse them before their price passes MAX_WORK.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+from unittest import mock
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+import form_parser
 from form_parser import compare_with_oracle
+from qforms import parser
 from qforms.calculus import CalculusConfig
 from qforms.checks import SUITE_NAMES
 from qforms.cli import main
 from qforms.cyclotomic import Q, CycQ
 from qforms.forms import Form
-from qforms.parser import ParseError, _tokenize, parse, parse_scalar
+from qforms.parser import MAX_WORK, ParseError, _tokenize, parse, parse_scalar
 
 CFGS = [CalculusConfig(Q), CalculusConfig(Q, anyonic=True), CalculusConfig(CycQ(2))]
 MAX_POWER = 12
@@ -93,6 +99,71 @@ def test_parse_is_total(text, cfg):
 def test_parse_matches_the_form_parser(text, cfg):
     # the same Form, text and JSON, or the same error at the same token
     compare_with_oracle(text, cfg)
+
+
+costly_bases = st.sampled_from(
+    ["x", "dx", "d2x", "q", "2", "10^40", "(x+d2x)", "(1+x)", "(1+q*x)", "(x+dx)", "(1+x+d2x)", "(2*x-d2x)"]
+)
+costly_factors = st.recursive(
+    costly_bases,
+    lambda inner: st.tuples(inner, st.integers(0, 1000)).map(lambda t: f"({t[0]})^{t[1]}"),
+    max_leaves=3,
+)
+MAX_TEXT = 4096
+
+
+@st.composite
+def costly_text(draw):
+    """Up to four runs of one repeated factor, joined by '*', in at most
+    MAX_TEXT characters; a factor may be a power, or a power of powers."""
+    runs = []
+    room = MAX_TEXT
+    for _ in range(draw(st.integers(1, 4))):
+        factor = draw(costly_factors)
+        count = min(draw(st.integers(1, 500)), (room + 1) // (len(factor) + 1))
+        if not count:
+            break
+        runs.append("*".join([factor] * count))
+        room -= count * (len(factor) + 1)
+    return "*".join(runs) or "x"
+
+
+@settings(SETTINGS, max_examples=100)
+@given(text=costly_text(), cfg=st.sampled_from(CFGS))
+def test_costly_parses_stay_inside_the_budget(text, cfg):
+    assert len(text) <= MAX_TEXT
+    accepted = []
+    charge = parser._Parser._charge
+
+    def recording(self, price, pos):
+        charge(self, price, pos)
+        accepted.append(price)
+
+    with mock.patch.object(parser._Parser, "_charge", recording):
+        try:
+            result = parse(text, cfg)
+        except ParseError as exc:
+            event("work refused" if "work" in str(exc) else "refused by another limit")
+        else:
+            assert isinstance(result, Form)
+            event("parsed")
+    assert sum(accepted) <= MAX_WORK
+
+
+@settings(SETTINGS, max_examples=25)
+@given(text=costly_text(), cfg=st.sampled_from(CFGS))
+def test_costly_parses_match_the_form_parser(text, cfg):
+    # both parsers charge _price alike: the same form, or the same refusal at
+    # the same token (render, which compare_with_oracle runs, refuses the
+    # longest integers these draw)
+    try:
+        expected = form_parser.parse(text, cfg)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse(text, cfg)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position)
+    else:
+        assert parse(text, cfg) == expected
 
 
 @SETTINGS
