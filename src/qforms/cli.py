@@ -49,7 +49,7 @@ class _OutputError(Exception):
 
 
 _TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
-_SHORT_BITS = 14_284  # 2**14284 < 10**4300: an int of this many bits has at most 4300 digits
+_SHORT_BITS = _TOO_LONG.bit_length() - 1  # 14,284: an int of at most this many bits is below _TOO_LONG
 
 
 def _too_long(scalars: Iterable[tuple[int, int, int]]) -> bool:
@@ -286,3 +286,7 @@ def _run_check(args: argparse.Namespace, cfg: CalculusConfig, output: str) -> in
                 print(f"  {line}")
         print(f"summary: {sum(r.passed for r in results)}/{len(results)} suites passed")
     return EXIT_OK if passed else EXIT_PROPERTY_FAILURE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,11 +15,12 @@ build Fractions (_fraction). The text of a scalar comes from
 parser.scalar_text.
 
 The int core is the one definition of Q(q) arithmetic on such (a, b, d)
-triples, which CycQ, Poly and Form compute with: _lowest (the one place
-lowest terms are taken), _times (q**2 folded to -1 - q), _int_inverse,
-_int_power, _ratios (the parts that text and JSON write), _from_ratios,
-_triple (a scalar argument's triple), _Q_TRIPLES (the powers of q). _of
-wraps a canonical triple as a CycQ. Two hot loops inline _times.
+triples, which CycQ, Poly and Form compute with: _operand (the one reader
+of a scalar operand: a CycQ, an int or a numbers.Rational), _lowest (the
+one place lowest terms are taken), _plus, _times (q**2 folded to -1 - q),
+_int_inverse, _int_power, _ratios (the parts that text and JSON write),
+_from_ratios, _Q_TRIPLES (the powers of q). _of wraps a canonical triple
+as a CycQ. Two hot loops inline _times.
 """
 
 from __future__ import annotations
@@ -73,12 +74,9 @@ class CycQ:
         return self._a != 0 or self._b != 0
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Rational)):
-                return NotImplemented
-            other = CycQ(other)
+        t = _operand(other)
         # canonical form makes equality structural
-        return self._a == other._a and self._b == other._b and self._d == other._d
+        return NotImplemented if t is None else (self._a, self._b, self._d) == t
 
     def __hash__(self) -> int:
         # a rational value hashes like the int or Fraction it equals
@@ -95,36 +93,22 @@ class CycQ:
         return _of((-self._a, -self._b, self._d))  # still in lowest terms
 
     def __add__(self, other: CycQ | int | Rational) -> CycQ:
-        if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Rational)):
-                return NotImplemented
-            other = CycQ(other)
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _of(_lowest(self._a + other._a, self._b + other._b, d1))
-        return _of(_lowest(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2))
+        t = _operand(other)
+        return NotImplemented if t is None else _of(_plus((self._a, self._b, self._d), t))
 
     __radd__ = __add__
 
     def __sub__(self, other: CycQ | int | Rational) -> CycQ:
-        if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Rational)):
-                return NotImplemented
-            other = CycQ(other)
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _of(_lowest(self._a - other._a, self._b - other._b, d1))
-        return _of(_lowest(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2))
+        t = _operand(other)
+        return NotImplemented if t is None else _of(_plus((self._a, self._b, self._d), (-t[0], -t[1], t[2])))
 
     def __rsub__(self, other: int | Rational) -> CycQ:
-        return (-self) + other
+        t = _operand(other)
+        return NotImplemented if t is None else _of(_plus(t, (-self._a, -self._b, self._d)))
 
     def __mul__(self, other: CycQ | int | Rational) -> CycQ:
-        if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Rational)):
-                return NotImplemented
-            other = CycQ(other)
-        return _of(_times((self._a, self._b, self._d), (other._a, other._b, other._d)))
+        t = _operand(other)
+        return NotImplemented if t is None else _of(_times((self._a, self._b, self._d), t))
 
     __rmul__ = __mul__
 
@@ -140,11 +124,8 @@ class CycQ:
         return _of(_int_inverse((self._a, self._b, self._d)))
 
     def __truediv__(self, other: CycQ | int | Rational) -> CycQ:
-        if not isinstance(other, CycQ):
-            if not isinstance(other, (int, Rational)):
-                return NotImplemented
-            other = CycQ(other)
-        return self * other.inverse()
+        t = _operand(other)
+        return NotImplemented if t is None else _of(_times((self._a, self._b, self._d), _int_inverse(t)))
 
     def __pow__(self, n: int) -> CycQ:
         if not isinstance(n, int):
@@ -185,6 +166,14 @@ def _ratios(a: int, b: int, d: int) -> tuple[int, int, int, int]:
     """CycQ.ratios of the canonical triple (a, b, d)."""
     g, h = gcd(a, d), gcd(b, d)
     return a // g, d // g, b // h, d // h
+
+
+def _plus(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The canonical sum of two canonical triples."""
+    (a1, b1, d1), (a2, b2, d2) = s, t
+    if d1 == d2:
+        return _lowest(a1 + a2, b1 + b2, d1)
+    return _lowest(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
 
 def _times(s: tuple[int, int, int], t: tuple[int, int, int]) -> tuple[int, int, int]:
@@ -260,12 +249,20 @@ def as_cycq(value: CycQ | int | Rational) -> CycQ:
 
 
 def _triple(value: CycQ | int | Rational) -> tuple[int, int, int]:
-    """The canonical triple of as_cycq(value), with no CycQ built."""
+    """_operand(value), or TypeError for a value that is not a Q(q) scalar; no CycQ is built."""
+    t = _operand(value)
+    if t is None:
+        raise TypeError(f"cannot interpret {value!r} as a Q(q) scalar")
+    return t
+
+
+def _operand(value: object) -> tuple[int, int, int] | None:
+    """The canonical triple of a CycQ, an int (bool included) or a numbers.Rational; None for any other value."""
     if isinstance(value, CycQ):
         return value._a, value._b, value._d
     if isinstance(value, (int, Rational)):
         return _from_ratios(value.numerator, value.denominator, 0, 1)
-    raise TypeError(f"cannot interpret {value!r} as a Q(q) scalar")
+    return None
 
 
 _Q_TRIPLES = ((1, 0, 1), (0, 1, 1), (-1, -1, 1))  # q**0, q**1, q**2 == -1 - q

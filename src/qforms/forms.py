@@ -35,7 +35,8 @@ from collections.abc import ItemsView, Iterable, Mapping
 from numbers import Rational
 
 from .calculus import CalculusConfig
-from .cyclotomic import _Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _ratios, _times, _triple, q_power
+from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _operand, _plus, _ratios, _times,
+                         _triple, q_power)
 from .polynomial import (Coeffs, ModeMismatchError, Poly, _add_into, _canonical, _mul_into, _negated, _scale,
                          _Sparse)
 
@@ -169,7 +170,7 @@ class Form(_Sparse):
         return _form(_mul({(0, 0): factor._terms}, self._terms, None, truncated), truncated)  # reads no alpha
 
     def __rmul__(self, factor: Poly | CycQ | int | Rational) -> Form:
-        if isinstance(factor, (Poly, CycQ, int, Rational)):
+        if isinstance(factor, Poly) or _operand(factor) is not None:
             return self.left_mul(factor)
         return NotImplemented
 
@@ -348,15 +349,13 @@ def _scalar(key: tuple[int, ...]) -> tuple[int, int, int]:
     if kind == _TOP:
         value = _times(_entry(_TOP, x, alpha), _Q_TRIPLES[y % 3]) if y else _int_power(alpha, x)
     elif kind == _BRACKET:
-        a, b, d = _entry(_TOP, y, alpha)
         qa, qb, _ = _Q_TRIPLES[y % 3]
-        factor = _times(_entry(_DERIVATIVE, x, alpha), _entry(_TOP, (x - 1) * y, alpha))
-        value = _times(factor, (a - qa * d, b - qb * d, d))  # alpha**y - q**y, canonical
+        difference = _plus(_entry(_TOP, y, alpha), (-qa, -qb, 1))  # alpha**y - q**y
+        value = _times(_times(_entry(_DERIVATIVE, x, alpha), _entry(_TOP, (x - 1) * y, alpha)), difference)
     elif alpha == _Q_TRIPLES[0]:
         value = (x, 0, 1)  # [x]_1 == x
-    else:  # the geometric sum (alpha**x - 1) / (alpha - 1), both canonical
-        (a, b, d), (aa, ab, ad) = _entry(_TOP, x, alpha), alpha
-        value = _times((a - d, b, d), _int_inverse((aa - ad, ab, ad)))
+    else:  # the geometric sum (alpha**x - 1) / (alpha - 1)
+        value = _times(_plus(_entry(_TOP, x, alpha), (-1, 0, 1)), _int_inverse(_plus(alpha, (-1, 0, 1))))
     if len(_SCALARS) >= _CACHE_SIZE:
         _SCALARS.clear()
     _SCALARS[key] = value

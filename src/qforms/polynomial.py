@@ -27,7 +27,7 @@ from math import gcd
 from numbers import Rational
 from typing import TypeVar
 
-from .cyclotomic import ZERO, CycQ, _lowest, _of, _times, _triple
+from .cyclotomic import ZERO, CycQ, _lowest, _of, _operand, _times, _triple
 
 
 _new = object.__new__
@@ -162,11 +162,9 @@ class Poly(_Sparse):
         return Poly._wrap(_canonical(sums), self._truncated)
 
     def __mul__(self, other: Poly | CycQ | int | Rational) -> Poly:
-        # the concrete types first: Poly * Poly never reaches the ABC's isinstance
+        # the concrete type first: Poly * Poly never reaches _operand's ABC isinstance
         if not isinstance(other, Poly):
-            if isinstance(other, (CycQ, int, Rational)):
-                return self.scale(other)
-            return NotImplemented
+            return NotImplemented if _operand(other) is None else self.scale(other)
         self._require_same_mode(other)
         sums: dict[int, list[int]] = {}
         _mul_into(sums, self._terms, other._terms, self._truncated)

@@ -53,6 +53,7 @@ LAYOUT = ("tests/test_layout.py",)
 FAST = ("tests/test_cli.py::TestFastArgs",)
 BOUNDS = ("tests/test_cli.py::TestFailureModes::test_bound_messages",)
 BUDGET = ("tests/test_parser.py::TestWorkBudget",)
+OPERANDS = ("tests/test_cyclotomic.py::TestCoercionAndText", "tests/test_cyclotomic.py::TestAgainstFractionOracle")
 
 MUTANTS = [
     # the value layout: one canonicaliser, Form's own arithmetic, its views
@@ -112,8 +113,8 @@ MUTANTS = [
            "if type(degree) is not int:", "if not isinstance(degree, (int, float)):",
            ("tests/test_polynomial.py",)),
     Mutant("_ratios unreduced", "cyclotomic.py",
-           "    g, h = gcd(a, d), gcd(b, d)\n    return a // g, d // g, b // h, d // h\n\n\ndef _times",
-           "    g, h = 1, 1\n    return a // g, d // g, b // h, d // h\n\n\ndef _times",
+           "    g, h = gcd(a, d), gcd(b, d)\n    return a // g, d // g, b // h, d // h\n\n\ndef _plus",
+           "    g, h = 1, 1\n    return a // g, d // g, b // h, d // h\n\n\ndef _plus",
            ("tests/test_parser.py::TestAgainstFractionText", "tests/test_cli.py")),
     # the CLI's option table: the fast path and the bound checks read it
     Mutant("fast path accepts -n outside diff", "cli.py",
@@ -190,6 +191,31 @@ MUTANTS = [
     Mutant("_lowest does not reduce", "cyclotomic.py", "        if g != 1:\n", "        if False:\n", SCALARS),
     Mutant("_times folds q**2 with the wrong sign", "cyclotomic.py",
            "return _lowest(a1 * a2 - cross,", "return _lowest(a1 * a2 + cross,", SCALARS),
+    Mutant("_plus swaps d1 and d2 across denominators", "cyclotomic.py",
+           "_lowest(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)",
+           "_lowest(a1 * d1 + a2 * d2, b1 * d1 + b2 * d2, d1 * d2)", SCALARS),
+    Mutant("_plus on one denominator skips lowest terms", "cyclotomic.py",
+           "return _lowest(a1 + a2, b1 + b2, d1)", "return a1 + a2, b1 + b2, d1", SCALARS),
+    # the one reader of Q(q) operands, and the CycQ operators on it
+    Mutant("_operand refuses Rational", "cyclotomic.py",
+           "if isinstance(value, (int, Rational)):", "if isinstance(value, int):", OPERANDS),
+    Mutant("_operand reads a Rational's numerator alone", "cyclotomic.py",
+           "_from_ratios(value.numerator, value.denominator, 0, 1)", "_from_ratios(value.numerator, 1, 0, 1)",
+           OPERANDS),
+    Mutant("CycQ.__sub__ keeps the q part's sign", "cyclotomic.py",
+           "(-t[0], -t[1], t[2])", "(-t[0], t[1], t[2])", OPERANDS),
+    Mutant("CycQ.__rsub__ subtracts the wrong way round", "cyclotomic.py",
+           "_plus(t, (-self._a, -self._b, self._d))", "_plus((-t[0], -t[1], t[2]), (self._a, self._b, self._d))",
+           OPERANDS),
+    Mutant("CycQ.__truediv__ multiplies", "cyclotomic.py",
+           "_times((self._a, self._b, self._d), _int_inverse(t))", "_times((self._a, self._b, self._d), t)",
+           OPERANDS),
+    Mutant("Poly * scalar declines", "polynomial.py",
+           "return NotImplemented if _operand(other) is None else self.scale(other)",
+           "return NotImplemented if _operand(other) is not None else self.scale(other)", ("tests/test_polynomial.py",)),
+    Mutant("scalar * Form declines", "forms.py",
+           "if isinstance(factor, Poly) or _operand(factor) is not None:", "if isinstance(factor, Poly):",
+           ("tests/test_forms.py",)),
     Mutant("_int_inverse wrong sign", "cyclotomic.py",
            "_lowest(d * (a - b), -d * b, n)", "_lowest(d * (a + b), -d * b, n)", SCALARS),
     Mutant("_int_power squares wrongly past 32", "cyclotomic.py",
@@ -204,7 +230,10 @@ MUTANTS = [
     Mutant("bracket's q power from x", "forms.py", "qa, qb, _ = _Q_TRIPLES[y % 3]", "qa, qb, _ = _Q_TRIPLES[x % 3]",
            SCALARS),
     Mutant("wrong alpha - 1 denominator", "forms.py",
-           "_int_inverse((aa - ad, ab, ad))", "_int_inverse((aa + ad, ab, ad))", SCALARS),
+           "_int_inverse(_plus(alpha, (-1, 0, 1)))", "_int_inverse(_plus(alpha, (1, 0, 1)))", SCALARS),
+    Mutant("[x]_alpha from alpha**x + 1", "forms.py",
+           "_plus(_entry(_TOP, x, alpha), (-1, 0, 1))", "_plus(_entry(_TOP, x, alpha), (1, 0, 1))", SCALARS),
+    Mutant("bracket factor alpha**y + q**y", "forms.py", "(-qa, -qb, 1))", "(qa, qb, 1))", SCALARS),
     Mutant("wrong bracket exponent", "forms.py",
            "_entry(_TOP, (x - 1) * y, alpha)", "_entry(_TOP, x * y, alpha)", SCALARS),
     Mutant("an lru_cache in forms", "forms.py",

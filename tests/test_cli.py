@@ -63,6 +63,16 @@ class TestReduce:
             "terms": [{"dx": 1, "d2x": 0, "coeff": [[1, [0, 1, 1, 1]]]}],
         }
 
+    @pytest.mark.parametrize("expr, code, out", [("dx*x", 0, "q*x*dx\n"), ("x + y", 2, "")])
+    def test_module_runs_as_a_script(self, expr, code, out):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env.pop("QFORMS_OUTPUT", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "qforms.cli", "reduce", expr], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (code, out)
+        assert done.stderr.startswith("qforms: unknown symbol") if code else not done.stderr
+
 
 class TestDiff:
     def test_single_application(self, run_cli):
@@ -344,6 +354,11 @@ class TestLimits:
         ]:
             assert value.max_bits() > cli._SHORT_BITS  # both sides take the slow path
             assert cli._too_long([triple(value)]) is too_long
+
+    def test_short_bits_follow_the_digit_limit(self):
+        # the longest int whose length alone proves it printable: 2**_SHORT_BITS <= 10**MAX_DIGITS
+        assert cli._SHORT_BITS == 14_284
+        assert 2**cli._SHORT_BITS <= 10**MAX_DIGITS < 2 ** (cli._SHORT_BITS + 1)
 
     def test_short_scalars_skip_the_lowest_terms(self):
         short = 2**cli._SHORT_BITS - 1

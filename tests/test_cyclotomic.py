@@ -183,6 +183,44 @@ class TestCoercionAndText:
         with pytest.raises(TypeError):
             as_cycq("q")
 
+    @pytest.mark.parametrize(
+        "value, triple",
+        [
+            (CycQ(Fraction(1, 2), 3), (1, 6, 2)),
+            (-7, (-7, 0, 1)),
+            (True, (1, 0, 1)),
+            (False, (0, 0, 1)),
+            (Fraction(6, -4), (-3, 0, 2)),
+            (Fraction(0, 5), (0, 0, 1)),
+        ],
+    )
+    def test_operand_reads_cycq_int_and_rational(self, value, triple):
+        assert cyclotomic._operand(value) == triple
+        assert cyclotomic._triple(value) == triple
+        u = as_cycq(value)
+        assert (u._a, u._b, u._d) == triple
+
+    @pytest.mark.parametrize("value", [0.5, "1", None, Decimal(1), 1j, object(), [1]])
+    def test_operand_refuses_everything_else(self, value):
+        assert cyclotomic._operand(value) is None
+        with pytest.raises(TypeError, match=r"^cannot interpret .* as a Q\(q\) scalar$"):
+            cyclotomic._triple(value)
+        u = CycQ(1, 2)
+        for name in ("__eq__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__"):
+            assert getattr(u, name)(value) is NotImplemented, name
+
+    def test_operators_build_no_temporary_scalar(self, monkeypatch):
+        u, v = CycQ(Fraction(1, 2), 3), CycQ(2, Fraction(-1, 3))
+
+        def refuse(*args):
+            raise AssertionError("CycQ() was called")
+
+        monkeypatch.setattr(CycQ, "__init__", refuse)
+        for other in (v, 5, True, Fraction(-3, 4)):
+            for result in (u + other, other + u, u - other, other - u, u * other, other * u, u / other):
+                assert type(result) is CycQ
+            assert u != other
+
     def test_canonical_text(self):
         assert str(ZERO) == "0"
         assert str(CycQ(Fraction(-3, 2))) == "-3/2"
@@ -426,7 +464,7 @@ def unreduced(triple, k):
 
 
 class TestIntCoreAgainstFractionPairs:
-    """cyclotomic's int core (_lowest, _times, _int_inverse, _int_power)
+    """cyclotomic's int core (_lowest, _plus, _times, _int_inverse, _int_power)
     against FractionCycQ, which pairs two Fractions and shares no code with it."""
 
     @given(mixed_parts, st.integers(1, 60))
@@ -442,6 +480,13 @@ class TestIntCoreAgainstFractionPairs:
             s, t = reference(s), reference(t)
             got = cyclotomic._times(canonical_triple(s), canonical_triple(t))
             assert got == canonical_triple(s * t)
+
+    @given(mixed_parts, mixed_parts)
+    def test_sums(self, p1, p2):
+        for s, t in ((p1, p2), (p1, ZERO_PARTS), (p1, p1)):  # (p1, p1) on one denominator
+            s, t = reference(s), reference(t)
+            got = cyclotomic._plus(canonical_triple(s), canonical_triple(t))
+            assert got == canonical_triple(s + t)
 
     @given(mixed_parts)
     def test_inverse(self, parts):

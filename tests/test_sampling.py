@@ -186,3 +186,8 @@ def test_suites_never_call_randint(monkeypatch, cfg):
     results = run_suites(SUITE_NAMES, cfg, 3, 30, 6)
     assert [r.name for r in results] == list(SUITE_NAMES)
     assert all(r.passed for r in results)
+
+
+def test_suite_names_are_the_runners_in_order():
+    # check all runs and reports the suites in this order
+    assert SUITE_NAMES == ("assoc", "leibniz", "d3", "prop2", "swap")
