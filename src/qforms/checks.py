@@ -14,6 +14,7 @@ Form construction.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 
 from .calculus import CalculusConfig, check_homogeneity, derivative, q_bracket
 from .cyclotomic import Q, CycQ, q_power
@@ -140,59 +141,47 @@ def random_closed_even_form(
     return Form(terms, cfg.anyonic)
 
 
-def run_assoc(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> SuiteResult:
-    rng = random.Random(seed)
-    for i in range(samples):
-        u = random_form(rng, cfg, max_degree)
-        v = random_form(rng, cfg, max_degree)
-        w = random_form(rng, cfg, max_degree)
-        if u.mul(v, cfg).mul(w, cfg) != u.mul(v.mul(w, cfg), cfg):
-            return SuiteResult(
-                "assoc",
-                False,
-                [
-                    f"sample {i}: (u*v)*w != u*(v*w)",
-                    f"u = {render(u)}",
-                    f"v = {render(v)}",
-                    f"w = {render(w)}",
-                ],
-            )
-    return SuiteResult("assoc", True, [f"product associated on {samples} random triples"])
+def _sampled(name: str, law: Callable[[random.Random, CalculusConfig, int], tuple | None],
+             held: str) -> Callable[[CalculusConfig, int, int, int], SuiteResult]:
+    """The runner of a sampled suite: one random.Random(seed) feeds
+    law(rng, cfg, max_degree) once per sample. A law draws its forms and
+    returns None when it holds, else the broken claim followed by those forms,
+    which the report labels u, v, w. `held` formats the pass line."""
+
+    def run(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> SuiteResult:
+        rng = random.Random(seed)
+        for i in range(samples):
+            if (failure := law(rng, cfg, max_degree)) is not None:
+                claim, *forms = failure
+                lines = [f"sample {i}: {claim}", *(f"{x} = {render(f)}" for x, f in zip("uvw", forms))]
+                return SuiteResult(name, False, lines)
+        return SuiteResult(name, True, [held.format(samples)])
+
+    return run
 
 
-def run_leibniz(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> SuiteResult:
-    rng = random.Random(seed)
-    for i in range(samples):
-        u = random_homogeneous_form(rng, cfg, max_degree)
-        v = random_form(rng, cfg, max_degree)
-        lhs = differential(u.mul(v, cfg), cfg)
-        rhs = differential(u, cfg).mul(v, cfg) + u.mul(differential(v, cfg), cfg).left_mul(
-            q_power(u.grade() or 0)
-        )
-        if lhs != rhs:
-            return SuiteResult(
-                "leibniz",
-                False,
-                [
-                    f"sample {i}: d(u*v) != d(u)*v + q^|u| * u*d(v)",
-                    f"u = {render(u)}",
-                    f"v = {render(v)}",
-                ],
-            )
-    return SuiteResult(
-        "leibniz", True, [f"graded Leibniz rule held on {samples} random pairs"]
-    )
+def _associative(rng: random.Random, cfg: CalculusConfig, max_degree: int) -> tuple | None:
+    u, v, w = (random_form(rng, cfg, max_degree) for _ in range(3))
+    associated = u.mul(v, cfg).mul(w, cfg) == u.mul(v.mul(w, cfg), cfg)
+    return None if associated else ("(u*v)*w != u*(v*w)", u, v, w)
 
 
-def run_d3(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> SuiteResult:
-    rng = random.Random(seed)
-    for i in range(samples):
-        u = random_form(rng, cfg, max_degree)
-        if not differential_power(u, 3, cfg).is_zero():
-            return SuiteResult(
-                "d3", False, [f"sample {i}: d^3 != 0", f"u = {render(u)}"]
-            )
-    return SuiteResult("d3", True, [f"d^3 vanished on {samples} random forms"])
+def _leibniz(rng: random.Random, cfg: CalculusConfig, max_degree: int) -> tuple | None:
+    u = random_homogeneous_form(rng, cfg, max_degree)
+    v = random_form(rng, cfg, max_degree)
+    lhs = differential(u.mul(v, cfg), cfg)
+    rhs = differential(u, cfg).mul(v, cfg) + u.mul(differential(v, cfg), cfg).left_mul(q_power(u.grade() or 0))
+    return None if lhs == rhs else ("d(u*v) != d(u)*v + q^|u| * u*d(v)", u, v)
+
+
+def _nilpotent(rng: random.Random, cfg: CalculusConfig, max_degree: int) -> tuple | None:
+    u = random_form(rng, cfg, max_degree)
+    return None if differential_power(u, 3, cfg).is_zero() else ("d^3 != 0", u)
+
+
+run_assoc = _sampled("assoc", _associative, "product associated on {} random triples")
+run_leibniz = _sampled("leibniz", _leibniz, "graded Leibniz rule held on {} random pairs")
+run_d3 = _sampled("d3", _nilpotent, "d^3 vanished on {} random forms")
 
 
 def run_prop2(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> SuiteResult:
@@ -206,7 +195,7 @@ def run_prop2(cfg: CalculusConfig, seed: int, samples: int, max_degree: int) -> 
         return SuiteResult("prop2", ok, [line])
     witness = q_bracket(Poly.x(cfg.anyonic), cfg)
     expected = Poly.constant(cfg.alpha - Q, cfg.anyonic)
-    ok = bool(witness) and witness == expected
+    ok = witness == expected
     line = (
         f"FAIL-as-expected: q-bracket(x) = {witness} is nonzero, "
         "so homogeneity fails for this alpha as it must"

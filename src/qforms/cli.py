@@ -285,7 +285,16 @@ def _run_check(args: argparse.Namespace, cfg: CalculusConfig, output: str) -> in
             for line in result.lines:
                 print(f"  {line}")
         print(f"summary: {sum(r.passed for r in results)}/{len(results)} suites passed")
-    return EXIT_OK if passed else EXIT_PROPERTY_FAILURE
+    if passed:
+        return EXIT_OK
+    from shlex import join  # quotes each argument; only a failed run pays for the import
+
+    # the command that reruns each failed suite alone; --alpha=VALUE, since a value may start with '-'
+    options = [f"--alpha={cfg.alpha}", *(["--anyonic"] if cfg.anyonic else []), "--seed", str(args.seed),
+               "--samples", str(args.samples), "--max-degree", str(args.max_degree)]
+    for name in (r.name for r in results if not r.passed):
+        print(join(["qforms", "check", name, *options]), file=sys.stderr)
+    return EXIT_PROPERTY_FAILURE
 
 
 if __name__ == "__main__":

@@ -215,7 +215,7 @@ def _fraction(*args: object) -> Fraction:
 
 def _ratio(value: Rational | float | str) -> tuple[int, int]:
     """(numerator, denominator) of a scalar part; a float, str or Decimal
-    goes through Fraction, as it always has."""
+    goes through Fraction."""
     if not isinstance(value, Rational):
         value = _fraction(value)
     return value.numerator, value.denominator

@@ -238,7 +238,7 @@ class Form(_Sparse):
                 if not a_den or not b_den:
                     raise ValueError("zero denominator")
                 _add_into(sums, [(degree, _from_ratios(a_num, a_den, b_num, b_den))])
-            if min(sums, default=0) < 0:  # checked once the entry is read, as Poly(...) did
+            if min(sums, default=0) < 0:  # checked once the entry is read
                 raise ValueError(f"negative degree {next(e for e in sums if e < 0)}")
             value[k, m] = _canonical(sums)
         return _form({w: coeffs for w, coeffs in value.items() if coeffs}, truncated)

@@ -53,6 +53,7 @@ LAYOUT = ("tests/test_layout.py",)
 FAST = ("tests/test_cli.py::TestFastArgs",)
 BOUNDS = ("tests/test_cli.py::TestFailureModes::test_bound_messages",)
 BUDGET = ("tests/test_parser.py::TestWorkBudget",)
+REPORTS = ("tests/test_reports.py",)
 OPERANDS = ("tests/test_cyclotomic.py::TestCoercionAndText", "tests/test_cyclotomic.py::TestAgainstFractionOracle")
 
 MUTANTS = [
@@ -150,6 +151,16 @@ MUTANTS = [
            "coeffs[_below(bits, top + 1)] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1)",
            "coeffs[e] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1) if (e := _below(bits, top + 1)) >= 0 else 0",
            ("tests/test_sampling.py",)),
+    # the sampled suites' one runner, their laws and the failure report
+    Mutant("runner numbers samples from 1", "checks.py",
+           'f"sample {i}: {claim}"', 'f"sample {i + 1}: {claim}"', REPORTS),
+    Mutant("runner labels the forms v, w, x", "checks.py", 'zip("uvw", forms)', 'zip("vwx", forms)', REPORTS),
+    Mutant("runner reseeds every sample", "checks.py",
+           "        rng = random.Random(seed)\n        for i in range(samples):\n",
+           "        for i in range(samples):\n            rng = random.Random(seed)\n", REPORTS),
+    Mutant("leibniz law without q^|u|", "checks.py", ".left_mul(q_power(u.grade() or 0))", "", REPORTS),
+    Mutant("reproduction command without --anyonic", "cli.py",
+           '*(["--anyonic"] if cfg.anyonic else []), ', "", REPORTS),
     Mutant("differential keeps the sign at dx**2", "differential.py",
            "_negated(f).items()", "f.items()", ("tests/test_differential.py",)),
     Mutant("differential puts f on the wrong d2x power", "differential.py",
