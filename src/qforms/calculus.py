@@ -78,11 +78,6 @@ class CalculusConfig:
         return self.anyonic
 
 
-def _require_mode(f: Poly, cfg: CalculusConfig) -> None:
-    if f.truncated != cfg.anyonic:
-        raise ModeMismatchError("polynomial mode does not match the configuration")
-
-
 def q_number(k: int, alpha: CycQ | int | Rational) -> CycQ:
     """The alpha-integer 1 + alpha + ... + alpha**(k-1); k itself at alpha == 1."""
     alpha = as_cycq(alpha)
@@ -100,7 +95,7 @@ def twist(f: Poly, cfg: CalculusConfig) -> Poly:
 
 def twist_power(f: Poly, n: int, cfg: CalculusConfig) -> Poly:
     """Apply the twist n >= 0 times in one pass, x**m -> alpha**(m*n) * x**m."""
-    _require_mode(f, cfg)
+    f._require_mode(cfg.anyonic)
     if n < 0:
         raise ValueError("twist_power needs n >= 0")
     if n == 0:
@@ -111,7 +106,7 @@ def twist_power(f: Poly, n: int, cfg: CalculusConfig) -> Poly:
 
 def derivative(f: Poly, cfg: CalculusConfig) -> Poly:
     """Twisted derivative, x**m -> q_number(m, alpha) * x**(m-1)."""
-    _require_mode(f, cfg)
+    f._require_mode(cfg.anyonic)
     alpha = cfg.alpha
     return Poly({m - 1: q_number(m, alpha) * c for m, c in f.items() if m >= 1}, f.truncated)
 
@@ -121,7 +116,7 @@ def q_bracket(f: Poly, cfg: CalculusConfig) -> Poly:
 
     Divisible by alpha - q, hence identically zero on the anyonic line.
     """
-    _require_mode(f, cfg)
+    f._require_mode(cfg.anyonic)
     return derivative(twist(f, cfg), cfg) - Q * twist(derivative(f, cfg), cfg)
 
 

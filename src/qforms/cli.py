@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .calculus import CalculusConfig
 from .cyclotomic import Q, _ratios, _triple
 from .differential import differential_power, is_closed
-from .parser import MAX_DIGITS, MAX_EXPONENT, ParseError, parse, parse_scalar, render
+from .parser import MAX_DIGITS, MAX_EXPONENT, ParseError, _digit_limit, parse, parse_scalar, render
 from .polynomial import ModeMismatchError
 
 if TYPE_CHECKING:
@@ -48,20 +48,23 @@ class _OutputError(Exception):
     pass
 
 
-_TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits
-_SHORT_BITS = _TOO_LONG.bit_length() - 1  # 14,284: an int of at most this many bits is below _TOO_LONG
+_TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits, built once: tens of microseconds
 
 
 def _too_long(scalars: Iterable[tuple[int, int, int]]) -> bool:
     """Whether the text or JSON of any of these (a, b, d) scalars would write
-    an integer of more than MAX_DIGITS digits, which CPython refuses to print.
+    an integer of more than _digit_limit() digits, which CPython refuses to
+    print.
 
     Lowest terms only shrink the stored ints, so _ratios and its gcds are
-    needed only for a scalar with an int longer than _SHORT_BITS.
+    needed only for a scalar with an int at least as long as 10**limit.
     """
+    limit = _digit_limit()
+    least = _TOO_LONG if limit == MAX_DIGITS else 10**limit
+    short = least.bit_length() - 1  # an int of at most this many bits is below least
     return any(
-        max(a.bit_length(), b.bit_length(), d.bit_length()) > _SHORT_BITS
-        and any(abs(n) >= _TOO_LONG for n in _ratios(a, b, d))
+        max(a.bit_length(), b.bit_length(), d.bit_length()) > short
+        and any(abs(n) >= least for n in _ratios(a, b, d))
         for a, b, d in scalars
     )
 
@@ -200,7 +203,7 @@ def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConf
         except (ParseError, ValueError) as exc:
             raise _ConfigError(f"bad --alpha value: {exc}") from exc
         if _too_long(map(_triple, (alpha, alpha - Q))):  # check prints alpha, prop2 alpha - q
-            raise _ConfigError(f"bad --alpha value: an integer has more than {MAX_DIGITS} digits")
+            raise _ConfigError(f"bad --alpha value: an integer has more than {_digit_limit()} digits")
     for flag, dest, low, high in _BOUNDS:
         value = getattr(args, dest, low)  # only diff has -n
         if value < low:
@@ -239,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
             form = differential_power(form, args.times, cfg)
         # one check for text and JSON, before anything is printed
         if _too_long(t for coeffs in form._terms.values() for t in coeffs.values()):
-            raise _OutputError(f"the result has an integer of more than {MAX_DIGITS} digits")
+            raise _OutputError(f"the result has an integer of more than {_digit_limit()} digits")
         if args.command == "grade":
             components = form.decompose()
             if output == "json":

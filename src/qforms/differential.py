@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .calculus import CalculusConfig
 from .forms import _DERIVATIVE, Form, Sums, _form, _reduced, _scaled
-from .polynomial import ModeMismatchError, _add_into, _negated
+from .polynomial import _add_into, _negated
 
 
 def differential(u: Form, cfg: CalculusConfig) -> Form:
@@ -23,8 +23,7 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
     derivative taking c * x**e to c * [e]_alpha * x**(e-1) with [e]_alpha
     from the kernel's scalar table, and each sum is reduced once.
     """
-    if u.truncated != cfg.anyonic:
-        raise ModeMismatchError("form mode does not match the configuration")
+    u._require_mode(cfg.anyonic)
     out: Sums = {}
     for (k, m), f in u._terms.items():
         if k == 2:

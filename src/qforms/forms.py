@@ -37,8 +37,7 @@ from numbers import Rational
 from .calculus import CalculusConfig
 from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _operand, _plus, _ratios, _times,
                          _triple, q_power)
-from .polynomial import (Coeffs, ModeMismatchError, Poly, _add_into, _canonical, _mul_into, _negated, _scale,
-                         _Sparse)
+from .polynomial import Coeffs, Poly, _add_into, _canonical, _mul_into, _negated, _scale, _Sparse
 
 Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]  # the canonical layout; {} is 0
 Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, one _add_into map per word
@@ -98,8 +97,7 @@ class Form(_Sparse):
             k, m = mon if isinstance(mon, FormMonomial) else FormMonomial(*mon)
             if not isinstance(poly, Poly):
                 raise TypeError(f"a coefficient must be a Poly, got {poly!r}")
-            if poly.truncated != truncated:
-                raise ModeMismatchError("coefficient mode does not match the form")
+            poly._require_mode(truncated)
             if poly:
                 value[k, m] = poly._terms
         self._terms = value
@@ -165,8 +163,7 @@ class Form(_Sparse):
             s = _triple(factor)
             value = self._terms if s[0] or s[1] else {}
             return _form({w: _scale(coeffs, s) for w, coeffs in value.items()}, truncated)
-        if factor.truncated != truncated:
-            raise ModeMismatchError("factor mode does not match the form")
+        factor._require_mode(truncated)
         return _form(_mul({(0, 0): factor._terms}, self._terms, None, truncated), truncated)  # reads no alpha
 
     def __rmul__(self, factor: Poly | CycQ | int | Rational) -> Form:
@@ -180,7 +177,7 @@ class Form(_Sparse):
     def __add__(self, other: Form) -> Form:
         if not isinstance(other, Form):
             return NotImplemented
-        self._require_same_mode(other)
+        self._require_mode(other._truncated)
         sums: Sums = {}
         _add_value(sums, self._terms)
         _add_value(sums, other._terms)
@@ -190,9 +187,8 @@ class Form(_Sparse):
         """Product reduced to normal form, by the kernel _mul; TypeError unless other is a Form."""
         if not isinstance(other, Form):
             raise TypeError(f"cannot multiply a Form by {other!r}")
-        self._require_same_mode(other)
-        if self._truncated != cfg.anyonic:
-            raise ModeMismatchError("form mode does not match the configuration")
+        self._require_mode(cfg.anyonic)
+        other._require_mode(cfg.anyonic)
         return _form(_mul(self._terms, other._terms, cfg.alpha, self._truncated), self._truncated)
 
     def to_dict(self) -> dict:

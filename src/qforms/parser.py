@@ -38,6 +38,7 @@ x^10000*x^5000 parses to x^15000, whose text does not.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable
 
 from .calculus import CalculusConfig
@@ -66,7 +67,8 @@ MAX_DEPTH = 100
 """Deepest parenthesis nesting accepted; each level costs four stack frames."""
 
 MAX_DIGITS = 4_300
-"""Most significant digits in an integer literal; CPython's default int/str limit."""
+"""Most significant digits in an integer literal, CPython's default int/str limit. The limit that applies
+(_digit_limit) is the smaller of this and the interpreter's own, sys.get_int_max_str_digits(), when nonzero."""
 
 Token = tuple[str, str, int]  # kind, text, position; no other kind has an operator's text
 
@@ -199,11 +201,17 @@ class _Parser:
         raise ParseError("expected 'x', 'dx', 'd2x', 'q', a rational, or '('", pos)
 
 
+def _digit_limit() -> int:
+    """MAX_DIGITS, or the interpreter's int/str digit limit where lower and nonzero (none before Python 3.10.7)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0
+    return min(limit, MAX_DIGITS) if limit else MAX_DIGITS
+
+
 def _literal(text: str, pos: int) -> int:
-    """The value of an integer token, checked against MAX_DIGITS before int() sees it."""
+    """The value of an integer token, checked against _digit_limit() before int() sees it."""
     digits = text.lstrip("0") or "0"
-    if len(digits) > MAX_DIGITS:
-        raise ParseError(f"integer literal exceeds the limit of {MAX_DIGITS} digits", pos)
+    if len(digits) > (limit := _digit_limit()):
+        raise ParseError(f"integer literal exceeds the limit of {limit} digits", pos)
     return int(digits)
 
 

@@ -11,8 +11,8 @@ items() and terms().
 
 A truncated Poly lives in the quotient by x**3 == 0: degrees of three or
 more are discarded on construction and multiplication. Values of different
-modes never mix; combining them raises ModeMismatchError. Instances are
-immutable. Their text comes from parser.poly_text.
+modes never mix: _Sparse._require_mode, the one mode check, raises
+ModeMismatchError. Instances are immutable; their text is parser.poly_text.
 
 Poly, forms' product kernel and differential share one accumulator on those
 maps: _add_into sums (degree, (a, b, d)) pairs and _mul_into the products of
@@ -66,9 +66,10 @@ class _Sparse:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    def _require_same_mode(self, other: _Sparse) -> None:
-        if self._truncated != other._truncated:
-            raise ModeMismatchError("cannot combine plain and x**3 == 0 values")
+    def _require_mode(self, truncated: bool) -> None:
+        """The one mode check: a plain value never meets an x**3 == 0 value or configuration."""
+        if self._truncated != truncated:
+            raise ModeMismatchError("plain and x**3 == 0 modes do not match")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
@@ -155,7 +156,7 @@ class Poly(_Sparse):
     def __add__(self, other: Poly) -> Poly:
         if not isinstance(other, Poly):
             return NotImplemented
-        self._require_same_mode(other)
+        self._require_mode(other._truncated)
         sums: dict[int, list[int]] = {}
         _add_into(sums, self._terms.items())
         _add_into(sums, other._terms.items())
@@ -165,7 +166,7 @@ class Poly(_Sparse):
         # the concrete type first: Poly * Poly never reaches _operand's ABC isinstance
         if not isinstance(other, Poly):
             return NotImplemented if _operand(other) is None else self.scale(other)
-        self._require_same_mode(other)
+        self._require_mode(other._truncated)
         sums: dict[int, list[int]] = {}
         _mul_into(sums, self._terms, other._terms, self._truncated)
         return Poly._wrap(_canonical(sums), self._truncated)

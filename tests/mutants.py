@@ -105,8 +105,10 @@ MUTANTS = [
     Mutant("coefficient() swaps the word", "forms.py",
            "self._terms.get((k, m), {})", "self._terms.get((m, k), {})", ("tests/test_forms.py",)),
     Mutant("Form.mul skips the mode check", "forms.py",
-           "        if self._truncated != cfg.anyonic:\n", "        if False:\n",
+           "        self._require_mode(cfg.anyonic)\n        other._require_mode(cfg.anyonic)\n", "",
            ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("Form.mul skips the right operand's mode check", "forms.py",
+           "        other._require_mode(cfg.anyonic)\n", "", ("tests/test_forms.py::TestModuleStructure",)),
     Mutant("FormMonomial takes bools", "forms.py",
            "if type(dx) is not int or type(d2x) is not int:",
            "if not isinstance(dx, int) or not isinstance(d2x, int):", ("tests/test_forms.py::TestMonomials",)),
@@ -117,6 +119,20 @@ MUTANTS = [
            "    g, h = gcd(a, d), gcd(b, d)\n    return a // g, d // g, b // h, d // h\n\n\ndef _plus",
            "    g, h = 1, 1\n    return a // g, d // g, b // h, d // h\n\n\ndef _plus",
            ("tests/test_parser.py::TestAgainstFractionText", "tests/test_cli.py")),
+    # the one mode check and its callers
+    Mutant("_require_mode never raises", "polynomial.py",
+           "        if self._truncated != truncated:\n", "        if False:\n", ("tests/test_polynomial.py",)),
+    Mutant("differential without its mode check", "differential.py",
+           "    u._require_mode(cfg.anyonic)\n", "", ("tests/test_differential.py::TestExamples",)),
+    Mutant("left_mul without its mode check", "forms.py",
+           "        factor._require_mode(truncated)\n", "", ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("Form() without its mode check", "forms.py",
+           "            poly._require_mode(truncated)\n", "", ("tests/test_forms.py::TestModuleStructure",)),
+    Mutant("twist_power without its mode check", "calculus.py",
+           "    f._require_mode(cfg.anyonic)\n    if n < 0:", "    if n < 0:",
+           ("tests/test_calculus.py::TestTwistPower",)),
+    Mutant("from_dict's negative-degree check at < -1", "forms.py",
+           "if min(sums, default=0) < 0:", "if min(sums, default=0) < -1:", REPORTS),
     # the CLI's option table: the fast path and the bound checks read it
     Mutant("fast path accepts -n outside diff", "cli.py",
            "{flag: o for o in options for flag in o.flags}", "{flag: o for o in options + (_TIMES,) for flag in o.flags}",
@@ -137,6 +153,9 @@ MUTANTS = [
     Mutant("_too_long ignores the denominator", "cli.py",
            "max(a.bit_length(), b.bit_length(), d.bit_length())", "max(a.bit_length(), b.bit_length())",
            ("tests/test_cli.py::TestLimits",)),
+    Mutant("_too_long ignores a lower digit limit", "cli.py",
+           "least = _TOO_LONG if limit == MAX_DIGITS else 10**limit", "least = _TOO_LONG",
+           ("tests/test_cli.py::TestInterpreterDigitLimit",)),
     Mutant("samplers keep zero draws", "checks.py",
            "    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped\n\n\ndef random_homogeneous_form",
            "    return _form(value, cfg.anyonic)\n\n\ndef random_homogeneous_form",
@@ -159,6 +178,10 @@ MUTANTS = [
            "        rng = random.Random(seed)\n        for i in range(samples):\n",
            "        for i in range(samples):\n            rng = random.Random(seed)\n", REPORTS),
     Mutant("leibniz law without q^|u|", "checks.py", ".left_mul(q_power(u.grade() or 0))", "", REPORTS),
+    Mutant("prop2's failure line garbled", "checks.py",
+           "expected the nonzero value {expected}", "expected {expected}", REPORTS),
+    Mutant("swap's failure line garbled", "checks.py", 'f"d2x^{r} * dx^{j} reduced', 'f"d2x^{j} * dx^{r} reduced',
+           REPORTS),
     Mutant("reproduction command without --anyonic", "cli.py",
            '*(["--anyonic"] if cfg.anyonic else []), ', "", REPORTS),
     Mutant("differential keeps the sign at dx**2", "differential.py",
@@ -283,6 +306,9 @@ MUTANTS = [
            "live = (k + j < 3) + (brackets and not k and not j and m > 0)", "live = (k + j < 3)", BUDGET),
     Mutant("the budget compare ten times too lenient", "parser.py",
            "if self._work + price > MAX_WORK:", "if self._work + price > 10 * MAX_WORK:", BUDGET),
+    Mutant("the digit limit ignores the interpreter", "parser.py",
+           'limit = getattr(sys, "get_int_max_str_digits", int)()', "limit = 0",
+           ("tests/test_parser.py::TestParseErrors", "tests/test_cli.py::TestInterpreterDigitLimit")),
     Mutant("tokenizer takes any digit", "parser.py",
            'elif "0" <= ch <= "9":', "elif ch.isdigit():", ("tests/test_parser.py::TestParseErrors",)),
     Mutant("groups stay unreduced", "parser.py",

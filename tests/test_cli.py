@@ -22,6 +22,8 @@ from qforms.checks import SuiteResult
 from qforms.cyclotomic import CycQ
 from qforms.parser import MAX_DIGITS, MAX_EXPONENT
 
+SHORT_BITS = cli._TOO_LONG.bit_length() - 1  # _too_long's bound at the default limit: shorter ints skip _ratios
+
 
 def triple(value):
     """The stored (a, b, d) of a CycQ, the form in which a Form holds it."""
@@ -352,20 +354,21 @@ class TestLimits:
             (CycQ(0, first), True),
             (CycQ(Fraction(1, first)), True),
         ]:
-            assert value.max_bits() > cli._SHORT_BITS  # both sides take the slow path
+            assert value.max_bits() > SHORT_BITS  # both sides take the slow path
             assert cli._too_long([triple(value)]) is too_long
 
     def test_short_bits_follow_the_digit_limit(self):
-        # the longest int whose length alone proves it printable: 2**_SHORT_BITS <= 10**MAX_DIGITS
-        assert cli._SHORT_BITS == 14_284
-        assert 2**cli._SHORT_BITS <= 10**MAX_DIGITS < 2 ** (cli._SHORT_BITS + 1)
+        # the longest int whose length alone proves it printable: 2**SHORT_BITS <= 10**MAX_DIGITS
+        assert cli._TOO_LONG == 10**MAX_DIGITS
+        assert SHORT_BITS == 14_284
+        assert 2**SHORT_BITS <= 10**MAX_DIGITS < 2 ** (SHORT_BITS + 1)
 
     def test_short_scalars_skip_the_lowest_terms(self):
-        short = 2**cli._SHORT_BITS - 1
+        short = 2**SHORT_BITS - 1
         assert len(str(short)) <= MAX_DIGITS
         with mock.patch.object(cli, "_ratios", side_effect=AssertionError):
             for value in [CycQ(short), CycQ(-short, short), CycQ(Fraction(1, short))]:
-                assert value.max_bits() == cli._SHORT_BITS
+                assert value.max_bits() == SHORT_BITS
                 assert cli._too_long([triple(value)]) is False
 
     def test_long_stored_denominator_with_short_lowest_terms(self):
@@ -373,7 +376,7 @@ class TestLimits:
         # lowest terms 1/p and 1/r are not
         p, r = 2**8000, 3**5100
         value = CycQ(Fraction(1, p), Fraction(1, r))
-        assert value.max_bits() > cli._SHORT_BITS
+        assert value.max_bits() > SHORT_BITS
         assert p * r >= 10**MAX_DIGITS
         assert cli._too_long([triple(value)]) is False
 
@@ -413,6 +416,43 @@ class TestLimits:
         assert err.startswith("qforms: bad --alpha value")
         assert "position 2" in err
         assert err.count("\n") == 1
+
+
+class TestInterpreterDigitLimit:
+    """Under an int/str digit limit below MAX_DIGITS (PYTHONINTMAXSTRDIGITS),
+    that limit is the one the CLI refuses past, with one line and no traceback."""
+
+    @staticmethod
+    def run(argv, limit):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), PYTHONINTMAXSTRDIGITS=limit)
+        env.pop("QFORMS_OUTPUT", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "qforms.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit")
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["reduce", "2^3000"], 2, "the result has an integer of more than 640 digits"),
+            (["reduce", "2^3000", "--output", "json"], 2, "the result has an integer of more than 640 digits"),
+            (["reduce", "1" * 1000], 2, "integer literal exceeds the limit of 640 digits (at position 0)"),
+            (["check", "prop2", "--alpha", "2^3000"], 3, "bad --alpha value: an integer has more than 640 digits"),
+            (["reduce", "x", "--alpha", "1" * 1000], 3,
+             "bad --alpha value: integer literal exceeds the limit of 640 digits (at position 0)"),
+        ],
+        ids=["result", "result-json", "literal", "alpha", "alpha-literal"],
+    )
+    def test_past_a_lower_limit(self, argv, code, message):
+        assert self.run(argv, "640") == (code, "", f"qforms: {message}\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit")
+    @pytest.mark.parametrize("limit, applied", [("640", 640), ("0", MAX_DIGITS), ("5000", MAX_DIGITS)])
+    def test_at_and_past_the_limit_that_applies(self, limit, applied):
+        assert self.run(["reduce", f"10^{applied - 1}"], limit) == (0, "1" + "0" * (applied - 1) + "\n", "")
+        message = f"qforms: the result has an integer of more than {applied} digits\n"
+        assert self.run(["reduce", f"10^{applied}"], limit) == (2, "", message)
 
 
 class TestDefaultAlpha:

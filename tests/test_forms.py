@@ -390,6 +390,8 @@ class TestModuleStructure:
             Form({(0, 0): Poly.x(truncated=True)})
         with pytest.raises(ModeMismatchError):
             Form.basis(1, 0).mul(Form.basis(0, 1), CFG_ANY)
+        with pytest.raises(ModeMismatchError):
+            Form.basis(1, 0, truncated=True).mul(Form.basis(0, 1), CFG_ANY)
 
     def test_grades_and_homogeneity(self):
         u = Form({(0, 0): Poly.x(), (1, 0): Poly.one()})

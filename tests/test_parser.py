@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -319,6 +320,20 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="digits") as err:
             parse(text, CFG_Q)
         assert err.value.position == position
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="the interpreter has no digit limit")
+    @pytest.mark.parametrize("limit, applied", [(640, 640), (0, MAX_DIGITS), (5000, MAX_DIGITS)])
+    def test_the_smaller_of_the_interpreters_limit_and_max_digits_applies(self, limit, applied):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            digits = "7" * applied
+            assert parse(f"1/{digits}", CFG_Q) == Form.scalar(Fraction(1, int(digits)))
+            message = rf"^integer literal exceeds the limit of {applied} digits \(at position 2\)$"
+            with pytest.raises(ParseError, match=message):
+                parse(f"1/{digits}7", CFG_Q)
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestPowers:

@@ -1,9 +1,11 @@
-"""Failure reports of the sampled suites.
+"""Failure reports of the check suites.
 
 Each law is broken on purpose by monkeypatching one operation its suite
 calls. At a fixed seed and config the suite must then report the exact
-failing sample and forms, the CLI must print that report as text and JSON
-and exit 1, and stderr must carry one command that reproduces the failure.
+failing sample and forms, or for prop2 and swap the one failing line, the
+CLI must print that report as text and JSON and exit 1, and stderr must
+carry one command that reproduces the failure. The last tests run the
+refusals and the from_dict check that no other test reaches.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import shlex
 import pytest
 
 import qforms.checks as checks
-from qforms import CalculusConfig, Q
+from qforms import CalculusConfig, CycQ, Poly, Q
 from qforms.checks import SuiteResult, run_suites
 from qforms.forms import Form
 
@@ -55,8 +57,14 @@ def broken(monkeypatch, suite: str) -> None:
     elif suite == "leibniz":  # q^|u| one power too high
         q_power = checks.q_power
         monkeypatch.setattr(checks, "q_power", lambda n: q_power(n + 1))
-    else:  # d^3 taken as the identity
+    elif suite == "d3":  # d^3 taken as the identity
         monkeypatch.setattr(checks, "differential_power", lambda u, n, cfg: u)
+    elif suite == "prop2":  # the bracket vanishing off alpha = q, and not vanishing at it
+        monkeypatch.setattr(checks, "q_bracket", lambda f, cfg: Poly.zero(cfg.anyonic))
+        monkeypatch.setattr(checks, "check_homogeneity", lambda cfg, max_degree: False)
+    else:  # the swap scalar one power of q too high past a d2x
+        swap_scalar = checks.swap_scalar
+        monkeypatch.setattr(checks, "swap_scalar", lambda r, j: swap_scalar(r, j) * Q if r else swap_scalar(r, j))
 
 
 @pytest.mark.parametrize("suite", REPORTS)
@@ -137,3 +145,59 @@ def test_a_passing_check_writes_nothing_on_stderr(run_cli, capsys):
     code, _ = run_cli(["check", "all", "--samples", "5"])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+# the one-line reports of prop2 and swap under `broken`: (suite, --alpha, line)
+ONE_LINE = {
+    "prop2-alpha-2": ("prop2", "2", "q-bracket(x) = 0, expected the nonzero value 2-1*q"),
+    "prop2-alpha-q": ("prop2", "q", "q-bracket failed to vanish below degree 2 at alpha = q"),
+    "swap": ("swap", "q", "d2x^1 * dx^0 reduced to d2x, expected q*d2x"),
+}
+
+
+@pytest.mark.parametrize("suite, alpha, line", ONE_LINE.values(), ids=ONE_LINE)
+def test_one_line_suite_reports(suite, alpha, line, monkeypatch):
+    broken(monkeypatch, suite)
+    cfg = CalculusConfig(2 if alpha == "2" else Q)
+    expected = SuiteResult(suite, False, [line])
+    assert run_suites((suite,), cfg, SEED, SAMPLES, MAX_DEGREE) == [expected]
+    assert getattr(checks, f"run_{suite}")(cfg, SEED, SAMPLES, MAX_DEGREE) == expected
+
+
+@pytest.mark.parametrize("suite, alpha, line", ONE_LINE.values(), ids=ONE_LINE)
+def test_one_line_cli_reports_and_reproduction(suite, alpha, line, monkeypatch, run_cli, capsys):
+    broken(monkeypatch, suite)
+    argv = ["check", suite, f"--alpha={alpha}", *OPTIONS]
+    reproduction = f"qforms check {suite} --alpha={alpha} --seed 7 --samples 20 --max-degree 2\n"
+    text = f"{suite}: FAIL\n  {line}\nsummary: 0/1 suites passed\n"
+    assert run_cli(argv) == (1, text)
+    assert capsys.readouterr().err == reproduction
+    assert run_cli(shlex.split(reproduction)[1:]) == (1, text)
+    assert capsys.readouterr().err == reproduction
+    report = {
+        "alpha": alpha,
+        "anyonic": False,
+        "seed": SEED,
+        "samples": SAMPLES,
+        "max_degree": MAX_DEGREE,
+        "suites": [{"name": suite, "passed": False, "detail": [line]}],
+        "passed": False,
+    }
+    assert run_cli([*argv, "--output", "json"]) == (1, json.dumps(report) + "\n")
+    assert capsys.readouterr().err == reproduction
+
+
+def test_from_dict_refuses_a_negative_degree():
+    data = {"mode": "generic", "terms": [{"dx": 0, "d2x": 0, "coeff": [[-1, [1, 1, 0, 1]]]}]}
+    with pytest.raises(ValueError, match=r"^negative degree -1$"):
+        Form.from_dict(data)
+
+
+def test_refused_operands():
+    assert (SuiteResult("swap", True) == 1) is False
+    with pytest.raises(TypeError):
+        CycQ(2) ** 1.5
+    with pytest.raises(TypeError):
+        "a" * Form.one()
+    with pytest.raises(TypeError):
+        Poly.x() - 1
