@@ -16,9 +16,10 @@ parsed value. Values are a Form's own layout (forms.Value): a canonical,
 zero-free map word (k, m) -> degree -> (a, b, d), reduced after every
 operation by forms._reduced. A sum adds its terms into one unreduced map
 (forms._add_value), and parse wraps its reduced result in the one Form it
-builds. '*' and '^' are closed formulas where no rewriting is needed
-(_product, _power), and otherwise kernel products forms._mul, O(log N) of
-them for base^N; either way the value is that of N left-to-right factors.
+builds. '*' is one closed formula where no rewriting is needed (_product),
+and otherwise the kernel product forms._mul. base^N squares and multiplies
+through '*' (_power), in about 2*log2(N) closed or kernel steps, and its
+value is that of N left-to-right factors.
 
 All canonical text is written here: render for forms, poly_text for
 coefficient polynomials (Poly.__str__) and scalar_text for scalars
@@ -30,10 +31,11 @@ written from cyclotomic._ratios, render's straight from a Form's ints.
 Limits, each raising ParseError at the offending token, are the constants
 below: literal digits, exponents and N times a base's largest x or d2x power
 (checked before any product), nesting depth, and MAX_WORK, the budget each
-kernel product and closed-form c**n is priced against (_price) before it
-runs: (1+x)^300 parses, (1+x)^999 does not. Rendered text parses back to the
-same form under the same configuration only inside these limits:
-x^10000*x^5000 parses to x^15000, whose text does not.
+kernel product, and each closed product by a constant longer than 64 bits,
+is priced against (_price) before it runs: (1+x)^300 parses, (1+x)^999
+does not. Rendered text parses back to the same form under the same
+configuration only inside these limits: x^10000*x^5000 parses to x^15000,
+whose text does not.
 """
 
 from __future__ import annotations
@@ -42,9 +44,8 @@ import sys
 from collections.abc import Callable
 
 from .calculus import CalculusConfig
-from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_norm, _int_power, _lowest, _ratios, _times
+from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_norm, _lowest, _ratios, _times
 from .forms import Form, Sums, Value, _add_value, _by_word, _form, _mul, _reduced
-from .polynomial import _scale
 
 
 class ParseError(Exception):
@@ -61,7 +62,9 @@ MAX_EXPONENT = 10_000
 MAX_WORK = 10_000_000
 """Most work one parse may price (_price), in units of about one 64-bit limb product: 0.6-13 ns each on a
 Xeon core, 0.01-0.13 s in all. Ints past about 10^4 bits multiply by Karatsuba, below their schoolbook price,
-so (1+10^50*x)^60 is refused although it runs in under 0.01 s."""
+so (1+10^50*x)^60 is refused although it runs in under 0.01 s. A closed product by a constant of at most 64
+bits is not priced, so a chain of them scaling a large left factor runs past that: the 4 KB
+(1+x)^500*q*q*...*q parses in 0.6-1.0 s."""
 
 MAX_DEPTH = 100
 """Deepest parenthesis nesting accepted; each level costs four stack frames."""
@@ -232,7 +235,8 @@ def _limbs(value: Value) -> int:
 def _price(left: Value, right: Value, alpha: CycQ) -> int:
     """The price of the kernel product left * right, in units of about one
     64-bit limb product. Each live word of a pair (f on dx**k d2x**m, g on
-    dx**j), the top word and off alpha == q the bracket word, costs 256, and
+    dx**j), the top word and, off alpha == q, the bracket word, which drops
+    g's constants and so lives only on a g of positive degree, costs 256, and
     per term of g its twist scalar alpha**x, x = e*(m+k) for g's top degree
     e: 64 per bit of x plus the square of its limbs. Per term pair it costs
     64 plus twice the product of the limbs of f and of g times the scalar.
@@ -242,55 +246,48 @@ def _price(left: Value, right: Value, alpha: CycQ) -> int:
     lf, lg, price = _limbs(left), _limbs(right), 0
     for (k, m), f in left.items():
         for (j, _), g in right.items():
-            live = (k + j < 3) + (brackets and not k and not j and m > 0)  # the top and bracket words
-            x = max(g) * (m + k)
+            e = max(g)
+            live = (k + j < 3) + (brackets and e > 0 and not k and not j and m > 0)  # the top and bracket words
+            x = e * (m + k)
             ls = 1 + x * grow // 64
             price += live * (256 + len(g) * (64 * x.bit_length() + ls * ls + len(f) * (64 + 2 * lf * (lg + ls))))
     return price
 
 
 def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[int], None]) -> Value:
-    """left * right in cfg's mode, equal to the form product. A right factor
-    that is one constant c on one word dx**j d2x**n, which every twist fixes
-    and whose derivative is zero, needs no rewriting: it moves each left term
-    (f, k, m) to f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once
-    k + j >= 3. Any other product is the kernel forms._mul. Both are charged
-    _price first, the first only for a c longer than 64 bits: the text bounds
-    what shorter ones cost."""
+    """left * right in cfg's mode, equal to the form product, and the
+    parser's one closed form: a right factor c*x**e on one word dx**j d2x**n
+    needs no rewriting when e == 0, as every twist fixes c and its
+    derivative is zero, or when the left is one term on the empty word, with
+    nothing to pass. Each left term (f, k, m) then moves to f * c * x**e *
+    q**(2mj) on dx**(k+j) d2x**(m+n), dropped once k + j >= 3; anyonic,
+    degrees of 3 or more drop, and so does a word left empty. Any other
+    product is the kernel forms._mul. Both are charged _price first, the
+    first only for a c longer than 64 bits (see MAX_WORK)."""
     if len(right) == 1:
         (((j, n), g),) = right.items()
-        if len(g) == 1 and 0 in g:
-            if (abs(g[0][0]) | abs(g[0][1]) | g[0][2]) >> 64:
-                charge(_price(left, right, cfg.alpha))
-            out = {}
-            for (k, m), f in left.items():
-                if k + j < 3:
-                    out[k + j, m + n] = _scale(f, _times(g[0], _Q_TRIPLES[2 * m * j % 3]))
-            return out
+        if len(g) == 1:
+            ((e, c),) = g.items()
+            if not e or len(left) == 1 and len(left.get((0, 0), ())) == 1:
+                if (abs(c[0]) | abs(c[1]) | c[2]) >> 64:
+                    charge(_price(left, right, cfg.alpha))
+                out, anyonic = {}, cfg.anyonic
+                for (k, m), f in left.items():
+                    if k + j < 3:
+                        s = _times(c, _Q_TRIPLES[2 * m * j % 3]) if m * j % 3 else c
+                        coeffs = {d + e: t if s == _ONE else _times(t, s)
+                                  for d, t in f.items() if d + e < 3 or not anyonic}
+                        if coeffs:
+                            out[k + j, m + n] = coeffs
+                return out
     charge(_price(left, right, cfg.alpha))
     return _mul(left, right, cfg.alpha, cfg.anyonic)
 
 
 def _power(base: Value, n: int, cfg: CalculusConfig, charge: Callable[[int], None]) -> Value:
-    """base^n, in closed form or by square-and-multiply from the top bit down
-    (at most 2*log2(n) products, each through _product and so charged). A
-    one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
-    pushes its coefficient past a word, so its power is c**n * x**(d*n) *
-    dx**(j*n) d2x**(m*n) times q**(2mj) for each of the n(n-1)/2 swaps of a
-    dx**j left past a d2x**m; zero once j*n >= 3, or d*n >= 3 when
-    truncated. c**n, cyclotomic._int_power, is charged as _price charges alpha**x.
-    """
-    if len(base) == 1:
-        (((j, m), poly),) = base.items()
-        if len(poly) == 1:
-            ((d, c),) = poly.items()
-            if not d or not (j or m):
-                if j * n >= 3 or cfg.anyonic and d * n >= 3:
-                    return {}
-                if c != _ONE:  # 1**n stays 1
-                    charge(64 * n.bit_length() + (1 + n * _growth(c) // 64) ** 2)
-                swaps = _Q_TRIPLES[m * j * n * (n - 1) % 3]
-                return {(j * n, m * n): {d * n: _times(_int_power(c, n), swaps)}}
+    """base^n by square-and-multiply from the top bit down: at most
+    2*log2(n) steps, each through _product, so closed where it can be and
+    charged as it prices."""
     if not n:
         return {(0, 0): {0: _ONE}}
     out = base

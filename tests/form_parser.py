@@ -2,11 +2,11 @@
 
 qforms.parser evaluates expressions on a Form's own ints and builds one
 Form per parse. This module is the parser it replaced: every
-intermediate value is a Form, the two closed forms (_product, _power) are
-written on Forms, and every other product is Form.mul. The code between
-the imports and compare_with_oracle is that parser verbatim, tokenizer
-included, except that its closed forms build their Forms through the public
-constructors, that its powers square and multiply from the top bit down, and
+intermediate value is a Form, its closed form (_product) is written on
+Forms, and every other product is Form.mul. The code between the imports
+and compare_with_oracle is that parser verbatim, tokenizer included, except
+that its closed form builds its Forms through the public constructors, that
+its powers square and multiply through _product from the top bit down, and
 that it meters its work through qforms.parser's _price, applied to its
 Forms' _terms, with its own running total; it shares the literal check and
 the limits with qforms.parser.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from qforms import parser as int_parser
 from qforms.calculus import CalculusConfig
-from qforms.cyclotomic import Q, from_ratios, q_power
+from qforms.cyclotomic import Q, from_ratios
 from qforms.forms import Form, FormMonomial, swap_scalar
 from qforms.parser import (
     MAX_DEPTH,
@@ -24,7 +24,6 @@ from qforms.parser import (
     MAX_WORK,
     ParseError,
     Token,
-    _growth,
     _literal,
     _price,
 )
@@ -187,28 +186,31 @@ def _product(left: Form, right: Form, cfg: CalculusConfig, charge) -> Form:
     """left * right for two forms in cfg's mode; equal to left.mul(right, cfg).
 
     Written down without the form product when no relation applies: a right
-    factor that is one constant c on one word dx**j d2x**n, which every twist
-    fixes and whose derivative is zero, moves each left term (f, k, m) to
-    f * c * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once k + j >= 3, and
-    a left factor f on the empty word gives f*g on each right word (g, j, n).
-    Neither leaves a bracket term. Every product is charged _price first, as
-    in qforms.parser, but for a first kind whose constant fits in 64 bits.
+    factor c*x**e on one word dx**j d2x**n, with e == 0, which every twist
+    fixes and whose derivative is zero, or with a left of one term on the
+    empty word, which passes nothing, moves each left term (f, k, m) to
+    f * c * x**e * q**(2mj) on dx**(k+j) d2x**(m+n), dropped once k + j >= 3
+    (anyonic, the Poly product drops x**3); and a left factor f on the empty
+    word gives f*g on each right word (g, j, n). Neither leaves a bracket
+    term. Every product is charged _price first, as in qforms.parser, but
+    for a first kind whose constant fits in 64 bits.
     """
     terms = left.items()
     if len(right.items()) == 1:
         (((j, n), g),) = right.items()
-        if g.degree == 0:
-            c = g.coefficient(0)
-            if max(map(abs, (c._a, c._b, c._d))) >> 64:
-                charge(_price(left._terms, right._terms, cfg.alpha))
-            return Form(
-                {
-                    FormMonomial(k + j, m + n): f.scale(c * swap_scalar(m, j))
-                    for (k, m), f in terms
-                    if k + j < 3
-                },
-                left.truncated,
-            )
+        if len(g.items()) == 1:
+            ((e, c),) = g.items()
+            if not e or [(word, len(f.items())) for word, f in terms] == [((0, 0), 1)]:
+                if max(map(abs, (c._a, c._b, c._d))) >> 64:
+                    charge(_price(left._terms, right._terms, cfg.alpha))
+                return Form(
+                    {
+                        FormMonomial(k + j, m + n): f * Poly.monomial(e, c * swap_scalar(m, j), left.truncated)
+                        for (k, m), f in terms
+                        if k + j < 3
+                    },
+                    left.truncated,
+                )
     charge(_price(left._terms, right._terms, cfg.alpha))
     if len(terms) == 1:
         ((word, f),) = terms
@@ -218,32 +220,10 @@ def _product(left: Form, right: Form, cfg: CalculusConfig, charge) -> Form:
 
 
 def _power(base: Form, n: int, cfg: CalculusConfig, charge) -> Form:
-    """base^n, in closed form or by square-and-multiply from the top bit
-    down (at most 2*log2(n) form products).
-
-    A one-term base c*x**d * dx**j d2x**m with d == 0 or j == m == 0 never
-    pushes its coefficient past a word, so its power is c**n * x**(d*n) *
-    dx**(j*n) d2x**(m*n) times q**(2mj) for each of the n(n-1)/2 swaps of a
-    dx**j left past a d2x**m; zero once j*n >= 3, or d*n >= 3 when
-    truncated.
-    """
-    truncated = cfg.anyonic
-    if len(base.items()) == 1:
-        (((j, m), poly),) = base.items()
-        if len(poly.items()) == 1:
-            ((d, c),) = poly.items()
-            if not d or not (j or m):
-                if j * n >= 3 or truncated and d * n >= 3:
-                    return Form.zero(truncated)
-                if c != 1:
-                    charge(64 * n.bit_length() + (1 + n * _growth((c._a, c._b, c._d)) // 64) ** 2)
-                coeff = c**n * q_power(m * j * n * (n - 1))
-                return Form(
-                    {FormMonomial(j * n, m * n): Poly({d * n: coeff}, truncated)},
-                    truncated,
-                )
+    """base^n by square-and-multiply from the top bit down: at most
+    2*log2(n) products, each through _product."""
     if not n:
-        return Form.one(truncated)
+        return Form.one(cfg.anyonic)
     out = base
     for bit in bin(n)[3:]:
         out = _product(out, out, cfg, charge)

@@ -279,15 +279,13 @@ MUTANTS = [
     Mutant("q_number(5) wrong", "calculus.py",
            "return (alpha**k - 1) / (alpha - 1)  # geometric sum",
            "return (alpha**k - 1) / (alpha - 1) + (k == 5)", ("tests/test_calculus.py", "tests/test_cyclotomic.py")),
-    # the parser's closed forms and limits
+    # the parser's closed form and limits
     Mutant("parser swap exponent m*j", "parser.py",
-           "_times(g[0], _Q_TRIPLES[2 * m * j % 3])", "_times(g[0], _Q_TRIPLES[m * j % 3])", CLOSED),
-    Mutant("closed power ignores x**3 == 0", "parser.py",
-           "if j * n >= 3 or cfg.anyonic and d * n >= 3:", "if j * n >= 3:", CLOSED),
-    Mutant("closed power skips c**n", "parser.py",
-           "_times(_int_power(c, n), swaps)", "_times(c, swaps)", CLOSED),
-    Mutant("closed power at n | 1", "parser.py",
-           "_times(_int_power(c, n), swaps)", "_times(_int_power(c, n | 1), swaps)", CLOSED),
+           "s = _times(c, _Q_TRIPLES[2 * m * j % 3])", "s = _times(c, _Q_TRIPLES[m * j % 3])", CLOSED),
+    Mutant("closed product keeps x**3 when anyonic", "parser.py",
+           "for d, t in f.items() if d + e < 3 or not anyonic}", "for d, t in f.items()}", CLOSED),
+    Mutant("closed product drops the x**e shift", "parser.py",
+           "coeffs = {d + e: t if s == _ONE", "coeffs = {d: t if s == _ONE", CLOSED),
     Mutant("power cap without the x degree", "parser.py",
            "top = max(top, m, *poly)", "top = max(top, m)", ("tests/test_parser.py::TestPowers",)),
     # the parser's work budget
@@ -297,13 +295,15 @@ MUTANTS = [
     Mutant("the _product fallback is not priced", "parser.py",
            "    charge(_price(left, right, cfg.alpha))\n    return _mul(", "    return _mul(", BUDGET),
     Mutant("scaling by a long constant is not priced", "parser.py",
-           "if (abs(g[0][0]) | abs(g[0][1]) | g[0][2]) >> 64:", "if False:", BUDGET),
-    Mutant("a closed-form c**n is not priced", "parser.py",
-           "charge(64 * n.bit_length() + (1 + n * _growth(c) // 64) ** 2)", "pass", BUDGET),
+           "if (abs(c[0]) | abs(c[1]) | c[2]) >> 64:", "if False:", BUDGET),
+    Mutant("closed product for a multi-term left with e > 0", "parser.py",
+           "len(left) == 1 and len(left.get((0, 0), ())) == 1", "len(left) == 1 and (0, 0) in left", BUDGET),
     Mutant("_price leaves out the left's terms", "parser.py",
            "len(f) * (64 + 2 * lf * (lg + ls))", "(64 + 2 * lf * (lg + ls))", BUDGET),
     Mutant("_price leaves out the bracket word", "parser.py",
-           "live = (k + j < 3) + (brackets and not k and not j and m > 0)", "live = (k + j < 3)", BUDGET),
+           "live = (k + j < 3) + (brackets and e > 0 and not k and not j and m > 0)", "live = (k + j < 3)", BUDGET),
+    Mutant("_price charges a constant's bracket word", "parser.py",
+           "(brackets and e > 0 and not k", "(brackets and not k", BUDGET),
     Mutant("the budget compare ten times too lenient", "parser.py",
            "if self._work + price > MAX_WORK:", "if self._work + price > 10 * MAX_WORK:", BUDGET),
     Mutant("the digit limit ignores the interpreter", "parser.py",

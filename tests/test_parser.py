@@ -10,11 +10,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import form_parser
 from form_parser import compare_with_oracle
-from test_forms import WIDE_SETTINGS, pairwise_mul, wide_cases
+from test_forms import WIDE_CFGS, WIDE_SETTINGS, pairwise_mul, wide_cases, wide_scalars
 from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
@@ -416,8 +416,9 @@ def metered(monkeypatch):
 
 
 class TestWorkBudget:
-    """Every kernel product and closed-form c**n is priced before it runs,
-    and a parse whose priced total would pass MAX_WORK is refused."""
+    """Every kernel product, and every closed product by a constant longer
+    than 64 bits, is priced before it runs, and a parse whose priced total
+    would pass MAX_WORK is refused."""
 
     def test_dense_power_just_under_the_budget(self, metered):
         # the term predictor refused N = 31; the budget prices it at 97% of MAX_WORK
@@ -483,7 +484,10 @@ class TestWorkBudget:
         assert text[pos] == "*" or text[pos - 1] == "^"  # a '*' or an exponent token
         accepted, (refused,) = sum(metered["accepted"]), metered["refused"]
         assert accepted <= MAX_WORK < accepted + refused
-        assert count_form_products["products"] == len(metered["accepted"])
+        if text.startswith("(10"):  # a long constant squares in closed steps: charged, but no kernel product
+            assert count_form_products["products"] == 0 < len(metered["accepted"])
+        else:
+            assert count_form_products["products"] == len(metered["accepted"])
 
     @pytest.mark.parametrize("text, cfg", COSTLY, ids=COSTLY_IDS)
     def test_parse_scalar_inherits_the_budget(self, text, cfg):
@@ -510,6 +514,24 @@ class TestWorkBudget:
             parse("(10^4299)^100", CFG_Q)
         assert err.value.position == 10
         assert count_form_products["products"] == 0
+
+    def test_long_constant_powers_parse(self, count_form_products):
+        # the closed steps past 64 bits are priced by _price, which leaves out
+        # the bracket word of a constant: charged for it, the d2x power at
+        # alpha 2 is refused
+        big = "1" + "0" * 4299
+        assert parse(f"({big}*d2x)^13", CFG_2) == Form({(0, 13): Poly.constant(10 ** (4299 * 13))})
+        assert parse(f"({big})^14", CFG_Q) == Form.scalar(10 ** (4299 * 14))
+        assert count_form_products["products"] == 0
+
+    def test_a_chain_of_x_factors_is_priced(self, metered):
+        # (1+x)^500 * x is a kernel product: closed, every '*x' would go
+        # uncharged, and the 4 KB chain ran 0.6 s
+        text = "(1+x)^500" + "*x" * 2043
+        assert len(text) == 4095
+        with pytest.raises(ParseError, match="work exceeds") as err:
+            parse(text, CFG_Q)
+        assert text[err.value.position] == "*"
 
     def test_prices_read_coefficient_sizes(self, metered):
         # the same shape and term pairs, at under 30 and up to 10,000 bits a coefficient
@@ -693,9 +715,9 @@ def test_round_trip_on_random_forms(cfg):
 
 
 # Forms for the closed-form oracle. One-term forms with a monomial or
-# constant coefficient, on the empty word or not, hit each closed form; the
-# multi-term forms and the polynomial coefficients on a dx or d2x word hit
-# each fall-through to Form.mul.
+# constant coefficient, on the empty word or not, hit each case of the closed
+# form; the multi-term forms and the polynomial coefficients on a dx or d2x
+# word hit each fall-through to Form.mul.
 ORACLE_CFGS = st.sampled_from(
     [
         CFG_Q,
@@ -741,9 +763,37 @@ ORACLE_SETTINGS = settings(
 )
 
 
+@st.composite
+def closed_cases(draw):
+    """(cfg, left, right) for the closed product: right one term c*x**e on
+    one word, at a WIDE_CFGS alpha or anyonic; left any form when e == 0,
+    else one term on the empty word."""
+    cfg = draw(st.sampled_from(WIDE_CFGS))
+    t, words = cfg.anyonic, st.tuples(st.integers(0, 2), st.integers(0, 2))
+    degrees = st.integers(0, 2 if t else 4)
+    e = draw(degrees)
+    right = Form({draw(words): Poly({e: draw(wide_scalars)}, t)}, t)
+    if e:
+        return cfg, Form.from_poly(Poly({draw(degrees): draw(wide_scalars)}, t)), right
+    terms = draw(st.dictionaries(words, st.dictionaries(degrees, wide_scalars, min_size=1, max_size=3), max_size=3))
+    return cfg, Form({w: Poly(coeffs, t) for w, coeffs in terms.items()}, t), right
+
+
 class TestClosedForms:
-    """The parser's int closed forms _product and _power against the form
-    product they stand in for."""
+    """The parser's one closed form, in _product, and the powers _power
+    squares through it, against the form product they stand in for."""
+
+    @WIDE_SETTINGS
+    @given(case=closed_cases())
+    @example(case=(CFG_ANY, Form.from_poly(Poly.monomial(2, 3, True)), Form({(1, 0): Poly.monomial(1, 2, True)}, True)))
+    @example(case=(CFG_1, Form({(2, 1): Poly.monomial(1, 3)}), Form({(1, 1): Poly.constant(5)})))
+    def test_closed_product_matches_the_kernel(self, case):
+        # the closed path alone, on one-term right factors, against forms._mul,
+        # anyonic products that truncation empties and words past dx**2 included
+        cfg, a, b = case
+        with mock.patch.object(parser, "_mul", side_effect=AssertionError("not closed")):
+            closed = _product(as_value(a), as_value(b), cfg, unmetered)
+        assert closed == forms._mul(as_value(a), as_value(b), cfg.alpha, cfg.anyonic)
 
     @ORACLE_SETTINGS
     @given(case=oracle_cases())
@@ -787,6 +837,10 @@ class TestClosedForms:
             "(q*dx*d2x)^2",
             "d2x^40*dx^2*(2*dx)^2",
             "(3/2*d2x)^7",
+            "5*x^3",
+            "(2*x)^7",
+            "(3/2*x^2)^5",
+            "(1+x)*x^2",
         ],
     )
     def test_closed_forms_make_no_form_product(self, count_form_products, text):
