@@ -4,8 +4,10 @@ All sampling goes through random.Random(seed), so a fixed seed gives a
 byte-identical report. Samples are evaluated sequentially in sample order.
 
 The samples are exactly the draws random.Random(seed).randint makes, in the
-same order, but taken straight from rng.getrandbits by _below: the same
-getrandbits calls, so the same bits and the same generator state after.
+same order, but taken straight from rng.getrandbits: by _below for the term
+counts and words, and by its rejection loop written out in place for each
+coefficient's scalar and degree. Either way they are the same getrandbits
+calls, so the same bits and the same generator state after.
 The samplers draw straight into the int layout of Poly and Form, reduced by
 polynomial._canonical, so they build no CycQ and skip the checks of Poly and
 Form construction.
@@ -60,12 +62,24 @@ def random_cycq(rng: random.Random, lo: int = -5, hi: int = 5) -> CycQ:
 
 
 def _random_coeffs(bits, truncated: bool, max_degree: int, max_terms: int) -> dict:
-    """random_poly's draws as a map degree -> (a, b, 1), zeros kept; each
-    scalar is random_cycq's two draws."""
-    top = min(max_degree, 2) if truncated else max_degree
+    """random_poly's draws as a map degree -> (a, b, 1), zeros kept. Each term
+    draws random_cycq's two scalars in -5..5, then its degree, each by
+    _below's rejection loop written out: 4-bit words until one is below 11,
+    width-bit words until one is below span."""
+    span = (min(max_degree, 2) if truncated else max_degree) + 1
+    width = span.bit_length()
     coeffs: dict[int, tuple[int, int, int]] = {}
     for _ in range(1 + _below(bits, max_terms)):
-        coeffs[_below(bits, top + 1)] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1)  # the scalar first
+        a = bits(4)
+        while a >= 11:
+            a = bits(4)
+        b = bits(4)
+        while b >= 11:
+            b = bits(4)
+        e = bits(width) if span > 0 else _below(bits, span)  # an empty range raises where randint does
+        while e >= span:
+            e = bits(width)
+        coeffs[e] = (a - 5, b - 5, 1)
     return coeffs
 
 
@@ -88,7 +102,9 @@ def random_form(
 ) -> Form:
     bits, value = rng.getrandbits, {}
     for _ in range(1 + _below(bits, max_terms)):
-        k, m = FormMonomial(_below(bits, max_dx + 1), _below(bits, max_d2x + 1))
+        k, m = _below(bits, max_dx + 1), _below(bits, max_d2x + 1)
+        if k > 2:
+            FormMonomial(k, m)  # raises its ValueError, after the same draws
         value[k, m] = _random_coeffs(bits, cfg.anyonic, max_degree, 3)
     return _form(_reduced(value), cfg.anyonic)  # zero draws dropped
 

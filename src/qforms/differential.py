@@ -31,7 +31,7 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
             continue
         if k:
             _add_into(out.setdefault((0, m + 1), {}), f.items())
-        _add_into(out.setdefault((k + 1, m), {}), _scaled(f, _DERIVATIVE, 1, 0, cfg.alpha).items())
+        _add_into(out.setdefault((k + 1, m), {}), _scaled(f, _DERIVATIVE, 1, 0, cfg.alpha))
     return _form(_reduced(out), u.truncated)
 
 

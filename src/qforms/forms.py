@@ -25,8 +25,10 @@ pairs: a pair leaves at most two words, the words dx**3 == 0 kills are
 skipped before anything is computed, and each live word is a product of the
 left coefficient with the right one times one scalar per degree. The
 scalars come from one bounded table keyed by ints, shared across calls and
-with differential; _scaled applies them to a map, polynomial._mul_into
-multiplies the maps, and _reduced puts each output sum in lowest terms once.
+with differential; _scaled applies them to a map's terms and lists the
+(degree, (a, b, d)) pairs, polynomial._mul_into multiplies the left map by
+those pairs and adds each product into the output sums as it goes, and
+_reduced puts each output sum in lowest terms once.
 """
 
 from __future__ import annotations
@@ -297,10 +299,11 @@ def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:
     On a term c * x**e of g, both words are one scalar from the table
     _SCALARS: the top word takes c to c * alpha**(e*(m+k)) * q**(2mj) on
     x**e, the bracket word to c * [e]_alpha * alpha**((e-1)*m) *
-    (alpha**m - q**m) on x**(e-1). Those products and their products with
-    f are summed by polynomial._mul_into, one degree -> sum map per output
-    word, and _reduced puts each sum in lowest terms once. A left word
-    k == m == 0 only multiplies coefficients and never reads alpha.
+    (alpha**m - q**m) on x**(e-1). polynomial._mul_into multiplies f by
+    those terms, or by g's own when nothing twists it, into one degree ->
+    sum map per output word, and _reduced puts each sum in lowest terms
+    once. A left word k == m == 0 only multiplies coefficients and never
+    reads alpha.
     """
     out: Sums = {}
     for (k, m), f in left.items():
@@ -310,7 +313,7 @@ def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:
             bracket = (_SCALARS.get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
         for (j, n), g in right.items():
             if k + j < 3:
-                pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, alpha) if m + k else g
+                pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, alpha) if m + k else g.items()
                 _mul_into(out.setdefault((k + j, m + n), {}), f, pushed, truncated)
             if bracket and not j:
                 pushed = _scaled(g, _BRACKET, 1, m, alpha)
@@ -364,20 +367,21 @@ def _entry(kind: int, x: int, alpha: tuple[int, ...]) -> tuple[int, int, int]:
     return _SCALARS.get(key) or _scalar(key)
 
 
-def _scaled(coeffs: Coeffs, kind: int, t: int, y: int, alpha: CycQ) -> dict[int, tuple[int, int, int]]:
-    """The map of each term c * x**e times the table's scalar (kind, e*t, y):
-    on x**e for _TOP, on x**(e-1), still distinct, for the other kinds, which
-    kill the constants. A zero scalar leaves no term; nothing is reduced."""
+def _scaled(coeffs: Coeffs, kind: int, t: int, y: int, alpha: CycQ) -> list[tuple[int, tuple[int, int, int]]]:
+    """The (degree, (a, b, d)) pairs of each term c * x**e times the table's
+    scalar (kind, e*t, y): on x**e for _TOP, on x**(e-1) for the other kinds,
+    which kill the constants, so the degrees stay distinct. A zero scalar
+    leaves no term; nothing is reduced."""
     get, shift = _SCALARS.get, kind != _TOP
     aa, ab, ad = alpha._a, alpha._b, alpha._d
-    out = {}
+    out = []
     for e, (a, b, d) in coeffs.items():
         if e or not shift:
             key = (kind, e * t, y, aa, ab, ad)
             sa, sb, sd = get(key) or _scalar(key)
             if sa or sb:
                 cross = b * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
-                out[e - shift] = (a * sa - cross, a * sb + b * sa - cross, d * sd)
+                out.append((e - shift, (a * sa - cross, a * sb + b * sa - cross, d * sd)))
     return out
 
 

@@ -15,9 +15,11 @@ modes never mix: _Sparse._require_mode, the one mode check, raises
 ModeMismatchError. Instances are immutable; their text is parser.poly_text.
 
 Poly, forms' product kernel and differential share one accumulator on those
-maps: _add_into sums (degree, (a, b, d)) pairs and _mul_into the products of
-two maps, unreduced, and _canonical reduces each sum once and drops zeros.
-Negation (_negated) and scaling (_scale) stay canonical and need no sums.
+maps: _add_into sums (degree, (a, b, d)) pairs, and _mul_into multiplies a map
+by such pairs and adds each product into the sums in the same loop, building
+no term list. Nothing is reduced until _canonical reduces each sum once and
+drops zeros. Negation (_negated) and scaling (_scale) stay canonical and need
+no sums.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class Poly(_Sparse):
             return NotImplemented if _operand(other) is None else self.scale(other)
         self._require_mode(other._truncated)
         sums: dict[int, list[int]] = {}
-        _mul_into(sums, self._terms, other._terms, self._truncated)
+        _mul_into(sums, self._terms, other._terms.items(), self._truncated)
         return Poly._wrap(_canonical(sums), self._truncated)
 
     __rmul__ = __mul__  # reached only for a scalar
@@ -187,12 +189,13 @@ class Poly(_Sparse):
 
 
 Coeffs = Mapping[int, tuple[int, int, int]]  # degree -> (a, b, d) for (a + b*q) / d * x**degree
+Terms = Iterable[tuple[int, tuple[int, int, int]]]  # (degree, (a, b, d)) pairs, such as a Coeffs' items()
 
 
-def _add_into(sums: dict[int, list[int]], terms: Iterable[tuple[int, tuple[int, int, int]]]) -> None:
+def _add_into(sums: dict[int, list[int]], terms: Terms) -> None:
     """Add (degree, (a, b, d)) terms, such as a map's items(), into sums, a map
     degree -> [a, b, d]: the one accumulator of every sum. Nothing is reduced;
-    two denominators add over their lcm, not their product. Zero sums stay."""
+    two denominators add over their lcm (_add_unlike). Zero sums stay."""
     for e, (a, b, d) in terms:
         acc = sums.get(e)
         if acc is None:
@@ -201,22 +204,39 @@ def _add_into(sums: dict[int, list[int]], terms: Iterable[tuple[int, tuple[int, 
             acc[0] += a
             acc[1] += b
         else:
-            g = gcd(acc[2], d)
-            up, over = d // g, acc[2] // g  # lcm == acc[2] * up == d * over
-            acc[0] = acc[0] * up + a * over
-            acc[1] = acc[1] * up + b * over
-            acc[2] *= up
+            _add_unlike(acc, a, b, d)
 
 
-def _mul_into(sums: dict[int, list[int]], left: Coeffs, right: Coeffs, truncated: bool) -> None:
-    """Add the pairwise products of two coefficient maps into sums,
-    unreduced; truncated skips degrees of three or more."""
-    _add_into(sums, [  # cyclotomic._times's q**2 fold, inlined
-        (e1 + e2, (a1 * a2 - (cross := b1 * b2), a1 * b2 + b1 * a2 - cross, d1 * d2))
-        for e1, (a1, b1, d1) in left.items()
-        for e2, (a2, b2, d2) in right.items()
-        if not truncated or e1 + e2 < 3
-    ])
+def _mul_into(sums: dict[int, list[int]], left: Coeffs, right: Terms, truncated: bool) -> None:
+    """Add the product of each term of left with each term of right into sums
+    by _add_into's rule, in the same loop; truncated skips degrees of three or
+    more. right is read once per left term, so it must be a list or a view,
+    not an iterator."""
+    for e1, (a1, b1, d1) in left.items():
+        for e2, (a2, b2, d2) in right:
+            e = e1 + e2
+            if truncated and e >= 3:
+                continue
+            cross = b1 * b2  # cyclotomic._times's q**2 fold, inlined
+            a, b, d = a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, d1 * d2
+            acc = sums.get(e)
+            if acc is None:
+                sums[e] = [a, b, d]
+            elif acc[2] == d:
+                acc[0] += a
+                acc[1] += b
+            else:
+                _add_unlike(acc, a, b, d)
+
+
+def _add_unlike(acc: list[int], a: int, b: int, d: int) -> None:
+    """acc += (a + b*q) / d for a denominator d other than acc's, over their
+    lcm, not their product."""
+    g = gcd(acc[2], d)
+    up, over = d // g, acc[2] // g  # lcm == acc[2] * up == d * over
+    acc[0] = acc[0] * up + a * over
+    acc[1] = acc[1] * up + b * over
+    acc[2] *= up
 
 
 def _negated(coeffs: Coeffs) -> dict[int, tuple[int, int, int]]:

@@ -54,12 +54,17 @@ FAST = ("tests/test_cli.py::TestFastArgs",)
 BOUNDS = ("tests/test_cli.py::TestFailureModes::test_bound_messages",)
 BUDGET = ("tests/test_parser.py::TestWorkBudget",)
 REPORTS = ("tests/test_reports.py",)
+# _random_coeffs's draws of one term: the scalar's two, then the degree
+SCALAR_DRAWS = ("        a = bits(4)\n        while a >= 11:\n            a = bits(4)\n"
+                "        b = bits(4)\n        while b >= 11:\n            b = bits(4)\n")
+DEGREE_DRAW = ("        e = bits(width) if span > 0 else _below(bits, span)  # an empty range raises where randint does\n"
+               "        while e >= span:\n            e = bits(width)\n")
 OPERANDS = ("tests/test_cyclotomic.py::TestCoercionAndText", "tests/test_cyclotomic.py::TestAgainstFractionOracle")
 
 MUTANTS = [
     # the value layout: one canonicaliser, Form's own arithmetic, its views
     Mutant("kernel keeps x**3 in the quotient", "polynomial.py",
-           "if not truncated or e1 + e2 < 3", "if not truncated or e1 + e2 < 4", WIDE),
+           "            if truncated and e >= 3:\n", "            if truncated and e >= 4:\n", WIDE),
     Mutant("_reduced keeps empty words", "forms.py",
            "if (coeffs := _canonical(terms))}", "if (coeffs := _canonical(terms)) or True}", LAYOUT),
     Mutant("_canonical keeps zero sums", "polynomial.py",
@@ -167,9 +172,16 @@ MUTANTS = [
            '    if n <= 0:\n        raise ValueError("empty range for a random draw")\n', "",
            ("tests/test_sampling.py::test_empty_draw_range_raises",)),
     Mutant("samplers draw the degree first", "checks.py",
-           "coeffs[_below(bits, top + 1)] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1)",
-           "coeffs[e] = (_below(bits, 11) - 5, _below(bits, 11) - 5, 1) if (e := _below(bits, top + 1)) >= 0 else 0",
-           ("tests/test_sampling.py",)),
+           SCALAR_DRAWS + DEGREE_DRAW, DEGREE_DRAW + SCALAR_DRAWS, ("tests/test_sampling.py",)),
+    Mutant("inline scalar draw keeps 11", "checks.py",
+           "        while a >= 11:\n", "        while a > 11:\n",
+           ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
+    Mutant("inline degree draw one bit short", "checks.py",
+           "    width = span.bit_length()\n", "    width = (span - 1).bit_length()\n",
+           ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
+    Mutant("random_form keeps a drawn dx**3", "checks.py",
+           "        if k > 2:\n            FormMonomial(k, m)", "        if k > 3:\n            FormMonomial(k, m)",
+           ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
     # the sampled suites' one runner, their laws and the failure report
     Mutant("runner numbers samples from 1", "checks.py",
            'f"sample {i}: {claim}"', 'f"sample {i + 1}: {claim}"', REPORTS),
@@ -218,7 +230,10 @@ MUTANTS = [
     Mutant("kernel bracket test at q**(m+1)", "forms.py",
            "!= _Q_TRIPLES[m % 3]", "!= _Q_TRIPLES[(m + 1) % 3]", KERNEL),
     Mutant("accumulator adds without the lcm", "polynomial.py",
-           "            acc[0] = acc[0] * up + a * over\n", "            acc[0] = acc[0] + a\n", KERNEL),
+           "    acc[0] = acc[0] * up + a * over\n", "    acc[0] = acc[0] + a\n", KERNEL),
+    Mutant("fused product adds unlike denominators as like", "polynomial.py",
+           "                _add_unlike(acc, a, b, d)\n", "                acc[0] += a\n                acc[1] += b\n",
+           KERNEL),
     Mutant("_scaled folds q**2 with the wrong sign", "forms.py",
            "a * sb + b * sa - cross, d * sd", "a * sb + b * sa + cross, d * sd", KERNEL),
     # the scalar table and the int core

@@ -108,7 +108,8 @@ def random_kernel_form(rng, cfg, max_d2x=6):
 def count_kernel_work(monkeypatch, limit=None):
     """Count the scalar work of Form.mul, differential and Poly.__mul__.
 
-    "products" counts the pairs that polynomial._mul_into multiplies; "top",
+    "products" counts the term pairs that polynomial._mul_into multiplies,
+    each term of the left map by each right (degree, triple) pair; "top",
     "bracket" and "derivative" count the kernel's lookups in the scalar table
     by key kind, each at most one product of a coefficient with a scalar;
     "misses" counts the lookups that compute their scalar. The entries that
@@ -136,7 +137,7 @@ def count_kernel_work(monkeypatch, limit=None):
     mul_into, scalar = polynomial._mul_into, forms._scalar
 
     def counted_mul_into(sums, left, right, truncated):
-        tally("products", sum(not truncated or e1 + e2 < 3 for e1 in left for e2 in right))
+        tally("products", sum(not truncated or e1 + e2 < 3 for e1 in left for e2, _ in right))
         mul_into(sums, left, right, truncated)
 
     def counted_scalar(key):

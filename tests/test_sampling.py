@@ -113,13 +113,15 @@ MODES = {"generic": CalculusConfig(CycQ(2)), "anyonic": CalculusConfig(Q, anyoni
 # sides of a power of two, so _below's rejection loop runs and is skipped
 CYCQ_RANGES = [(0, 0), (-2, 1), (0, 7), (-5, 5), (-1_000, 1_000)]
 # (max_degree, max_terms, max_dx, max_d2x): draws below 1, 2, 3, 4, 7, 9 and
-# 51. max_d2x == 0 makes random_closed_even_form raise.
-GRID = list(itertools.product((0, 1, 2, 6, 50), (1, 3, 7), (0, 2), (0, 3)))
+# 51. max_degree == -1 leaves no degree to draw, max_d2x == 0 makes
+# random_closed_even_form raise, and max_dx == 3 makes random_form raise once
+# it draws dx**3, after the draws of that word.
+GRID = list(itertools.product((-1, 0, 1, 2, 6, 50), (1, 3, 7), (0, 2, 3), (0, 3)))
 
 SAMPLERS = {
     "random_cycq": lambda s, rng, cfg, p, i: s(rng, *CYCQ_RANGES[i % len(CYCQ_RANGES)]),
     "random_poly": lambda s, rng, cfg, p, i: s(rng, cfg.anyonic, p[0], p[1]),
-    "random_form": lambda s, rng, cfg, p, i: s(rng, cfg, *p),
+    "random_form": lambda s, rng, cfg, p, i: s(rng, cfg, max_degree=p[0], max_terms=p[1], max_dx=p[2], max_d2x=p[3]),
     "random_homogeneous_form": lambda s, rng, cfg, p, i: s(rng, cfg, p[0], p[3]),
     "random_odd_form": lambda s, rng, cfg, p, i: s(rng, cfg, p[0], p[3], p[1]),
     "random_closed_even_form": lambda s, rng, cfg, p, i: s(rng, cfg, p[0], p[3]),
@@ -143,7 +145,7 @@ def _draw(sampler, call, seed, cfg, params):
     rng = random.Random(seed)
     try:
         shape = _shape(call(sampler, rng, cfg, params, seed))
-    except ValueError:  # an empty range, raised before drawing
+    except ValueError:  # an empty range, raised before drawing, or a drawn dx**3
         shape = ValueError
     return shape, rng.getstate()
 
