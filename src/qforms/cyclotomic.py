@@ -140,7 +140,16 @@ class CycQ:
         return scalar_text(self)
 
     def __repr__(self) -> str:
-        return f"CycQ({self.a}, {self.b})"
+        try:
+            return f"CycQ({self.a}, {self.b})"
+        except ValueError:  # an int past the interpreter's int/str digit limit
+            return f"CycQ({_too_long_text()})"
+
+
+def _too_long_text() -> str:
+    """What a repr writes in place of the text of a value holding an int that
+    str() refuses, one past the interpreter's int/str digit limit."""
+    return f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
 
 
 _new = object.__new__

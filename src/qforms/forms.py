@@ -38,7 +38,7 @@ from numbers import Rational
 
 from .calculus import CalculusConfig
 from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _operand, _plus, _ratios, _times,
-                         _triple, q_power)
+                         _too_long_text, _triple, q_power)
 from .polynomial import Coeffs, Poly, _add_into, _canonical, _mul_into, _negated, _scale, _Sparse
 
 Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]  # the canonical layout; {} is 0
@@ -245,7 +245,11 @@ class Form(_Sparse):
         from .parser import render  # local import avoids a module cycle
 
         mode = "anyonic" if self._truncated else "generic"
-        return f"<Form {render(self)!r} mode={mode}>"
+        try:
+            text = repr(render(self))
+        except ValueError:  # an int past the interpreter's int/str digit limit
+            text = _too_long_text()
+        return f"<Form {text} mode={mode}>"
 
 
 _form = Form._wrap  # the Form of a canonical value of the given mode, taken as it is

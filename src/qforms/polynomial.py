@@ -29,7 +29,7 @@ from math import gcd
 from numbers import Rational
 from typing import TypeVar
 
-from .cyclotomic import ZERO, CycQ, _lowest, _of, _operand, _times, _triple
+from .cyclotomic import ZERO, CycQ, _lowest, _of, _operand, _times, _too_long_text, _triple
 
 
 _new = object.__new__
@@ -185,7 +185,11 @@ class Poly(_Sparse):
         return poly_text(self._terms)
 
     def __repr__(self) -> str:
-        return f"Poly({self.__str__()!r}, truncated={self._truncated})"
+        try:
+            text = repr(self.__str__())
+        except ValueError:  # an int past the interpreter's int/str digit limit
+            text = _too_long_text()
+        return f"Poly({text}, truncated={self._truncated})"
 
 
 Coeffs = Mapping[int, tuple[int, int, int]]  # degree -> (a, b, d) for (a + b*q) / d * x**degree

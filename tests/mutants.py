@@ -54,6 +54,7 @@ FAST = ("tests/test_cli.py::TestFastArgs",)
 BOUNDS = ("tests/test_cli.py::TestFailureModes::test_bound_messages",)
 BUDGET = ("tests/test_parser.py::TestWorkBudget",)
 REPORTS = ("tests/test_reports.py",)
+GATE = ("tests/test_exhaustive.py::test_every_small_expression",)
 # _random_coeffs's draws of one term: the scalar's two, then the degree
 SCALAR_DRAWS = ("        a = bits(4)\n        while a >= 11:\n            a = bits(4)\n"
                 "        b = bits(4)\n        while b >= 11:\n            b = bits(4)\n")
@@ -301,6 +302,16 @@ MUTANTS = [
            "for d, t in f.items() if d + e < 3 or not anyonic}", "for d, t in f.items()}", CLOSED),
     Mutant("closed product drops the x**e shift", "parser.py",
            "coeffs = {d + e: t if s == _ONE", "coeffs = {d: t if s == _ONE", CLOSED),
+    # the same three against the bounded-exhaustive gate alone, and a text-path mutant it must see
+    Mutant("gate: parser swap exponent m*j", "parser.py",
+           "s = _times(c, _Q_TRIPLES[2 * m * j % 3])", "s = _times(c, _Q_TRIPLES[m * j % 3])", GATE),
+    Mutant("gate: closed product keeps x**3 when anyonic", "parser.py",
+           "for d, t in f.items() if d + e < 3 or not anyonic}", "for d, t in f.items()}", GATE),
+    Mutant("gate: closed product drops the x**e shift", "parser.py",
+           "coeffs = {d + e: t if s == _ONE", "coeffs = {d: t if s == _ONE", GATE),
+    Mutant("gate: _piece drops the parentheses around a mixed scalar before a tail", "parser.py",
+           "f\"({'-' if a_sign == '-' else ''}{text})*{tail}\"", "f\"{'-' if a_sign == '-' else ''}{text}*{tail}\"",
+           GATE),
     Mutant("power cap without the x degree", "parser.py",
            "top = max(top, m, *poly)", "top = max(top, m)", ("tests/test_parser.py::TestPowers",)),
     # the parser's work budget

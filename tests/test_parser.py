@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import json
 import math
 import random
 import sys
@@ -194,22 +196,20 @@ def legacy_form_repr(u):
 
 @pytest.fixture
 def count_form_products(monkeypatch):
-    """Count the calls of the product kernel forms._mul, from Form.mul and
-    from the parser: "products" counts them all, "rewriting" those whose
-    left factor has a word other than the empty word, the products that
-    push a coefficient past a dx or d2x. A left factor on the empty word only
-    multiplies coefficients, which the parser did without the kernel until
-    the kernel took that case over."""
+    """Count the calls of the product kernel that parse makes: "products"
+    counts them all, "rewriting" those whose left factor has a word other
+    than the empty word, the products that push a coefficient past a dx or
+    d2x. parse reaches the kernel only through parser._mul, so Form.mul's
+    calls, the oracle's and the reference products', are not counted."""
     calls = {"products": 0, "rewriting": 0}
-    mul = forms._mul
+    mul = parser._mul
 
     def counting_mul(left, *args):
         calls["products"] += 1
         calls["rewriting"] += any(word != (0, 0) for word in left)
         return mul(left, *args)
 
-    for module in (forms, parser):
-        monkeypatch.setattr(module, "_mul", counting_mul)
+    monkeypatch.setattr(parser, "_mul", counting_mul)
     return calls
 
 
@@ -396,10 +396,48 @@ COSTLY = [
 COSTLY_IDS = ["binomials", "twisted-300", "twisted-499", "chain-400", "literal-power"]
 
 
-@pytest.fixture
-def metered(monkeypatch):
-    """The prices that parse charged: "accepted" in order, and "refused",
-    the price of the step that would have passed MAX_WORK, if any."""
+# Every price parse charges on five fixed inputs, as _price sets it: a
+# change to _price shows here as a diff. A text is COUNT copies of FACTOR
+# joined by '*'. Each copy charges STEPS at its exponent token, and each
+# '*' STAR after its right factor's STEPS; a refused parse ends on REFUSED
+# at position AT. The 4,095-character chain of 256 ((7*d2x^2))^260 is
+# refused at 10,041,165 units in all.
+CHAIN_STARS = [
+    633, 919, 1231, 1517, 1829, 2115, 2401, 2713, 2999, 3311, 3597, 3883, 4195, 4481, 4793, 5079, 5365, 5677,
+    5963, 6275, 6561, 6847, 7159, 7445, 7757, 8043, 8329, 8641, 8927, 9239, 9525, 9811, 10123, 10409, 10721,
+    11007, 11293, 11605, 11891, 12203, 12489, 12801, 13087, 13373, 13685, 13971, 14283, 14569, 14855, 15167,
+    15453, 15765, 16051, 16337, 16649, 16935, 17247, 17533, 17819, 18131, 18417, 18729, 19015, 19301, 19613,
+    19899, 20211, 20497, 20783, 21095, 21381, 21693, 21979, 22265, 22577, 22863, 23175, 23461, 23773, 24059,
+    24345, 24657, 24943, 25255, 25541, 25827, 26139, 26425, 26737, 27023, 27309, 27621, 27907, 28219, 28505,
+    28791, 29103, 29389, 29701, 29987, 30273, 30585, 30871, 31183, 31469, 31755, 32067, 32353, 32665, 32951,
+    33237, 33549, 33835, 34147, 34433, 34719, 35031, 35317, 35629, 35915, 36227, 36513, 36799, 37111, 37397,
+    37709, 37995, 38281, 38593, 38879, 39191, 39477, 39763, 40075, 40361, 40673, 40959, 41245, 41557, 41843,
+    42155, 42441, 42727, 43039, 43325, 43637, 43923, 44209, 44521, 44807, 45119, 45405, 45691, 46003, 46289,
+    46601, 46887, 47173, 47485, 47771, 48083, 48369, 48681, 48967, 49253, 49565, 49851, 50163, 50449, 50735,
+    51047, 51333, 51645, 51931, 52217, 52529, 52815, 53127, 53413, 53699, 54011, 54297, 54609, 54895, 55181,
+    55493, 55779, 56091, 56377, 56663, 56975, 57261, 57573, 57859, 58145, 58457, 58743, 59055, 59341, 59627,
+    59939, 60225, 60537, 60823, 61135, 61421, 61707, 62019, 62305, 62617, 62903, 63189, 63501, 63787, 64099,
+    64385, 64671, 64983, 65269, 65581, 65867, 66153, 66465, 66751, 67063, 67349, 67635, 67947, 68233, 68545,
+    68831, 69117, 69429, 69715, 70027, 70313, 70599, 70911, 71197, 71509, 71795, 72081, 72393, 72679, 72991,
+    73277, 73589, 73875, 74161, 74473, 74759, 75071, 75357, 75643,
+]
+PRICE_SCHEDULES = [  # FACTOR, COUNT, cfg, STEPS, STARS, REFUSED, AT
+    ("(1+x+d2x)^31", 1, CFG_2, [2292, 5436, 38203, 24604, 549937, 92508, 8510346, 383968], [], None, None),
+    ("(1+x+d2x)^32", 1, CFG_2, [2292, 12705, 92114, 866236], [], 10823588, 10),
+    ("(1+x)^1000", 1, CFG_Q,
+     [530, 666, 1348, 1210, 4616, 2298, 17680, 4474, 69920, 270211, 18258, 1206958, 6552611], [], 52208965, 6),
+    ("7^5000", 400, CFG_Q, [333, 361, 433, 741, 1945, 6481, 24741],
+     [97561, 194359, 291157, 388397, 485195, 581993, 679233, 776031, 872829, 970069, 1066867, 1163665, 1260905],
+     1357703, 97),
+    ("((7*d2x^2))^260", 256, CFG_Q, [333, 345, 405], CHAIN_STARS, 75955, 4079),
+]
+
+
+@contextlib.contextmanager
+def recorded_charges():
+    """The prices that parse charges inside the block: "accepted" in order,
+    and "refused", the price of the step that would have passed MAX_WORK,
+    if any."""
     charges = {"accepted": [], "refused": []}
     charge = parser._Parser._charge
 
@@ -411,14 +449,43 @@ def metered(monkeypatch):
             raise
         charges["accepted"].append(price)
 
-    monkeypatch.setattr(parser._Parser, "_charge", recording)
-    return charges
+    with mock.patch.object(parser._Parser, "_charge", recording):
+        yield charges
+
+
+@pytest.fixture
+def metered():
+    with recorded_charges() as charges:
+        yield charges
 
 
 class TestWorkBudget:
     """Every kernel product, and every closed product by a constant longer
     than 64 bits, is priced before it runs, and a parse whose priced total
-    would pass MAX_WORK is refused."""
+    would pass MAX_WORK is refused. Refusals are checked here and in
+    test_totality.py, against the prices parse charges and PRICE_SCHEDULES;
+    the plain evaluator of tests/form_parser.py has no budget."""
+
+    @pytest.mark.parametrize(
+        "factor, count, cfg, steps, stars, refused, at", PRICE_SCHEDULES,
+        ids=[f"{factor}*{count}" for factor, count, *_ in PRICE_SCHEDULES],
+    )
+    def test_price_schedules(self, metered, factor, count, cfg, steps, stars, refused, at):
+        text = "*".join([factor] * count)
+        expected = list(steps)
+        for star in stars:
+            expected += [*steps, star]
+        if refused is None:
+            parse(text, cfg)
+        else:
+            with pytest.raises(ParseError, match="work exceeds") as err:
+                parse(text, cfg)
+            assert err.value.position == at
+            if count > 1:  # the refused '*' comes after its right factor's steps
+                expected += steps
+            assert MAX_WORK < sum(expected) + refused
+        assert metered["accepted"] == expected and sum(expected) <= MAX_WORK
+        assert metered["refused"] == ([] if refused is None else [refused])
 
     def test_dense_power_just_under_the_budget(self, metered):
         # the term predictor refused N = 31; the budget prices it at 97% of MAX_WORK
@@ -600,6 +667,22 @@ class TestRender:
         assert render(v) == "x^15000"
         with pytest.raises(ParseError, match="exponent"):
             parse(render(v), CFG_Q)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit")
+    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
+    def test_repr_names_an_integer_past_the_digit_limit(self, cfg):
+        # render, str and JSON refuse the int, as str() of the int does; repr
+        # writes the overflow in place of the text
+        u = parse("10^4300", cfg)
+        poly = u.coefficient((0, 0))
+        scalar = poly.coefficient(0)
+        too_long = f"<an integer of more than {sys.get_int_max_str_digits()} digits>"
+        assert repr(u) == f"<Form {too_long} mode={'anyonic' if cfg.anyonic else 'generic'}>"
+        assert repr(poly) == f"Poly({too_long}, truncated={cfg.anyonic})"
+        assert repr(scalar) == f"CycQ({too_long})"
+        for refused in (lambda: render(u), lambda: str(poly), lambda: str(scalar), lambda: json.dumps(u.to_dict())):
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                refused()
 
     def test_renders_are_reparseable_spot_checks(self):
         for text in ["-1 - q", "(1+x)*dx", "q*x*dx - dx^2", "1/2*x^2*d2x^2"]:
@@ -915,7 +998,8 @@ def assert_canonical_value(value):
 
 
 class TestAgainstFormParser:
-    """parse against the Form-valued parser it replaced (tests/form_parser.py)."""
+    """parse against the plain evaluator of tests/form_parser.py, whose every
+    '*' is Form.mul, with no closed form and no work budget."""
 
     @pytest.mark.parametrize("cfg", CORPUS_CFGS, ids=CORPUS_IDS)
     def test_typed_sums(self, cfg):
@@ -931,11 +1015,7 @@ class TestAgainstFormParser:
 
 class TestParseCounts:
     """Typed sums need no rewriting: one Form per parse, and no CycQ at all,
-    since a Form stores the parser's ints. The Form-valued parser
-    (tests/form_parser.py), over the 3,000 expressions of the benchmark's
-    cli_requests at seed 1, built 9,642 Forms, 5,461 Polys and 14,657 CycQs,
-    and made 11,262 CycQ products, for 4,061 output coefficients; parse
-    builds 3,000 Forms and no CycQ there."""
+    since a Form stores the parser's ints."""
 
     def test_one_form_per_parse_and_no_more_scalars_than_coefficients(
         self, monkeypatch, count_form_products

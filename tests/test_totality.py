@@ -6,21 +6,22 @@ one 'qforms:' line on stderr (argparse's own usage errors exit 2). Inputs are
 drawn both as raw text and from the grammar, with the work kept small:
 exponents of at most 12, --samples at most 3 and --max-degree at most 8.
 Costly inputs, '*' chains and nested powers of up to 4 KB, are drawn apart:
-the parser's work budget must refuse them before their price passes MAX_WORK.
+the parser's work budget must refuse them before their price passes MAX_WORK,
+and what it accepts must equal the value of the plain evaluator in
+tests/form_parser.py, which has no budget.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import form_parser
 from form_parser import compare_with_oracle
-from qforms import parser
+from test_parser import recorded_charges
 from qforms.calculus import CalculusConfig
 from qforms.checks import SUITE_NAMES
 from qforms.cli import main
@@ -132,14 +133,7 @@ def costly_text(draw):
 @given(text=costly_text(), cfg=st.sampled_from(CFGS))
 def test_costly_parses_stay_inside_the_budget(text, cfg):
     assert len(text) <= MAX_TEXT
-    accepted = []
-    charge = parser._Parser._charge
-
-    def recording(self, price, pos):
-        charge(self, price, pos)
-        accepted.append(price)
-
-    with mock.patch.object(parser._Parser, "_charge", recording):
+    with recorded_charges() as charges:
         try:
             result = parse(text, cfg)
         except ParseError as exc:
@@ -147,23 +141,30 @@ def test_costly_parses_stay_inside_the_budget(text, cfg):
         else:
             assert isinstance(result, Form)
             event("parsed")
-    assert sum(accepted) <= MAX_WORK
+    assert sum(charges["accepted"]) <= MAX_WORK
 
 
 @settings(SETTINGS, max_examples=25)
 @given(text=costly_text(), cfg=st.sampled_from(CFGS))
 def test_costly_parses_match_the_form_parser(text, cfg):
-    # both parsers charge _price alike: the same form, or the same refusal at
-    # the same token (render, which compare_with_oracle runs, refuses the
-    # longest integers these draw)
+    # what parse accepts equals the plain evaluator's form; a refusal for
+    # work comes at a '*' or an exponent token, at the first step whose price
+    # would pass MAX_WORK; any other refusal is the evaluator's error (render,
+    # which compare_with_oracle runs, refuses the longest integers these draw)
     try:
-        expected = form_parser.parse(text, cfg)
+        with recorded_charges() as charges:
+            actual = parse(text, cfg)
     except ParseError as exc:
+        if "work exceeds" in str(exc):
+            accepted, (refused,) = sum(charges["accepted"]), charges["refused"]
+            assert accepted <= MAX_WORK < accepted + refused
+            assert text[exc.position] == "*" or text[exc.position - 1] == "^"
+            return
         with pytest.raises(ParseError) as err:
-            parse(text, cfg)
+            form_parser.parse(text, cfg)
         assert (str(err.value), err.value.position) == (str(exc), exc.position)
     else:
-        assert parse(text, cfg) == expected
+        assert actual == form_parser.parse(text, cfg)
 
 
 @SETTINGS
