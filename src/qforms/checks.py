@@ -8,8 +8,9 @@ same order, but taken straight from rng.getrandbits: by _below for the term
 counts and words, and by its rejection loop written out in place for each
 coefficient's scalar and degree. Either way they are the same getrandbits
 calls, so the same bits and the same generator state after.
-The samplers draw straight into the int layout of Poly and Form, reduced by
-polynomial._canonical, so they build no CycQ and skip the checks of Poly and
+The samplers draw straight into the int layout of Poly and Form: each draw
+(a, b, 1) is already canonical, so they drop zero draws and empty words in
+draw order, reduce nothing, build no CycQ and skip the checks of Poly and
 Form construction.
 """
 
@@ -21,9 +22,9 @@ from collections.abc import Callable
 from .calculus import CalculusConfig, check_homogeneity, derivative, q_bracket
 from .cyclotomic import Q, CycQ, q_power
 from .differential import differential, differential_power
-from .forms import Form, FormMonomial, _form, _reduced, swap_scalar
+from .forms import Form, FormMonomial, _form, swap_scalar
 from .parser import render
-from .polynomial import Poly, _canonical
+from .polynomial import Poly
 
 class SuiteResult:
     """Outcome of one suite: a flag plus human-readable detail lines."""
@@ -62,7 +63,8 @@ def random_cycq(rng: random.Random, lo: int = -5, hi: int = 5) -> CycQ:
 
 
 def _random_coeffs(bits, truncated: bool, max_degree: int, max_terms: int) -> dict:
-    """random_poly's draws as a map degree -> (a, b, 1), zeros kept. Each term
+    """random_poly's draws as the canonical map degree -> (a, b, 1), zero
+    draws dropped in draw order; a repeated degree keeps the last. Each term
     draws random_cycq's two scalars in -5..5, then its degree, each by
     _below's rejection loop written out: 4-bit words until one is below 11,
     width-bit words until one is below span."""
@@ -80,7 +82,7 @@ def _random_coeffs(bits, truncated: bool, max_degree: int, max_terms: int) -> di
         while e >= span:
             e = bits(width)
         coeffs[e] = (a - 5, b - 5, 1)
-    return coeffs
+    return {e: t for e, t in coeffs.items() if t[0] or t[1]}
 
 
 def random_poly(
@@ -89,7 +91,7 @@ def random_poly(
     max_degree: int = 6,
     max_terms: int = 3,
 ) -> Poly:
-    return Poly._wrap(_canonical(_random_coeffs(rng.getrandbits, truncated, max_degree, max_terms)), truncated)
+    return Poly._wrap(_random_coeffs(rng.getrandbits, truncated, max_degree, max_terms), truncated)
 
 
 def random_form(
@@ -106,7 +108,7 @@ def random_form(
         if k > 2:
             FormMonomial(k, m)  # raises its ValueError, after the same draws
         value[k, m] = _random_coeffs(bits, cfg.anyonic, max_degree, 3)
-    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped
+    return _form({w: coeffs for w, coeffs in value.items() if coeffs}, cfg.anyonic)  # words left empty dropped
 
 
 def random_homogeneous_form(
@@ -124,7 +126,7 @@ def random_homogeneous_form(
     ]
     picked = rng.sample(candidates, 1 + _below(bits, len(candidates)))
     value = {w: _random_coeffs(bits, cfg.anyonic, max_degree, 3) for w in picked}
-    return _form(_reduced(value), cfg.anyonic)
+    return _form({w: coeffs for w, coeffs in value.items() if coeffs}, cfg.anyonic)
 
 
 def random_odd_form(
@@ -138,7 +140,7 @@ def random_odd_form(
     bits, value = rng.getrandbits, {}
     for _ in range(1 + _below(bits, max_terms)):
         value[1, _below(bits, max_d2x + 1)] = _random_coeffs(bits, cfg.anyonic, max_degree, 3)
-    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped
+    return _form({w: coeffs for w, coeffs in value.items() if coeffs}, cfg.anyonic)
 
 
 def random_closed_even_form(

@@ -7,7 +7,7 @@ forms already die after two applications, even forms generally need three.
 from __future__ import annotations
 
 from .calculus import CalculusConfig
-from .forms import _DERIVATIVE, Form, Sums, _form, _reduced, _scaled
+from .forms import Form, Sums, _derived, _form, _reduced
 from .polynomial import _add_into, _negated
 
 
@@ -19,9 +19,9 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
         k == 2:  -f * dx * d2x**(m+1)
 
     On grade-0 forms this is the usual f -> derivative(f) * dx. The terms
-    are summed on u's ints by the product kernel's accumulator, the
-    derivative taking c * x**e to c * [e]_alpha * x**(e-1) with [e]_alpha
-    from the kernel's scalar table, and each sum is reduced once.
+    are summed on u's ints by polynomial's accumulator, the derivative
+    taking c * x**e to c * [e]_alpha * x**(e-1) with [e]_alpha from the
+    kernel's scalar table (forms._derived), and each sum is reduced once.
     """
     u._require_mode(cfg.anyonic)
     out: Sums = {}
@@ -31,7 +31,7 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
             continue
         if k:
             _add_into(out.setdefault((0, m + 1), {}), f.items())
-        _add_into(out.setdefault((k + 1, m), {}), _scaled(f, _DERIVATIVE, 1, 0, cfg.alpha))
+        _add_into(out.setdefault((k + 1, m), {}), _derived(f, cfg.alpha))
     return _form(_reduced(out), u.truncated)
 
 

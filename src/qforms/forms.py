@@ -20,15 +20,14 @@ Products are reduced to that normal form with the relations
 which depend on the twist scalar, so multiplication takes a CalculusConfig.
 Addition, scaling by polynomials from the left, and grading do not.
 
-The kernel _mul applies them in closed form, one fused pass over the term
-pairs: a pair leaves at most two words, the words dx**3 == 0 kills are
-skipped before anything is computed, and each live word is a product of the
-left coefficient with the right one times one scalar per degree. The
-scalars come from one bounded table keyed by ints, shared across calls and
-with differential; _scaled applies them to a map's terms and lists the
-(degree, (a, b, d)) pairs, polynomial._mul_into multiplies the left map by
-those pairs and adds each product into the output sums as it goes, and
-_reduced puts each output sum in lowest terms once.
+The kernel _mul applies them in closed form, one pass per word pair: a
+pair leaves at most two words, the words dx**3 == 0 kills are skipped
+before anything is computed, and each live word is a product of the left
+coefficient with the right one times one scalar per degree, from one
+bounded table keyed by ints, shared across calls and with differential.
+Its loop, the engine's one multiply-accumulate loop, twists each right term
+as it reads it and adds its products with the left map into the output
+sums, building no term list; _reduced reduces them in one pass.
 """
 
 from __future__ import annotations
@@ -37,9 +36,9 @@ from collections.abc import ItemsView, Iterable, Mapping
 from numbers import Rational
 
 from .calculus import CalculusConfig
-from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _operand, _plus, _ratios, _times,
-                         _too_long_text, _triple, q_power)
-from .polynomial import Coeffs, Poly, _add_into, _canonical, _mul_into, _negated, _scale, _Sparse
+from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_power, _lowest, _operand, _plus, _ratios,
+                         _times, _too_long_text, _triple, q_power)
+from .polynomial import Coeffs, Poly, _add_into, _add_unlike, _canonical, _negated, _scale, _Sparse
 
 Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]  # the canonical layout; {} is 0
 Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, one _add_into map per word
@@ -267,13 +266,21 @@ def _add_value(sums: Sums, value: Value, sign: int = 1) -> None:
 
 
 def _reduced(sums: Sums) -> Value:
-    """The value of the sums: each word's sums through polynomial._canonical,
-    then empty words dropped, in the order the sums were made."""
-    return {word: coeffs for word, terms in sums.items() if (coeffs := _canonical(terms))}
+    """The value of the sums in one pass: each sum in lowest terms (d == 1
+    taken as it is), zeros and empty words dropped, in the order made."""
+    value: Value = {}
+    for word, terms in sums.items():
+        coeffs = {}
+        for e, (a, b, d) in terms.items():
+            if a or b:
+                coeffs[e] = (a, b, d) if d == 1 else _lowest(a, b, d)
+        if coeffs:
+            value[word] = coeffs
+    return value
 
 
-def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:
-    """The product kernel: left * right, in normal form, in one fused pass.
+def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Value:
+    """The product kernel: left * right, in normal form, one pass per word pair.
 
     A pair (f, dx**k d2x**m) * (g, dx**j d2x**n) leaves at most two words,
     and whether each lives is decided from (k, m, j) before it is computed:
@@ -302,27 +309,51 @@ def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:
 
     On a term c * x**e of g, both words are one scalar from the table
     _SCALARS: the top word takes c to c * alpha**(e*(m+k)) * q**(2mj) on
-    x**e, the bracket word to c * [e]_alpha * alpha**((e-1)*m) *
-    (alpha**m - q**m) on x**(e-1). polynomial._mul_into multiplies f by
-    those terms, or by g's own when nothing twists it, into one degree ->
-    sum map per output word, and _reduced puts each sum in lowest terms
-    once. A left word k == m == 0 only multiplies coefficients and never
-    reads alpha.
+    x**e, by (_TOP, e*(m+k), 2mj mod 3), the bracket word to c * [e]_alpha *
+    alpha**((e-1)*m) * (alpha**m - q**m) on x**(e-1), by (_BRACKET, e, m),
+    so g's constants drop; a zero scalar leaves no term. Each twisted term
+    is multiplied by f straight into its word's sums. A left word
+    k == m == 0 (left_mul, Poly.__mul__) twists nothing and reads no alpha.
     """
     out: Sums = {}
+    get, (aa, ab, ad) = _SCALARS.get, (0, 0, 1) if alpha is None else (alpha._a, alpha._b, alpha._d)
     for (k, m), f in left.items():
-        bracket = False
+        bracket, f = False, f.items()
         if not k and m:  # is alpha**m, the table's top entry (m, 0), not q**m?
-            key = (_TOP, m, 0, alpha._a, alpha._b, alpha._d)
-            bracket = (_SCALARS.get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
+            key = (_TOP, m, 0, aa, ab, ad)
+            bracket = (get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
         for (j, n), g in right.items():
-            if k + j < 3:
-                pushed = _scaled(g, _TOP, m + k, 2 * m * j % 3, alpha) if m + k else g.items()
-                _mul_into(out.setdefault((k + j, m + n), {}), f, pushed, truncated)
-            if bracket and not j:
-                pushed = _scaled(g, _BRACKET, 1, m, alpha)
-                if pushed:
-                    _mul_into(out.setdefault((2, m - 1 + n), {}), f, pushed, truncated)
+            if k + j > 2:
+                continue
+            live = ((k + j, m + n), _TOP, m + k, 2 * m * j % 3), ((2, m - 1 + n), _BRACKET, 1, m)
+            for word, kind, t, y in live if bracket and not j else live[:1]:
+                sums = out.get(word)
+                for e2, (a2, b2, d2) in g.items():
+                    if t:  # c * x**e2 times the table's scalar (kind, e2*t, y), on x**(e2 - kind)
+                        if kind and not e2:
+                            continue  # the bracket kills constants
+                        key = (kind, e2 * t, y, aa, ab, ad)
+                        sa, sb, sd = get(key) or _scalar(key)
+                        if not (sa or sb):
+                            continue
+                        cross = b2 * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
+                        e2, a2, b2, d2 = e2 - kind, a2 * sa - cross, a2 * sb + b2 * sa - cross, d2 * sd
+                    if sums is None:  # made at the first live term: a pair whose terms all die adds no word
+                        sums = out[word] = {}
+                    for e1, (a1, b1, d1) in f:
+                        e = e1 + e2
+                        if truncated and e >= 3:
+                            continue
+                        cross = b1 * b2
+                        a, b, d = a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, d1 * d2
+                        acc = sums.get(e)
+                        if acc is None:
+                            sums[e] = [a, b, d]
+                        elif acc[2] == d:
+                            acc[0] += a
+                            acc[1] += b
+                        else:
+                            _add_unlike(acc, a, b, d)
     return _reduced(out)
 
 
@@ -330,7 +361,7 @@ def _mul(left: Value, right: Value, alpha: CycQ, truncated: bool) -> Value:
 # keyed by ints: a kind, two exponents and alpha's own three ints, since a
 # CycQ in a key would hash through CycQ.__hash__ on every lookup. The engine's
 # only scalar memo, and bounded: a full table is emptied and refills with what
-# is used.
+# is used. In _mul, _TOP and _BRACKET are also the degrees their scalars lower x**e by.
 _TOP, _BRACKET, _DERIVATIVE = 0, 1, 2
 _SCALARS: dict[tuple[int, ...], tuple[int, int, int]] = {}
 _CACHE_SIZE = 1024
@@ -371,21 +402,19 @@ def _entry(kind: int, x: int, alpha: tuple[int, ...]) -> tuple[int, int, int]:
     return _SCALARS.get(key) or _scalar(key)
 
 
-def _scaled(coeffs: Coeffs, kind: int, t: int, y: int, alpha: CycQ) -> list[tuple[int, tuple[int, int, int]]]:
-    """The (degree, (a, b, d)) pairs of each term c * x**e times the table's
-    scalar (kind, e*t, y): on x**e for _TOP, on x**(e-1) for the other kinds,
-    which kill the constants, so the degrees stay distinct. A zero scalar
-    leaves no term; nothing is reduced."""
-    get, shift = _SCALARS.get, kind != _TOP
-    aa, ab, ad = alpha._a, alpha._b, alpha._d
+def _derived(coeffs: Coeffs, alpha: CycQ) -> list[tuple[int, tuple[int, int, int]]]:
+    """The (degree, (a, b, d)) pairs of differential's derivative: each term
+    c * x**e, e >= 1, times the table's scalar (_DERIVATIVE, e, 0), [e]_alpha,
+    on x**(e-1). A zero scalar leaves no term; nothing is reduced."""
+    get, (aa, ab, ad) = _SCALARS.get, (alpha._a, alpha._b, alpha._d)
     out = []
     for e, (a, b, d) in coeffs.items():
-        if e or not shift:
-            key = (kind, e * t, y, aa, ab, ad)
+        if e:
+            key = (_DERIVATIVE, e, 0, aa, ab, ad)
             sa, sb, sd = get(key) or _scalar(key)
             if sa or sb:
                 cross = b * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
-                out.append((e - shift, (a * sa - cross, a * sb + b * sa - cross, d * sd)))
+                out.append((e - 1, (a * sa - cross, a * sb + b * sa - cross, d * sd)))
     return out
 
 

@@ -1,5 +1,5 @@
 """Sparse polynomials in one variable x over Q(q), the core they share with
-forms, and the int accumulator of every product.
+forms, and the int accumulator of every sum.
 
 _Sparse is a finite sum of nonzero coefficients on basis keys, tagged with a
 truncation flag; it holds the mode, equality and differences. A Poly stores
@@ -14,12 +14,14 @@ more are discarded on construction and multiplication. Values of different
 modes never mix: _Sparse._require_mode, the one mode check, raises
 ModeMismatchError. Instances are immutable; their text is parser.poly_text.
 
-Poly, forms' product kernel and differential share one accumulator on those
-maps: _add_into sums (degree, (a, b, d)) pairs, and _mul_into multiplies a map
-by such pairs and adds each product into the sums in the same loop, building
-no term list. Nothing is reduced until _canonical reduces each sum once and
-drops zeros. Negation (_negated) and scaling (_scale) stay canonical and need
-no sums.
+Sums of those maps go through one accumulator, _add_into, which adds
+(degree, (a, b, d)) pairs into unreduced sums degree -> [a, b, d], over the
+lcm of unlike denominators (_add_unlike). Products have one kernel,
+forms._mul, which multiplies and adds in the same loop; Poly.__mul__ is that
+kernel on the empty word. Nothing is reduced until _canonical reduces each
+sum once and drops zeros; a sum over d == 1, an Eisenstein integer, is
+canonical already and skips cyclotomic._lowest. Negation (_negated) and
+scaling (_scale) stay canonical and need no sums.
 """
 
 from __future__ import annotations
@@ -169,9 +171,10 @@ class Poly(_Sparse):
         if not isinstance(other, Poly):
             return NotImplemented if _operand(other) is None else self.scale(other)
         self._require_mode(other._truncated)
-        sums: dict[int, list[int]] = {}
-        _mul_into(sums, self._terms, other._terms.items(), self._truncated)
-        return Poly._wrap(_canonical(sums), self._truncated)
+        from .forms import _mul  # the product kernel, on the empty word; local, as forms imports this module
+
+        product = _mul({(0, 0): self._terms}, {(0, 0): other._terms}, None, self._truncated)
+        return Poly._wrap(product.get((0, 0), {}), self._truncated)
 
     __rmul__ = __mul__  # reached only for a scalar
 
@@ -211,28 +214,6 @@ def _add_into(sums: dict[int, list[int]], terms: Terms) -> None:
             _add_unlike(acc, a, b, d)
 
 
-def _mul_into(sums: dict[int, list[int]], left: Coeffs, right: Terms, truncated: bool) -> None:
-    """Add the product of each term of left with each term of right into sums
-    by _add_into's rule, in the same loop; truncated skips degrees of three or
-    more. right is read once per left term, so it must be a list or a view,
-    not an iterator."""
-    for e1, (a1, b1, d1) in left.items():
-        for e2, (a2, b2, d2) in right:
-            e = e1 + e2
-            if truncated and e >= 3:
-                continue
-            cross = b1 * b2  # cyclotomic._times's q**2 fold, inlined
-            a, b, d = a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, d1 * d2
-            acc = sums.get(e)
-            if acc is None:
-                sums[e] = [a, b, d]
-            elif acc[2] == d:
-                acc[0] += a
-                acc[1] += b
-            else:
-                _add_unlike(acc, a, b, d)
-
-
 def _add_unlike(acc: list[int], a: int, b: int, d: int) -> None:
     """acc += (a + b*q) / d for a denominator d other than acc's, over their
     lcm, not their product."""
@@ -255,5 +236,5 @@ def _scale(coeffs: Coeffs, s: tuple[int, int, int]) -> dict[int, tuple[int, int,
 
 def _canonical(sums: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, int, int]]:
     """The coefficient map of the sums: each in lowest terms, zeros dropped,
-    in the order the sums were made."""
-    return {e: _lowest(a, b, d) for e, (a, b, d) in sums.items() if a or b}
+    in the order the sums were made; a sum over d == 1 is taken as it is."""
+    return {e: (a, b, d) if d == 1 else _lowest(a, b, d) for e, (a, b, d) in sums.items() if a or b}

@@ -64,16 +64,23 @@ OPERANDS = ("tests/test_cyclotomic.py::TestCoercionAndText", "tests/test_cycloto
 
 MUTANTS = [
     # the value layout: one canonicaliser, Form's own arithmetic, its views
-    Mutant("kernel keeps x**3 in the quotient", "polynomial.py",
-           "            if truncated and e >= 3:\n", "            if truncated and e >= 4:\n", WIDE),
+    Mutant("kernel keeps x**3 in the quotient", "forms.py",
+           "                        if truncated and e >= 3:\n", "                        if truncated and e >= 4:\n", WIDE),
     Mutant("_reduced keeps empty words", "forms.py",
-           "if (coeffs := _canonical(terms))}", "if (coeffs := _canonical(terms)) or True}", LAYOUT),
+           "        if coeffs:\n            value[word] = coeffs\n", "        value[word] = coeffs\n", LAYOUT),
+    Mutant("_reduced takes the d == 1 shortcut for every d", "forms.py",
+           "coeffs[e] = (a, b, d) if d == 1 else _lowest(a, b, d)", "coeffs[e] = (a, b, d) if d >= 1 else _lowest(a, b, d)",
+           KERNEL),
+    Mutant("_reduced keeps zero sums", "forms.py",
+           "            if a or b:\n                coeffs[e]", "            if True:\n                coeffs[e]",
+           ("tests/test_forms.py::TestIntegerKernel::test_products_that_cancel",)),
     Mutant("_canonical keeps zero sums", "polynomial.py",
            "for e, (a, b, d) in sums.items() if a or b}", "for e, (a, b, d) in sums.items()}",
-           ("tests/test_forms.py::TestIntegerKernel::test_products_that_cancel",)),
+           ("tests/test_polynomial.py",)),
     Mutant("_canonical skips lowest terms", "polynomial.py",
-           "{e: _lowest(a, b, d) for e, (a, b, d) in sums.items() if a or b}",
-           "{e: (a, b, d) for e, (a, b, d) in sums.items() if a or b}", KERNEL),
+           "{e: (a, b, d) if d == 1 else _lowest(a, b, d) for e, (a, b, d) in sums.items() if a or b}",
+           "{e: (a, b, d) for e, (a, b, d) in sums.items() if a or b}",
+           ("tests/test_polynomial.py", "tests/test_forms.py::TestSerialization")),
     Mutant("Form.__add__ adds the left twice", "forms.py",
            "        _add_value(sums, other._terms)\n", "        _add_value(sums, self._terms)\n",
            ("tests/test_forms.py::TestModuleStructure",)),
@@ -163,9 +170,11 @@ MUTANTS = [
            "least = _TOO_LONG if limit == MAX_DIGITS else 10**limit", "least = _TOO_LONG",
            ("tests/test_cli.py::TestInterpreterDigitLimit",)),
     Mutant("samplers keep zero draws", "checks.py",
-           "    return _form(_reduced(value), cfg.anyonic)  # zero draws dropped\n\n\ndef random_homogeneous_form",
-           "    return _form(value, cfg.anyonic)\n\n\ndef random_homogeneous_form",
+           "    return {e: t for e, t in coeffs.items() if t[0] or t[1]}\n", "    return coeffs\n",
            ("tests/test_sampling.py",)),
+    Mutant("random_form keeps words left empty", "checks.py",
+           "_form({w: coeffs for w, coeffs in value.items() if coeffs}, cfg.anyonic)  # words left empty dropped",
+           "_form(value, cfg.anyonic)", ("tests/test_sampling.py",)),
     Mutant("_below draws (n - 1).bit_length() bits", "checks.py",
            "    k = n.bit_length()\n", "    k = (n - 1).bit_length()\n",
            ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
@@ -219,23 +228,30 @@ MUTANTS = [
            ("tests/test_forms.py::TestSerialization",)),
     # the product kernel (the int kernel's mutations, on the layout)
     Mutant("kernel swap exponent m*j", "forms.py",
-           "_scaled(g, _TOP, m + k, 2 * m * j % 3, alpha)", "_scaled(g, _TOP, m + k, m * j % 3, alpha)", KERNEL),
+           "_TOP, m + k, 2 * m * j % 3)", "_TOP, m + k, m * j % 3)", KERNEL),
     Mutant("kernel bracket word one d2x too high", "forms.py",
-           "out.setdefault((2, m - 1 + n), {})", "out.setdefault((2, m + n), {})", KERNEL),
+           "((2, m - 1 + n), _BRACKET, 1, m)", "((2, m + n), _BRACKET, 1, m)", KERNEL),
     Mutant("kernel bracket under a right dx", "forms.py",
-           "            if bracket and not j:\n", "            if bracket:\n", KERNEL),
+           "for word, kind, t, y in live if bracket and not j else", "for word, kind, t, y in live if bracket else",
+           KERNEL),
     Mutant("kernel computes a top scalar for dead words", "forms.py",
-           "            if k + j < 3:\n                pushed",
-           "            if k + j < 3 or not _scaled(g, _TOP, m + k + 1, 0, alpha):\n                pushed",
+           "            if k + j > 2:\n",
+           "            if k + j > 2 and (get((_TOP, m + k + 1, 0, aa, ab, ad)) or True):\n",
            ("tests/test_forms.py::TestFusedKernel::test_dead_words_cost_no_calculus",)),
+    Mutant("kernel bracket degree not shifted", "forms.py",
+           "e2, a2, b2, d2 = e2 - kind, a2 * sa", "e2, a2, b2, d2 = e2, a2 * sa", KERNEL),
+    Mutant("kernel keeps the terms of a zero scalar", "forms.py",
+           "                        if not (sa or sb):\n                            continue\n", "", KERNEL),
+    Mutant("kernel twist folds q**2 with the wrong sign", "forms.py",
+           "a2 * sb + b2 * sa - cross, d2 * sd", "a2 * sb + b2 * sa + cross, d2 * sd", KERNEL),
     Mutant("kernel bracket test at q**(m+1)", "forms.py",
            "!= _Q_TRIPLES[m % 3]", "!= _Q_TRIPLES[(m + 1) % 3]", KERNEL),
     Mutant("accumulator adds without the lcm", "polynomial.py",
            "    acc[0] = acc[0] * up + a * over\n", "    acc[0] = acc[0] + a\n", KERNEL),
-    Mutant("fused product adds unlike denominators as like", "polynomial.py",
-           "                _add_unlike(acc, a, b, d)\n", "                acc[0] += a\n                acc[1] += b\n",
-           KERNEL),
-    Mutant("_scaled folds q**2 with the wrong sign", "forms.py",
+    Mutant("fused product adds unlike denominators as like", "forms.py",
+           "                            _add_unlike(acc, a, b, d)\n",
+           "                            acc[0] += a\n                            acc[1] += b\n", KERNEL),
+    Mutant("_derived folds q**2 with the wrong sign", "forms.py",
            "a * sb + b * sa - cross, d * sd", "a * sb + b * sa + cross, d * sd", KERNEL),
     # the scalar table and the int core
     Mutant("_lowest does not reduce", "cyclotomic.py", "        if g != 1:\n", "        if False:\n", SCALARS),

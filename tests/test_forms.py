@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import itertools
 import random
 import sys
@@ -13,7 +14,7 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qforms import cyclotomic, forms, polynomial
+from qforms import cyclotomic, forms, parser
 from qforms.calculus import CalculusConfig, derivative, q_bracket, twist, twist_power
 from qforms.differential import differential
 from qforms.checks import random_form, random_homogeneous_form, random_poly, run_suites
@@ -105,19 +106,67 @@ def random_kernel_form(rng, cfg, max_d2x=6):
     return Form(terms, cfg.anyonic)
 
 
+def kernel_line(text):
+    """The number of the one line of forms._mul whose source contains text."""
+    lines, first = inspect.getsourcelines(forms._mul)
+    found = [first + i for i, line in enumerate(lines) if text in line]
+    assert len(found) == 1, f"{text!r} is on {len(found)} lines of forms._mul"
+    return found[0]
+
+
+# lines of forms._mul's loop: the first reads a right term that a scalar
+# twists, the second starts a term pair, the third multiplies one that
+# x**3 == 0 leaves
+TWISTED_TERM, TERM_PAIR, PRODUCT = "if kind and not e2:", "e = e1 + e2", "cross = b1 * b2"
+
+
+def trace_kernel(monkeypatch, on_line, on_call=lambda name: None):
+    """Trace the frames of forms._mul: on_line[n]() runs each time _mul runs
+    its line n, on_call(name) for each qforms function _mul calls itself.
+    The wrapper stands in for _mul under both names callers read it by:
+    forms._mul (Form.mul, left_mul, Poly.__mul__) and parser._mul."""
+    mul = forms._mul
+    code = mul.__code__
+
+    def in_mul(frame, event, arg):
+        if event == "line" and frame.f_lineno in on_line:
+            on_line[frame.f_lineno]()
+        return in_mul
+
+    def on_frame(frame, event, arg):
+        if frame.f_code is code:
+            return in_mul
+        caller, module = frame.f_back, frame.f_globals.get("__name__", "")
+        if caller is not None and caller.f_code is code and module.startswith("qforms."):
+            on_call(frame.f_code.co_name)  # and not, say, a gc callback of a test tool
+        return None
+
+    def traced(*args):
+        previous = sys.gettrace()
+        sys.settrace(on_frame)
+        try:
+            return mul(*args)
+        finally:
+            sys.settrace(previous)
+
+    monkeypatch.setattr(forms, "_mul", traced)
+    monkeypatch.setattr(parser, "_mul", traced)
+
+
 def count_kernel_work(monkeypatch, limit=None):
     """Count the scalar work of Form.mul, differential and Poly.__mul__.
 
-    "products" counts the term pairs that polynomial._mul_into multiplies,
-    each term of the left map by each right (degree, triple) pair; "top",
-    "bracket" and "derivative" count the kernel's lookups in the scalar table
-    by key kind, each at most one product of a coefficient with a scalar;
-    "misses" counts the lookups that compute their scalar. The entries that
-    a miss reads or computes on the way (alpha**n, [x]_alpha) are the
-    table's own work, not the kernel's lookups, and are not counted here;
-    count_scalar_products counts their int-core products. The table starts
-    empty, so misses do not depend on what ran before. Past `limit` products
-    and lookups in all, the next one raises.
+    "products" counts the term pairs that forms._mul multiplies, each term
+    of the left map by each right term as its scalar left it, by tracing the
+    line of _mul's loop that multiplies; "top", "bracket" and "derivative"
+    count the kernel's lookups in the scalar table by key kind, each at most
+    one product of a coefficient with a scalar; "misses" counts the lookups
+    that compute their scalar. The entries that a miss reads or computes on
+    the way (alpha**n, [x]_alpha) are the table's own work, not the kernel's
+    lookups, and are not counted here; count_scalar_products counts their
+    int-core products. The table starts empty, so misses do not depend on
+    what ran before. Past `limit` products and lookups in all, the next one
+    raises.
     """
     work = Counter()
     kinds = {forms._TOP: "top", forms._BRACKET: "bracket", forms._DERIVATIVE: "derivative"}
@@ -134,11 +183,7 @@ def count_kernel_work(monkeypatch, limit=None):
                 tally(kinds[key[0]], 1)
             return super().get(key)
 
-    mul_into, scalar = polynomial._mul_into, forms._scalar
-
-    def counted_mul_into(sums, left, right, truncated):
-        tally("products", sum(not truncated or e1 + e2 < 3 for e1 in left for e2, _ in right))
-        mul_into(sums, left, right, truncated)
+    scalar = forms._scalar
 
     def counted_scalar(key):
         nonlocal computing
@@ -149,8 +194,7 @@ def count_kernel_work(monkeypatch, limit=None):
         finally:
             computing -= 1
 
-    for module in (polynomial, forms):
-        monkeypatch.setattr(module, "_mul_into", counted_mul_into)
+    trace_kernel(monkeypatch, {kernel_line(PRODUCT): lambda: tally("products", 1)})
     monkeypatch.setattr(forms, "_SCALARS", CountingTable())
     monkeypatch.setattr(forms, "_scalar", counted_scalar)
     return work
@@ -626,6 +670,25 @@ class TestFusedKernel:
         # one top lookup tests the bracket factor alpha**4 - q**4, one scales the top word
         assert work == {"top": 2, "misses": 2, "products": 1}
 
+    @pytest.mark.parametrize(
+        "alpha, u, expected",
+        [
+            (CycQ(0), Form.basis(1, 0), {"top": 1, "misses": 1}),
+            (CycQ(-1, -1), Form.basis(0, 1), {"top": 2, "bracket": 1, "misses": 3, "products": 1}),
+        ],
+        ids=["0", "q^2"],
+    )
+    def test_zero_scalars_leave_no_term(self, monkeypatch, alpha, u, expected):
+        # dx * x**3 at alpha 0: the top scalar alpha**3 is zero; d2x * x**3 at
+        # alpha q**2: the bracket scalar holds [3]_alpha == 0, the top one
+        # alpha**3 == 1 does not
+        cfg = CalculusConfig(alpha)
+        v = Form.from_poly(Poly.monomial(3))
+        product = pairwise_mul(u, v, cfg)
+        work = count_kernel_work(monkeypatch)
+        assert u.mul(v, cfg) == product and len(product.items()) == expected.get("products", 0)
+        assert work == expected
+
     @pytest.mark.parametrize("cfg", [CalculusConfig(CycQ(2)), CFG_Q, CFG_ANY], ids=["2", "q", "anyonic"])
     def test_bracket_factor_comes_from_the_scalar_table(self, monkeypatch, cfg):
         # alpha**m is read from the table's top entry (m, 0); once the table
@@ -642,6 +705,24 @@ class TestFusedKernel:
         monkeypatch.setattr(cyclotomic, "_int_power", no_power)
         monkeypatch.setattr(forms, "_int_power", no_power)
         assert u.mul(v, cfg) == expected
+
+    @pytest.mark.parametrize("cfg", KERNEL_CFGS, ids=KERNEL_IDS)
+    def test_builds_no_term_list_per_word_pair(self, monkeypatch, cfg):
+        # every live word pair is one pass of _mul's own loop, with no list
+        # of twisted terms: once the table holds the scalars, _mul calls
+        # nothing but the one _reduced per product and _add_unlike, which
+        # adds a product to a sum over another denominator
+        rng = random.Random(43)
+        pairs = [(random_kernel_form(rng, cfg), random_kernel_form(rng, cfg)) for _ in range(10)]
+        monkeypatch.setattr(forms, "_SCALARS", {})  # filled below, and far from full
+        expected = [u.mul(v, cfg) for u, v in pairs]
+
+        calls = Counter()
+        trace_kernel(monkeypatch, {}, lambda name: calls.update([name]))
+        assert [u.mul(v, cfg) for u, v in pairs] == expected
+        assert calls["_reduced"] == len(pairs) and calls.keys() <= {"_reduced", "_add_unlike"}
+        live = sum(mu.dx + mv.dx < 3 for u, v in pairs for mu, _ in u.items() for mv, _ in v.items())
+        assert live > 2 * len(pairs)
 
     def test_makes_no_poly_products(self, monkeypatch):
         made = 0

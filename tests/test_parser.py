@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import form_parser
 from form_parser import compare_with_oracle
-from test_forms import WIDE_CFGS, WIDE_SETTINGS, pairwise_mul, wide_cases, wide_scalars
+from test_forms import (TERM_PAIR, TWISTED_TERM, WIDE_CFGS, WIDE_SETTINGS, kernel_line, pairwise_mul, trace_kernel,
+                        wide_cases, wide_scalars)
 from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
@@ -519,20 +520,14 @@ class TestWorkBudget:
     @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
     def test_prices_bound_the_kernel_work(self, monkeypatch, cfg):
         # _price is at least 64 per term pair the kernel multiplies plus 1 per
-        # scalar it looks up, on random products and their powers
+        # right term a scalar twists, on random products and their powers
         work = {"pairs": 0, "scalars": 0}
-        mul_into, scaled = forms._mul_into, forms._scaled
 
-        def counting_mul_into(sums, left, right, truncated):
-            work["pairs"] += len(left) * len(right)
-            mul_into(sums, left, right, truncated)
+        def tally(name):
+            work[name] += 1
 
-        def counting_scaled(coeffs, *args):
-            work["scalars"] += len(coeffs)
-            return scaled(coeffs, *args)
-
-        monkeypatch.setattr(forms, "_mul_into", counting_mul_into)
-        monkeypatch.setattr(forms, "_scaled", counting_scaled)
+        lines = {kernel_line(TERM_PAIR): lambda: tally("pairs"), kernel_line(TWISTED_TERM): lambda: tally("scalars")}
+        trace_kernel(monkeypatch, lines)
         rng = random.Random(67)
         for _ in range(10):
             a, b = (as_value(random_form(rng, cfg, max_degree=3, max_d2x=2, max_terms=3)) for _ in range(2))
