@@ -7,8 +7,8 @@ forms already die after two applications, even forms generally need three.
 from __future__ import annotations
 
 from .calculus import CalculusConfig
-from .forms import Form, Sums, _derived, _form, _reduced
-from .polynomial import _add_into, _negated
+from .forms import Form, Value, _derived, _form
+from .polynomial import _add_into, _canonical, _negated
 
 
 def differential(u: Form, cfg: CalculusConfig) -> Form:
@@ -18,21 +18,25 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
         k == 1:  f * d2x**(m+1) + derivative(f) * dx**2 * d2x**m
         k == 2:  -f * dx * d2x**(m+1)
 
-    On grade-0 forms this is the usual f -> derivative(f) * dx. The terms
-    are summed on u's ints by polynomial's accumulator, the derivative
-    taking c * x**e to c * [e]_alpha * x**(e-1) with [e]_alpha from the
-    kernel's scalar table (forms._derived), and each sum is reduced once.
+    On grade-0 forms this is the usual f -> derivative(f) * dx. Each image
+    is canonical as made: f itself, shared, _negated(f), or forms._derived,
+    the derivative on the kernel's scalar table. Only dx * d2x**m can take
+    two, from d2x**m and dx**2 * d2x**(m-1); there they are added and reduced.
     """
     u._require_mode(cfg.anyonic)
-    out: Sums = {}
+    out: Value = {}
     for (k, m), f in u._terms.items():
         if k == 2:
-            _add_into(out.setdefault((1, m + 1), {}), _negated(f).items())
-            continue
-        if k:
-            _add_into(out.setdefault((0, m + 1), {}), f.items())
-        _add_into(out.setdefault((k + 1, m), {}), _derived(f, cfg.alpha))
-    return _form(_reduced(out), u.truncated)
+            word, image = (1, m + 1), _negated(f)
+        else:
+            if k:
+                out[0, m + 1] = f
+            word, image = (k + 1, m), _derived(f, cfg.alpha)
+        sums = out.setdefault(word, image)
+        if sums is not image:  # the second image, added to the first, a map made here
+            _add_into(sums, image.items())
+            out[word] = _canonical(sums)
+    return _form(out if all(out.values()) else {w: c for w, c in out.items() if c}, u.truncated)
 
 
 def differential_power(u: Form, n: int, cfg: CalculusConfig) -> Form:

@@ -27,7 +27,9 @@ coefficient with the right one times one scalar per degree, from one
 bounded table keyed by ints, shared across calls and with differential.
 Its loop, the engine's one multiply-accumulate loop, twists each right term
 as it reads it and adds its products with the left map into the output
-sums, building no term list; _reduced reduces them in one pass.
+sums, building no term list. The sums are in the value layout, canonical
+as built unless one is over d != 1, cancels or leaves its word empty; only
+then does _reduced reduce them, in one pass.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .cyclotomic import (_Q_TRIPLES, CycQ, _from_ratios, _int_inverse, _int_powe
 from .polynomial import Coeffs, Poly, _add_into, _add_unlike, _canonical, _negated, _scale, _Sparse
 
 Value = dict[tuple[int, int], dict[int, tuple[int, int, int]]]  # the canonical layout; {} is 0
-Sums = dict[tuple[int, int], dict[int, list[int]]]  # unreduced, one _add_into map per word
+Sums = Value  # the same layout, not yet reduced: lowest terms, zeros and empty words wait for _reduced
 
 
 class FormMonomial(tuple):
@@ -224,7 +226,7 @@ class Form(_Sparse):
         for entry in _json_list(data.get("terms", [])):
             dx, d2x = _json_field(entry, "dx"), _json_field(entry, "d2x")
             k, m = FormMonomial(_json_int(dx), _json_int(d2x))
-            sums: dict[int, list[int]] = {}
+            sums: dict[int, tuple[int, int, int]] = {}
             _add_into(sums, value.get((k, m), {}).items())
             for pair in _json_list(_json_field(entry, "coeff")):
                 degree, quadruple = _json_list(pair, 2)
@@ -314,8 +316,14 @@ def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Valu
     so g's constants drop; a zero scalar leaves no term. Each twisted term
     is multiplied by f straight into its word's sums. A left word
     k == m == 0 (left_mul, Poly.__mul__) twists nothing and reads no alpha.
+
+    A product of two nonzero Eisenstein integers (d == 1) is a nonzero one,
+    so the sums are returned as built unless the loop made a sum over d != 1
+    (first made so, or by an unlike add) or a like add that cancels, or left
+    a word empty (x**3 == 0, or an empty left map); then _reduced runs once.
     """
     out: Sums = {}
+    reduce = False
     get, (aa, ab, ad) = _SCALARS.get, (0, 0, 1) if alpha is None else (alpha._a, alpha._b, alpha._d)
     for (k, m), f in left.items():
         bracket, f = False, f.items()
@@ -348,13 +356,18 @@ def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Valu
                         a, b, d = a1 * a2 - cross, a1 * b2 + b1 * a2 - cross, d1 * d2
                         acc = sums.get(e)
                         if acc is None:
-                            sums[e] = [a, b, d]
+                            sums[e] = a, b, d
+                            if d != 1:
+                                reduce = True
                         elif acc[2] == d:
-                            acc[0] += a
-                            acc[1] += b
+                            a, b = a + acc[0], b + acc[1]
+                            sums[e] = a, b, d
+                            if not (a or b):
+                                reduce = True
                         else:
-                            _add_unlike(acc, a, b, d)
-    return _reduced(out)
+                            sums[e] = _add_unlike(acc, a, b, d)
+                            reduce = True
+    return _reduced(out) if reduce or not all(out.values()) else out
 
 
 # The scalars of _mul and differential as canonical int triples (a, b, d),
@@ -402,19 +415,20 @@ def _entry(kind: int, x: int, alpha: tuple[int, ...]) -> tuple[int, int, int]:
     return _SCALARS.get(key) or _scalar(key)
 
 
-def _derived(coeffs: Coeffs, alpha: CycQ) -> list[tuple[int, tuple[int, int, int]]]:
-    """The (degree, (a, b, d)) pairs of differential's derivative: each term
-    c * x**e, e >= 1, times the table's scalar (_DERIVATIVE, e, 0), [e]_alpha,
-    on x**(e-1). A zero scalar leaves no term; nothing is reduced."""
+def _derived(coeffs: Coeffs, alpha: CycQ) -> dict[int, tuple[int, int, int]]:
+    """The canonical map of differential's derivative: each term c * x**e,
+    e >= 1, times the table's scalar (_DERIVATIVE, e, 0), [e]_alpha, on
+    x**(e-1), in lowest terms unless d == 1; a zero scalar leaves no term."""
     get, (aa, ab, ad) = _SCALARS.get, (alpha._a, alpha._b, alpha._d)
-    out = []
+    out = {}
     for e, (a, b, d) in coeffs.items():
         if e:
             key = (_DERIVATIVE, e, 0, aa, ab, ad)
             sa, sb, sd = get(key) or _scalar(key)
             if sa or sb:
-                cross = b * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
-                out.append((e - 1, (a * sa - cross, a * sb + b * sa - cross, d * sd)))
+                cross = b * sb  # cyclotomic._times's q**2 fold, inlined
+                a, b, d = a * sa - cross, a * sb + b * sa - cross, d * sd
+                out[e - 1] = (a, b, d) if d == 1 else _lowest(a, b, d)
     return out
 
 

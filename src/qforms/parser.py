@@ -263,7 +263,10 @@ def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[i
     q**(2mj) on dx**(k+j) d2x**(m+n), dropped once k + j >= 3; anyonic,
     degrees of 3 or more drop, and so does a word left empty. Any other
     product is the kernel forms._mul. Both are charged _price first, the
-    first only for a c longer than 64 bits (see MAX_WORK)."""
+    first only for a c longer than 64 bits (see MAX_WORK). A zero operand
+    gives zero, unpriced, as its price would be 0."""
+    if not left or not right:
+        return {}
     if len(right) == 1:
         (((j, n), g),) = right.items()
         if len(g) == 1:

@@ -15,18 +15,18 @@ modes never mix: _Sparse._require_mode, the one mode check, raises
 ModeMismatchError. Instances are immutable; their text is parser.poly_text.
 
 Sums of those maps go through one accumulator, _add_into, which adds
-(degree, (a, b, d)) pairs into unreduced sums degree -> [a, b, d], over the
-lcm of unlike denominators (_add_unlike). Products have one kernel,
-forms._mul, which multiplies and adds in the same loop; Poly.__mul__ is that
-kernel on the empty word. Nothing is reduced until _canonical reduces each
-sum once and drops zeros; a sum over d == 1, an Eisenstein integer, is
-canonical already and skips cyclotomic._lowest. Negation (_negated) and
-scaling (_scale) stay canonical and need no sums.
+(degree, (a, b, d)) pairs into sums of the same layout, over the lcm of
+unlike denominators (_add_unlike); _canonical puts each sum in lowest terms
+and drops zeros, taking a sum over d == 1, an Eisenstein integer, as it is.
+Products have one kernel, forms._mul, which multiplies and adds in the same
+loop and reduces only where a fraction, a cancellation or an empty word
+needs it; Poly.__mul__ is that kernel on the empty word. Negation
+(_negated) and scaling (_scale) stay canonical and need no sums.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterable, Mapping, Sequence
+from collections.abc import ItemsView, Iterable, Mapping
 from math import gcd
 from numbers import Rational
 from typing import TypeVar
@@ -161,7 +161,7 @@ class Poly(_Sparse):
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_mode(other._truncated)
-        sums: dict[int, list[int]] = {}
+        sums: dict[int, tuple[int, int, int]] = {}
         _add_into(sums, self._terms.items())
         _add_into(sums, other._terms.items())
         return Poly._wrap(_canonical(sums), self._truncated)
@@ -199,29 +199,27 @@ Coeffs = Mapping[int, tuple[int, int, int]]  # degree -> (a, b, d) for (a + b*q)
 Terms = Iterable[tuple[int, tuple[int, int, int]]]  # (degree, (a, b, d)) pairs, such as a Coeffs' items()
 
 
-def _add_into(sums: dict[int, list[int]], terms: Terms) -> None:
-    """Add (degree, (a, b, d)) terms, such as a map's items(), into sums, a map
-    degree -> [a, b, d]: the one accumulator of every sum. Nothing is reduced;
-    two denominators add over their lcm (_add_unlike). Zero sums stay."""
-    for e, (a, b, d) in terms:
+def _add_into(sums: dict[int, tuple[int, int, int]], terms: Terms) -> None:
+    """Add (degree, (a, b, d)) terms, such as a map's items(), into sums of the
+    same layout, the one accumulator of every sum: a degree's first term is
+    stored as it is, two denominators add over their lcm (_add_unlike), and
+    nothing is reduced; zero sums stay."""
+    for e, t in terms:
         acc = sums.get(e)
         if acc is None:
-            sums[e] = [a, b, d]
-        elif acc[2] == d:
-            acc[0] += a
-            acc[1] += b
+            sums[e] = t
+        elif acc[2] == t[2]:
+            sums[e] = acc[0] + t[0], acc[1] + t[1], t[2]
         else:
-            _add_unlike(acc, a, b, d)
+            sums[e] = _add_unlike(acc, *t)
 
 
-def _add_unlike(acc: list[int], a: int, b: int, d: int) -> None:
-    """acc += (a + b*q) / d for a denominator d other than acc's, over their
-    lcm, not their product."""
+def _add_unlike(acc: tuple[int, int, int], a: int, b: int, d: int) -> tuple[int, int, int]:
+    """acc + (a + b*q) / d for a denominator d other than acc's, over their
+    lcm, not their product; nothing is reduced."""
     g = gcd(acc[2], d)
     up, over = d // g, acc[2] // g  # lcm == acc[2] * up == d * over
-    acc[0] = acc[0] * up + a * over
-    acc[1] = acc[1] * up + b * over
-    acc[2] *= up
+    return acc[0] * up + a * over, acc[1] * up + b * over, acc[2] * up
 
 
 def _negated(coeffs: Coeffs) -> dict[int, tuple[int, int, int]]:
@@ -234,7 +232,7 @@ def _scale(coeffs: Coeffs, s: tuple[int, int, int]) -> dict[int, tuple[int, int,
     return {e: _times(t, s) for e, t in coeffs.items()}
 
 
-def _canonical(sums: Mapping[int, Sequence[int]]) -> dict[int, tuple[int, int, int]]:
+def _canonical(sums: Coeffs) -> dict[int, tuple[int, int, int]]:
     """The coefficient map of the sums: each in lowest terms, zeros dropped,
     in the order the sums were made; a sum over d == 1 is taken as it is."""
     return {e: (a, b, d) if d == 1 else _lowest(a, b, d) for e, (a, b, d) in sums.items() if a or b}

@@ -207,9 +207,14 @@ MUTANTS = [
     Mutant("reproduction command without --anyonic", "cli.py",
            '*(["--anyonic"] if cfg.anyonic else []), ', "", REPORTS),
     Mutant("differential keeps the sign at dx**2", "differential.py",
-           "_negated(f).items()", "f.items()", ("tests/test_differential.py",)),
+           "(1, m + 1), _negated(f)", "(1, m + 1), f", ("tests/test_differential.py",)),
     Mutant("differential puts f on the wrong d2x power", "differential.py",
-           "out.setdefault((0, m + 1), {})", "out.setdefault((0, m), {})", KERNEL),
+           "out[0, m + 1] = f", "out[0, m] = f", KERNEL),
+    Mutant("differential overwrites the first image on dx * d2x**m", "differential.py",
+           "            _add_into(sums, image.items())\n            out[word] = _canonical(sums)\n",
+           "            out[word] = image\n", KERNEL),
+    Mutant("differential keeps words left empty", "differential.py",
+           "_form(out if all(out.values()) else {w: c for w, c in out.items() if c},", "_form(out,", KERNEL),
     # Poly on the layout: its sums, scalings and views, and from_dict's sums
     Mutant("Poly.__add__ keeps zero sums", "polynomial.py",
            "        _add_into(sums, other._terms.items())\n        return Poly._wrap(_canonical(sums), self._truncated)\n",
@@ -224,7 +229,7 @@ MUTANTS = [
            ("tests/test_polynomial.py",)),
     Mutant("from_dict keeps only the last repeated degree", "forms.py",
            "_add_into(sums, [(degree, _from_ratios(a_num, a_den, b_num, b_den))])",
-           "sums[degree] = [*_from_ratios(a_num, a_den, b_num, b_den)]",
+           "sums[degree] = _from_ratios(a_num, a_den, b_num, b_den)",
            ("tests/test_forms.py::TestSerialization",)),
     # the product kernel (the int kernel's mutations, on the layout)
     Mutant("kernel swap exponent m*j", "forms.py",
@@ -247,12 +252,25 @@ MUTANTS = [
     Mutant("kernel bracket test at q**(m+1)", "forms.py",
            "!= _Q_TRIPLES[m % 3]", "!= _Q_TRIPLES[(m + 1) % 3]", KERNEL),
     Mutant("accumulator adds without the lcm", "polynomial.py",
-           "    acc[0] = acc[0] * up + a * over\n", "    acc[0] = acc[0] + a\n", KERNEL),
+           "return acc[0] * up + a * over,", "return acc[0] + a,", KERNEL),
     Mutant("fused product adds unlike denominators as like", "forms.py",
-           "                            _add_unlike(acc, a, b, d)\n",
-           "                            acc[0] += a\n                            acc[1] += b\n", KERNEL),
+           "sums[e] = _add_unlike(acc, a, b, d)", "sums[e] = acc[0] + a, acc[1] + b, d", KERNEL),
     Mutant("_derived folds q**2 with the wrong sign", "forms.py",
-           "a * sb + b * sa - cross, d * sd", "a * sb + b * sa + cross, d * sd", KERNEL),
+           "a, b, d = a * sa - cross, a * sb + b * sa - cross, d * sd",
+           "a, b, d = a * sa - cross, a * sb + b * sa + cross, d * sd", KERNEL),
+    Mutant("_derived skips lowest terms for every d", "forms.py",
+           "out[e - 1] = (a, b, d) if d == 1 else _lowest(a, b, d)", "out[e - 1] = (a, b, d)", KERNEL),
+    # _mul returns its sums unreduced unless one of four triggers was seen
+    Mutant("kernel reduces nothing first made over d != 1", "forms.py",
+           "                            sums[e] = a, b, d\n                            if d != 1:\n",
+           "                            sums[e] = a, b, d\n                            if False:\n", KERNEL),
+    Mutant("kernel reduces nothing after an unlike add", "forms.py",
+           "_add_unlike(acc, a, b, d)\n                            reduce = True\n", "_add_unlike(acc, a, b, d)\n",
+           KERNEL),
+    Mutant("kernel reduces nothing after a cancellation", "forms.py",
+           "                            if not (a or b):\n                                reduce = True\n", "", KERNEL),
+    Mutant("kernel keeps words left empty", "forms.py",
+           "if reduce or not all(out.values()) else out", "if reduce else out", KERNEL),
     # the scalar table and the int core
     Mutant("_lowest does not reduce", "cyclotomic.py", "        if g != 1:\n", "        if False:\n", SCALARS),
     Mutant("_times folds q**2 with the wrong sign", "cyclotomic.py",
@@ -355,7 +373,7 @@ MUTANTS = [
            'elif "0" <= ch <= "9":', "elif ch.isdigit():", ("tests/test_parser.py::TestParseErrors",)),
     Mutant("groups stay unreduced", "parser.py",
            "value = _reduced(self.expr())",
-           "value = {w: {e: tuple(t) for e, t in s.items()} for w, s in self.expr().items()}",
+           "value = self.expr()",
            ("tests/test_parser.py::TestSharedValues",)),
 ]
 

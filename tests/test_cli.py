@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import qforms.checks as checks
 import qforms.cli as cli
+import qforms.parser as parser
 from qforms.checks import SuiteResult
 from qforms.cyclotomic import CycQ
 from qforms.parser import MAX_DIGITS, MAX_EXPONENT
@@ -133,6 +134,18 @@ class TestClosed:
         code, out = run_cli(["closed", "5", "--output", "json"])
         assert code == 0
         assert json.loads(out) == {"closed": True}
+
+    def test_zero_operands_make_no_kernel_call(self, run_cli, monkeypatch):
+        # anyonic x^79 is 0, so every '*' and squaring after it has a zero
+        # operand: each gives 0 with no call into forms._mul; x^2*d2x*x is 0
+        # too, but its operands are not, and it takes the kernel's one call
+        calls = []
+        mul = parser._mul
+        monkeypatch.setattr(parser, "_mul", lambda *args: calls.append(args) or mul(*args))
+        assert run_cli(["closed", "5*x^79*dx^2*d2x", "--anyonic"]) == (0, "true\n")
+        assert calls == []
+        assert run_cli(["closed", "x^2*d2x*x", "--anyonic"]) == (0, "true\n")
+        assert len(calls) == 1
 
 
 class TestCheck:
