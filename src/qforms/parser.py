@@ -13,13 +13,17 @@ A leading '-' reads as 0 - term. '^' binds tighter than '*', which binds
 tighter than '+' and '-'; '*' evaluates left to right, and the product is
 associative and exact, so re-associating a product cannot change the
 parsed value. Values are a Form's own layout (forms.Value): a canonical,
-zero-free map word (k, m) -> degree -> (a, b, d), reduced after every
-operation by forms._reduced. A sum adds its terms into one unreduced map
-(forms._add_value), and parse wraps its reduced result in the one Form it
-builds. '*' is one closed formula where no rewriting is needed (_product),
-and otherwise the kernel product forms._mul. base^N squares and multiplies
-through '*' (_power), in about 2*log2(N) closed or kernel steps, and its
-value is that of N left-to-right factors.
+zero-free map word (k, m) -> degree -> (a, b, d), canonical as each step
+builds it. Only a sum of two or more terms is reduced: it adds its terms
+into one unreduced map (forms._add_value), which forms._reduced reduces once;
+a single term is taken as it is, negated word by word after a leading '-'.
+parse wraps the value in the one Form it builds. '*' is one closed formula
+where no rewriting is needed (_product), and otherwise the kernel product
+forms._mul. A power of x, dx, d2x or q is one closed formula as well
+(_generator_power), since each is already a normal-form word; any other
+base^N squares and multiplies through '*' (_power), in about 2*log2(N)
+closed or kernel steps. Either way its value is that of N left-to-right
+factors.
 
 All canonical text is written here: render for forms, poly_text for
 coefficient polynomials (Poly.__str__) and scalar_text for scalars
@@ -46,6 +50,7 @@ from collections.abc import Callable
 from .calculus import CalculusConfig
 from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_norm, _lowest, _ratios, _times
 from .forms import Form, Sums, Value, _add_value, _by_word, _form, _mul, _reduced
+from .polynomial import _negated
 
 
 class ParseError(Exception):
@@ -130,20 +135,27 @@ class _Parser:
             raise ParseError(f"work exceeds the limit of {MAX_WORK} units", pos)
         self._work += price
 
-    def expr(self) -> Sums:
-        """The signed sum of the terms, one _add_into map per word, unreduced."""
+    def expr(self) -> Value:
+        """The signed sum of the terms, canonical: one term is its value as it
+        is, negated word by word after a leading '-'; two or more add into one
+        _add_into map per word, which _reduced reduces."""
         tokens = self.tokens
-        sums: Sums = {}
         sign = -1 if tokens[-1][1] == "-" else 1
         if sign < 0:
             tokens.pop()
+        value = self.term()
+        kind, text, _ = tokens[-1]
+        if not (kind == "op" and text in "+-"):
+            return value if sign > 0 else {word: _negated(coeffs) for word, coeffs in value.items()}
+        sums: Sums = {}
         while True:
-            _add_value(sums, self.term(), sign)
+            _add_value(sums, value, sign)
             kind, text, _ = tokens[-1]
             if not (kind == "op" and text in "+-"):
-                return sums
+                return _reduced(sums)
             tokens.pop()
             sign = 1 if text == "+" else -1
+            value = self.term()
 
     def term(self) -> Value:
         tokens = self.tokens
@@ -155,6 +167,7 @@ class _Parser:
 
     def factor(self) -> Value:
         tokens = self.tokens
+        name = tokens[-1][1]  # the base's first token; only a generator's is in _ATOMS
         base = self.base()
         if tokens[-1][1] != "^":
             return base
@@ -173,6 +186,8 @@ class _Parser:
             top = max(top, m, *poly)
         if n * top > MAX_EXPONENT:
             raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
+        if name in _ATOMS:
+            return _generator_power(name, n, self._cfg.anyonic)
         return _power(base, n, self._cfg, lambda price: self._charge(price, pos))
 
     def base(self) -> Value:
@@ -195,7 +210,7 @@ class _Parser:
             if self._depth == MAX_DEPTH:
                 raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", pos)
             self._depth += 1
-            value = _reduced(self.expr())
+            value = self.expr()
             kind, text, pos = tokens.pop()
             if not (kind == "op" and text == ")"):
                 raise ParseError("expected ')'", pos)
@@ -287,8 +302,25 @@ def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[i
     return _mul(left, right, cfg.alpha, cfg.anyonic)
 
 
+def _generator_power(name: str, n: int, anyonic: bool) -> Value:
+    """name^n for a generator 'x', 'dx', 'd2x' or 'q', in one closed formula:
+    a power of one generator is already a normal-form word, so nothing is
+    rewritten or charged. x^n is 0 anyonic from n = 3 on, dx^n from n = 3
+    on (dx**3 == 0), and q^n is q^(n mod 3), q being a cube root of unity."""
+    if not n:
+        return {(0, 0): {0: _ONE}}
+    if name == "x":
+        return {(0, 0): {n: _ONE}} if n < 3 or not anyonic else {}
+    if name == "dx":
+        return {(n, 0): {0: _ONE}} if n < 3 else {}
+    if name == "d2x":
+        return {(0, n): {0: _ONE}}
+    return {(0, 0): {0: _Q_TRIPLES[n % 3]}}
+
+
 def _power(base: Value, n: int, cfg: CalculusConfig, charge: Callable[[int], None]) -> Value:
-    """base^n by square-and-multiply from the top bit down: at most
+    """base^n for a base other than a generator (a literal or a group; see
+    _generator_power) by square-and-multiply from the top bit down: at most
     2*log2(n) steps, each through _product, so closed where it can be and
     charged as it prices."""
     if not n:
@@ -304,11 +336,11 @@ def _power(base: Value, n: int, cfg: CalculusConfig, charge: Callable[[int], Non
 def parse(text: str, cfg: CalculusConfig) -> Form:
     """Parse an expression and reduce it to normal form under cfg."""
     parser = _Parser(_tokenize(text), cfg)
-    sums = parser.expr()
+    value = parser.expr()
     kind, _, pos = parser.tokens[-1]
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
-    return _form(_reduced(sums), cfg.anyonic)
+    return _form(value, cfg.anyonic)
 
 
 _SCALAR_CFG = CalculusConfig(Q)

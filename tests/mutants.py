@@ -55,6 +55,7 @@ BOUNDS = ("tests/test_cli.py::TestFailureModes::test_bound_messages",)
 BUDGET = ("tests/test_parser.py::TestWorkBudget",)
 REPORTS = ("tests/test_reports.py",)
 GATE = ("tests/test_exhaustive.py::test_every_small_expression",)
+POWERS = ("tests/test_parser.py::TestPowers",)
 # _random_coeffs's draws of one term: the scalar's two, then the degree
 SCALAR_DRAWS = ("        a = bits(4)\n        while a >= 11:\n            a = bits(4)\n"
                 "        b = bits(4)\n        while b >= 11:\n            b = bits(4)\n")
@@ -372,9 +373,22 @@ MUTANTS = [
     Mutant("tokenizer takes any digit", "parser.py",
            'elif "0" <= ch <= "9":', "elif ch.isdigit():", ("tests/test_parser.py::TestParseErrors",)),
     Mutant("groups stay unreduced", "parser.py",
-           "value = _reduced(self.expr())",
-           "value = self.expr()",
+           "return _reduced(sums)",
+           "return sums",
            ("tests/test_parser.py::TestSharedValues",)),
+    Mutant("one term after a leading '-' stays positive", "parser.py",
+           "return value if sign > 0 else {word: _negated(coeffs) for word, coeffs in value.items()}",
+           "return value",
+           ("tests/test_parser.py::TestParseExamples",)),
+    # the closed powers of a generator
+    Mutant("dx^n kept past dx**2", "parser.py",
+           "return {(n, 0): {0: _ONE}} if n < 3 else {}", "return {(n, 0): {0: _ONE}}", POWERS),
+    Mutant("anyonic x^n kept past x**2", "parser.py",
+           "{n: _ONE}} if n < 3 or not anyonic else {}", "{n: _ONE}}", POWERS),
+    Mutant("q^n with the wrong residue", "parser.py",
+           "_Q_TRIPLES[n % 3]", "_Q_TRIPLES[n % 2]", POWERS),
+    Mutant("d2x^n on the dx power", "parser.py",
+           "return {(0, n): {0: _ONE}}", "return {(n, 0): {0: _ONE}}", POWERS),
 ]
 
 

@@ -21,7 +21,7 @@ from test_forms import (TERM_PAIR, TWISTED_TERM, WIDE_CFGS, WIDE_SETTINGS, kerne
 from qforms.calculus import CalculusConfig
 from qforms.checks import random_form
 from qforms.cyclotomic import ONE, Q, CycQ
-from qforms.differential import differential
+from qforms.differential import differential, differential_power
 from qforms import cyclotomic, forms, parser
 from qforms.forms import Form, FormMonomial
 from qforms.parser import (
@@ -53,6 +53,7 @@ POWER_CFGS = [
     CalculusConfig(CycQ(-1)),
 ]
 POWER_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7", "-1"]
+GENERATOR_POWERS = (0, 1, 2, 3, 4, 5, 127, 128, MAX_EXPONENT - 1, MAX_EXPONENT)
 
 
 def unmetered(price):
@@ -352,7 +353,7 @@ class TestPowers:
 
     def test_products_grow_logarithmically(self, count_form_products):
         # square-and-multiply: 7 squarings; the repeated product makes 128
-        assert parse("x^128", CFG_Q) == Form.from_poly(Poly.monomial(128))
+        assert parse("(1+x)^128", CFG_Q) == repeated_product(parse("1+x", CFG_Q), 128, CFG_Q)
         assert count_form_products["products"] <= 15
 
     def test_exponent_at_the_cap(self):
@@ -381,6 +382,55 @@ class TestPowers:
         assert parse("x^" + "0" * 5000 + "3", CFG_Q) == parse("x^3", CFG_Q)
         with pytest.raises(ParseError, match="exponent"):
             parse("x^" + "9" * 5000, CFG_Q)
+
+    @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
+    @pytest.mark.parametrize("atom", ["x", "dx", "d2x", "q"])
+    def test_generator_powers_match_the_repeated_product(self, atom, cfg):
+        # the repeated product is built once, one Form.mul per step of n
+        base, power, done = form_parser.parse(atom, cfg), Form.one(cfg.anyonic), 0
+        powers = GENERATOR_POWERS
+        if atom == "d2x" and cfg is POWER_CFGS[6]:
+            # Form.mul onto d2x**m computes alpha**m afresh, over 1 ms near m = 10^4 at this
+            # alpha, so both references up to 10^4 would take 30 s; the other alphas check those n
+            powers = tuple(n for n in powers if n <= 128)
+        for n in powers:
+            for _ in range(n - done):
+                power = power.mul(base, cfg)
+            done = n
+            u = compare_with_oracle(f"{atom}^{n}", cfg)  # equal to form_parser.parse, render and to_dict too
+            assert u == power
+            assert render(u) == render(power) and u.to_dict() == power.to_dict()
+
+    @pytest.mark.parametrize("text, message, position", [
+        (f"x^{MAX_EXPONENT + 1}", f"exponent exceeds the limit of {MAX_EXPONENT}", 2),
+        (f"d2x^{MAX_EXPONENT + 1}", f"exponent exceeds the limit of {MAX_EXPONENT}", 4),
+        (f"(x^2)^{MAX_EXPONENT // 2 + 1}", f"power exceeds degree {MAX_EXPONENT} in x or d2x", 6),
+    ])
+    def test_generator_power_refusals(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, CFG_Q)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_generator_powers_without_a_degree_are_accepted_at_the_cap(self):
+        assert parse(f"dx^{MAX_EXPONENT}", CFG_Q).is_zero()
+        assert parse(f"q^{MAX_EXPONENT}", CFG_Q) == Form.scalar(Q)  # 10000 % 3 == 1
+
+    def test_generator_powers_take_no_step(self, monkeypatch, count_form_products, metered):
+        calls = {"_power": 0, "_product": 0}
+        for name in calls:
+            step = getattr(parser, name)
+
+            def counting(*args, name=name, step=step):
+                calls[name] += 1
+                return step(*args)
+
+            monkeypatch.setattr(parser, name, counting)
+        u = parse("x^128*dx^2*d2x^3", CFG_Q)
+        assert u == Form({(2, 3): Poly.monomial(128)})
+        assert calls == {"_power": 0, "_product": 2}
+        assert count_form_products["products"] == 0
+        assert metered == {"accepted": [], "refused": []}
 
 
 CFG_2 = CalculusConfig(CycQ(2))
@@ -1056,11 +1106,15 @@ class TestSharedValues:
     def test_parsing_twice_leaves_the_atoms_alone(self, cfg):
         atoms = copy.deepcopy(parser._ATOMS)
         assert set(atoms) == {"x", "q", "dx", "d2x"}
-        for text in ["x + x", "x - x + 1", "x*x", "dx*dx", "(x+dx)^2"]:
+        for text in ["x + x", "x - x + 1", "x*x", "dx*dx", "(x+dx)^2", "x", "dx", "d2x", "q", "-x", "dx^2"]:
             first, second = parse(text, cfg), parse(text, cfg)
             assert first == second == form_parser.parse(text, cfg)
             assert render(first) == render(second)
             assert_canonical_value(parser._Parser(parser._tokenize(f"({text})"), cfg).base())
+            # a one-term parse may hold an atom's own map; nothing done with it changes the atom
+            for derived in (differential_power(first, 3, cfg), first + second, first.mul(second, cfg)):
+                assert_canonical_value(derived._terms)
+            assert first.to_dict() == second.to_dict()
             assert parser._ATOMS == atoms
 
     @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
