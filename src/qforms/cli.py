@@ -50,23 +50,32 @@ class _OutputError(Exception):
 
 _TOO_LONG = 10**MAX_DIGITS  # the least integer of more than MAX_DIGITS digits, built once: tens of microseconds
 
+# CPython's lowest nonzero int/str digit limit, written out since 3.10 before 3.10.7 has no
+# sys.int_info.str_digits_check_threshold; an int of at most _SHORT (2,126) bits is below 10**640
+_LOWEST_LIMIT = 640
+_SHORT = (10**_LOWEST_LIMIT).bit_length() - 1
+
 
 def _too_long(scalars: Iterable[tuple[int, int, int]]) -> bool:
     """Whether the text or JSON of any of these (a, b, d) scalars would write
     an integer of more than _digit_limit() digits, which CPython refuses to
     print.
 
-    Lowest terms only shrink the stored ints, so _ratios and its gcds are
-    needed only for a scalar with an int at least as long as 10**limit.
+    Lowest terms only shrink the stored ints, so a scalar whose ints have
+    at most 2,126 bits prints under every limit and costs one pass; the
+    limit is read only at a longer int, and _ratios and its gcds are needed
+    only for a scalar with an int at least as long as 10**limit.
     """
-    limit = _digit_limit()
-    least = _TOO_LONG if limit == MAX_DIGITS else 10**limit
-    short = least.bit_length() - 1  # an int of at most this many bits is below least
-    return any(
-        max(a.bit_length(), b.bit_length(), d.bit_length()) > short
-        and any(abs(n) >= least for n in _ratios(a, b, d))
-        for a, b, d in scalars
-    )
+    least = 0
+    for a, b, d in scalars:
+        bits = max(a.bit_length(), b.bit_length(), d.bit_length())
+        if bits > _SHORT:
+            if not least:
+                limit = _digit_limit()
+                least = _TOO_LONG if limit == MAX_DIGITS else 10**limit
+            if bits >= least.bit_length() and any(abs(n) >= least for n in _ratios(a, b, d)):
+                return True
+    return False
 
 
 class _Option(NamedTuple):
@@ -115,6 +124,7 @@ _DEFAULTS = {
     name: {"command": name, **{o.dest: o.default for o in options}} for name, (_, options) in _COMMANDS.items()
 }
 _BOUNDS = tuple((o.flags[0], o.dest, *o.bounds) for o in _OPTIONS + (_TIMES,) if o.bounds)
+_GENERIC_Q, _ANYONIC_Q = CalculusConfig(Q), CalculusConfig(Q, anyonic=True)  # the default alpha's configurations
 
 
 def _fast_args(argv: list[str]) -> SimpleNamespace | None:
@@ -196,13 +206,14 @@ def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConf
             raise _ConfigError(f"QFORMS_OUTPUT must be 'text' or 'json', not {env!r}")
         output = env  # the environment wins over the flag
     if args.alpha == "q":
-        alpha = Q  # the default needs no parse, and its digits are few
+        alpha = Q  # the default needs no parse, its digits are few, and its configurations are built
     else:
         try:
             alpha = parse_scalar(args.alpha)
         except (ParseError, ValueError) as exc:
             raise _ConfigError(f"bad --alpha value: {exc}") from exc
-        if _too_long(map(_triple, (alpha, alpha - Q))):  # check prints alpha, prop2 alpha - q
+        a, b, d = _triple(alpha)
+        if _too_long(((a, b, d), (a, b - d, d))):  # check prints alpha, prop2 alpha - q, canonical as alpha is
             raise _ConfigError(f"bad --alpha value: an integer has more than {_digit_limit()} digits")
     for flag, dest, low, high in _BOUNDS:
         value = getattr(args, dest, low)  # only diff has -n
@@ -210,6 +221,8 @@ def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConf
             raise _ConfigError(f"{flag} must be {'nonnegative' if low == 0 else 'positive'}")
         if high is not None and value > high:
             raise _ConfigError(f"{flag} must be at most {high}")
+    if alpha is Q:
+        return _ANYONIC_Q if args.anyonic else _GENERIC_Q, output
     return CalculusConfig(alpha, anyonic=args.anyonic), output
 
 

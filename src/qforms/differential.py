@@ -21,7 +21,8 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
     On grade-0 forms this is the usual f -> derivative(f) * dx. Each image
     is canonical as made: f itself, shared, _negated(f), or forms._derived,
     the derivative on the kernel's scalar table. Only dx * d2x**m can take
-    two, from d2x**m and dx**2 * d2x**(m-1); there they are added and reduced.
+    two, from d2x**m and dx**2 * d2x**(m-1); there they are added, and
+    reduced only where the sum is over d != 1 or cancels (_add_into).
     """
     u._require_mode(cfg.anyonic)
     out: Value = {}
@@ -33,8 +34,7 @@ def differential(u: Form, cfg: CalculusConfig) -> Form:
                 out[0, m + 1] = f
             word, image = (k + 1, m), _derived(f, cfg.alpha)
         sums = out.setdefault(word, image)
-        if sums is not image:  # the second image, added to the first, a map made here
-            _add_into(sums, image.items())
+        if sums is not image and _add_into(sums, image.items()):  # a second image, into the first, a map made here
             out[word] = _canonical(sums)
     return _form(out if all(out.values()) else {w: c for w, c in out.items() if c}, u.truncated)
 

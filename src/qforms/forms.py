@@ -181,10 +181,8 @@ class Form(_Sparse):
         if not isinstance(other, Form):
             return NotImplemented
         self._require_mode(other._truncated)
-        sums: Sums = {}
-        _add_value(sums, self._terms)
-        _add_value(sums, other._terms)
-        return _form(_reduced(sums), self._truncated)
+        sums: Sums = {word: dict(coeffs) for word, coeffs in self._terms.items()}  # copies: the adds write into them
+        return _form(_reduced(sums) if _add_value(sums, other._terms) else sums, self._truncated)
 
     def mul(self, other: Form, cfg: CalculusConfig) -> Form:
         """Product reduced to normal form, by the kernel _mul; TypeError unless other is a Form."""
@@ -261,10 +259,14 @@ def _by_word(pairs: Iterable[tuple[tuple[int, int], object]]) -> list:
     return sorted(pairs, key=lambda item: (item[0][1], item[0][0]))
 
 
-def _add_value(sums: Sums, value: Value, sign: int = 1) -> None:
-    """Add sign * value into sums, sign being 1 or -1."""
+def _add_value(sums: Sums, value: Value, sign: int = 1) -> bool:
+    """Add sign * value into sums, sign being 1 or -1, and return whether
+    _reduced must reduce them: whether _add_into said so for any word. A
+    word new to the sums stays nonempty, as value's words are."""
+    reduce = False
     for word, coeffs in value.items():
-        _add_into(sums.setdefault(word, {}), (coeffs if sign == 1 else _negated(coeffs)).items())
+        reduce |= _add_into(sums.setdefault(word, {}), (coeffs if sign == 1 else _negated(coeffs)).items())
+    return reduce
 
 
 def _reduced(sums: Sums) -> Value:

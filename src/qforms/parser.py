@@ -14,9 +14,10 @@ tighter than '+' and '-'; '*' evaluates left to right, and the product is
 associative and exact, so re-associating a product cannot change the
 parsed value. Values are a Form's own layout (forms.Value): a canonical,
 zero-free map word (k, m) -> degree -> (a, b, d), canonical as each step
-builds it. Only a sum of two or more terms is reduced: it adds its terms
-into one unreduced map (forms._add_value), which forms._reduced reduces once;
-a single term is taken as it is, negated word by word after a leading '-'.
+builds it. A sum of two or more terms adds them into one unreduced map
+(forms._add_value), which forms._reduced reduces once, and only where an add
+was over d != 1 or cancelled; a sum of terms over d == 1 that never cancel,
+like a single term, is taken as it is, negated word by word after a '-'.
 parse wraps the value in the one Form it builds. '*' is one closed formula
 where no rewriting is needed (_product), and otherwise the kernel product
 forms._mul. A power of x, dx, d2x or q is one closed formula as well
@@ -48,7 +49,7 @@ import sys
 from collections.abc import Callable
 
 from .calculus import CalculusConfig
-from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_norm, _lowest, _ratios, _times
+from .cyclotomic import _Q_TRIPLES, CycQ, Q, _int_norm, _lowest, _of, _ratios, _times
 from .forms import Form, Sums, Value, _add_value, _by_word, _form, _mul, _reduced
 from .polynomial import _negated
 
@@ -138,7 +139,8 @@ class _Parser:
     def expr(self) -> Value:
         """The signed sum of the terms, canonical: one term is its value as it
         is, negated word by word after a leading '-'; two or more add into one
-        _add_into map per word, which _reduced reduces."""
+        _add_into map per word, which _reduced reduces when an add said it
+        must (_add_value)."""
         tokens = self.tokens
         sign = -1 if tokens[-1][1] == "-" else 1
         if sign < 0:
@@ -148,11 +150,12 @@ class _Parser:
         if not (kind == "op" and text in "+-"):
             return value if sign > 0 else {word: _negated(coeffs) for word, coeffs in value.items()}
         sums: Sums = {}
+        reduce = False
         while True:
-            _add_value(sums, value, sign)
+            reduce |= _add_value(sums, value, sign)
             kind, text, _ = tokens[-1]
             if not (kind == "op" and text in "+-"):
-                return _reduced(sums)
+                return _reduced(sums) if reduce else sums
             tokens.pop()
             sign = 1 if text == "+" else -1
             value = self.term()
@@ -349,12 +352,14 @@ _SCALAR_CFG = CalculusConfig(Q)
 def parse_scalar(text: str) -> CycQ:
     """Parse a constant scalar such as 'q', '2', '1/2', '1+q' or '-1-1*q';
     constant expressions reduce independently of the twist scalar, so this
-    is safe to use while building a configuration."""
-    form = parse(text, _SCALAR_CFG)
-    constant = form.coefficient((0, 0)).coefficient(0)
-    if form != Form.scalar(constant):
+    is safe to use while building a configuration. The canonical value is
+    a scalar when it holds no word but the empty one, and no degree there
+    but 0: zero, or one (a, b, d), which is returned as it is."""
+    value = parse(text, _SCALAR_CFG)._terms
+    coeffs = value.get((0, 0), {})
+    if len(value) > bool(coeffs) or max(coeffs, default=0) > 0:
         raise ValueError(f"not a scalar: {text!r}")
-    return constant
+    return _of(coeffs.get(0, (0, 0, 1)))
 
 
 def render(u: Form) -> str:

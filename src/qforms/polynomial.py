@@ -16,8 +16,10 @@ ModeMismatchError. Instances are immutable; their text is parser.poly_text.
 
 Sums of those maps go through one accumulator, _add_into, which adds
 (degree, (a, b, d)) pairs into sums of the same layout, over the lcm of
-unlike denominators (_add_unlike); _canonical puts each sum in lowest terms
-and drops zeros, taking a sum over d == 1, an Eisenstein integer, as it is.
+unlike denominators (_add_unlike), and reports whether a sum it touched must
+be reduced: one over d != 1 or one that cancels. Only then does its caller
+run _canonical, which puts each sum in lowest terms and drops zeros, taking
+a sum over d == 1, an Eisenstein integer, as it is.
 Products have one kernel, forms._mul, which multiplies and adds in the same
 loop and reduces only where a fraction, a cancellation or an empty word
 needs it; Poly.__mul__ is that kernel on the empty word. Negation
@@ -161,10 +163,8 @@ class Poly(_Sparse):
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_mode(other._truncated)
-        sums: dict[int, tuple[int, int, int]] = {}
-        _add_into(sums, self._terms.items())
-        _add_into(sums, other._terms.items())
-        return Poly._wrap(_canonical(sums), self._truncated)
+        sums = dict(self._terms)
+        return Poly._wrap(_canonical(sums) if _add_into(sums, other._terms.items()) else sums, self._truncated)
 
     def __mul__(self, other: Poly | CycQ | int | Rational) -> Poly:
         # the concrete type first: Poly * Poly never reaches _operand's ABC isinstance
@@ -199,19 +199,28 @@ Coeffs = Mapping[int, tuple[int, int, int]]  # degree -> (a, b, d) for (a + b*q)
 Terms = Iterable[tuple[int, tuple[int, int, int]]]  # (degree, (a, b, d)) pairs, such as a Coeffs' items()
 
 
-def _add_into(sums: dict[int, tuple[int, int, int]], terms: Terms) -> None:
+def _add_into(sums: dict[int, tuple[int, int, int]], terms: Terms) -> bool:
     """Add (degree, (a, b, d)) terms, such as a map's items(), into sums of the
-    same layout, the one accumulator of every sum: a degree's first term is
-    stored as it is, two denominators add over their lcm (_add_unlike), and
-    nothing is reduced; zero sums stay."""
+    same layout, the one accumulator of every sum, and return whether a sum
+    must be reduced. A degree's first term is stored as it is and needs
+    nothing, being canonical and nonzero as a value's terms are (from_dict's
+    are not, so it reduces regardless); a like add over d != 1 or one that
+    cancels, and an unlike add (over the lcm, _add_unlike), set the flag.
+    Nothing is reduced here, and zero sums stay."""
+    reduce = False
     for e, t in terms:
         acc = sums.get(e)
         if acc is None:
             sums[e] = t
         elif acc[2] == t[2]:
-            sums[e] = acc[0] + t[0], acc[1] + t[1], t[2]
+            a, b, d = acc[0] + t[0], acc[1] + t[1], t[2]
+            sums[e] = a, b, d
+            if d != 1 or not (a or b):
+                reduce = True
         else:
             sums[e] = _add_unlike(acc, *t)
+            reduce = True
+    return reduce
 
 
 def _add_unlike(acc: tuple[int, int, int], a: int, b: int, d: int) -> tuple[int, int, int]:

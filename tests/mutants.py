@@ -56,6 +56,7 @@ BUDGET = ("tests/test_parser.py::TestWorkBudget",)
 REPORTS = ("tests/test_reports.py",)
 GATE = ("tests/test_exhaustive.py::test_every_small_expression",)
 POWERS = ("tests/test_parser.py::TestPowers",)
+FLAG = ("tests/test_forms.py::TestAccumulatorFlag",)
 # _random_coeffs's draws of one term: the scalar's two, then the degree
 SCALAR_DRAWS = ("        a = bits(4)\n        while a >= 11:\n            a = bits(4)\n"
                 "        b = bits(4)\n        while b >= 11:\n            b = bits(4)\n")
@@ -83,7 +84,7 @@ MUTANTS = [
            "{e: (a, b, d) for e, (a, b, d) in sums.items() if a or b}",
            ("tests/test_polynomial.py", "tests/test_forms.py::TestSerialization")),
     Mutant("Form.__add__ adds the left twice", "forms.py",
-           "        _add_value(sums, other._terms)\n", "        _add_value(sums, self._terms)\n",
+           "if _add_value(sums, other._terms) else", "if _add_value(sums, self._terms) else",
            ("tests/test_forms.py::TestModuleStructure",)),
     Mutant("Form.__neg__ does not negate", "forms.py",
            "_form({w: _negated(coeffs) for w, coeffs", "_form({w: coeffs for w, coeffs",
@@ -212,15 +213,12 @@ MUTANTS = [
     Mutant("differential puts f on the wrong d2x power", "differential.py",
            "out[0, m + 1] = f", "out[0, m] = f", KERNEL),
     Mutant("differential overwrites the first image on dx * d2x**m", "differential.py",
-           "            _add_into(sums, image.items())\n            out[word] = _canonical(sums)\n",
-           "            out[word] = image\n", KERNEL),
+           "_add_into(sums, image.items()):", "(sums.clear() or _add_into(sums, image.items())):", KERNEL),
     Mutant("differential keeps words left empty", "differential.py",
            "_form(out if all(out.values()) else {w: c for w, c in out.items() if c},", "_form(out,", KERNEL),
     # Poly on the layout: its sums, scalings and views, and from_dict's sums
     Mutant("Poly.__add__ keeps zero sums", "polynomial.py",
-           "        _add_into(sums, other._terms.items())\n        return Poly._wrap(_canonical(sums), self._truncated)\n",
-           "        _add_into(sums, other._terms.items())\n"
-           "        return Poly._wrap({e: _lowest(*s) for e, s in sums.items()}, self._truncated)\n",
+           "Poly._wrap(_canonical(sums) if _add_into(", "Poly._wrap({e: _lowest(*s) for e, s in sums.items()} if _add_into(",
            ("tests/test_polynomial.py",)),
     Mutant("Poly.scale ignores its factor", "polynomial.py",
            "_wrap(_scale(self._terms, s) if s[0] or s[1] else {}", "_wrap(self._terms if s[0] or s[1] else {}",
@@ -272,6 +270,14 @@ MUTANTS = [
            "                            if not (a or b):\n                                reduce = True\n", "", KERNEL),
     Mutant("kernel keeps words left empty", "forms.py",
            "if reduce or not all(out.values()) else out", "if reduce else out", KERNEL),
+    # _add_into reports the three adds after which a sum must be reduced; its callers skip _reduced otherwise
+    Mutant("accumulator does not flag a like add over d != 1", "polynomial.py",
+           "if d != 1 or not (a or b):", "if not (a or b):", FLAG),
+    Mutant("accumulator does not flag a cancelling add", "polynomial.py",
+           "if d != 1 or not (a or b):", "if d != 1:", FLAG),
+    Mutant("accumulator does not flag an unlike add", "polynomial.py",
+           "            sums[e] = _add_unlike(acc, *t)\n            reduce = True\n",
+           "            sums[e] = _add_unlike(acc, *t)\n", FLAG),
     # the scalar table and the int core
     Mutant("_lowest does not reduce", "cyclotomic.py", "        if g != 1:\n", "        if False:\n", SCALARS),
     Mutant("_times folds q**2 with the wrong sign", "cyclotomic.py",
@@ -380,6 +386,12 @@ MUTANTS = [
            "return value if sign > 0 else {word: _negated(coeffs) for word, coeffs in value.items()}",
            "return value",
            ("tests/test_parser.py::TestParseExamples",)),
+    # --alpha read as a value, and the digit check's early exit
+    Mutant("parse_scalar accepts a term of degree 1", "parser.py",
+           "max(coeffs, default=0) > 0", "max(coeffs, default=0) > 1",
+           ("tests/test_exhaustive.py::test_parse_scalar_matches_the_form_round_trip",)),
+    Mutant("_too_long's early exit one digit too high", "cli.py",
+           "_LOWEST_LIMIT = 640\n", "_LOWEST_LIMIT = 641\n", ("tests/test_cli.py::TestInterpreterDigitLimit",)),
     # the closed powers of a generator
     Mutant("dx^n kept past dx**2", "parser.py",
            "return {(n, 0): {0: _ONE}} if n < 3 else {}", "return {(n, 0): {0: _ONE}}", POWERS),

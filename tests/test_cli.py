@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import qforms.checks as checks
 import qforms.cli as cli
 import qforms.parser as parser
+from qforms.calculus import CalculusConfig
 from qforms.checks import SuiteResult
 from qforms.cyclotomic import CycQ
 from qforms.parser import MAX_DIGITS, MAX_EXPONENT
@@ -467,6 +468,19 @@ class TestInterpreterDigitLimit:
         message = f"qforms: the result has an integer of more than {applied} digits\n"
         assert self.run(["reduce", f"10^{applied}"], limit) == (2, "", message)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit")
+    def test_in_process_at_the_lowest_limit(self, run_cli, capsys):
+        # an int of 2,126 bits skips the limit's check and prints under every limit; 10**640, of 2,127, does not
+        assert (2**2125).bit_length() == 2126 and len(str(2**2125)) == 640
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run_cli(["reduce", "2^2125"]) == (0, f"{2**2125}\n")
+            assert run_cli(["reduce", "10^640"]) == (2, "")
+        finally:
+            sys.set_int_max_str_digits(before)
+        assert capsys.readouterr().err == "qforms: the result has an integer of more than 640 digits\n"
+
 
 class TestDefaultAlpha:
     def test_default_alpha_is_not_parsed(self, run_cli, monkeypatch):
@@ -475,6 +489,19 @@ class TestDefaultAlpha:
         assert run_cli(["reduce", "d2x*x"]) == (0, "q*x*d2x\n")
         assert run_cli(["check", "d3", "--samples", "1", "--alpha", "q"])[0] == 0
         assert parsed == []
+
+    @pytest.mark.parametrize("anyonic", [[], ["--anyonic"]], ids=["generic", "anyonic"])
+    @pytest.mark.parametrize("command", ["reduce", "diff", "grade", "closed"])
+    def test_default_alpha_builds_no_configuration(self, run_cli, monkeypatch, command, anyonic):
+        built = []
+        init = CalculusConfig.__init__
+        monkeypatch.setattr(CalculusConfig, "__init__", lambda self, *a, **kw: built.append(a) or init(self, *a, **kw))
+        for alpha in ([], ["--alpha", "q"]):
+            code, out = run_cli([command, "x^2*d2x + dx", *anyonic, *alpha])
+            assert code == 0 and out
+        assert built == []
+        assert run_cli([command, "x", "--alpha", "2"])[0] == 0
+        assert len(built) == 1
 
     @pytest.mark.parametrize("alpha", [" q ", "(q)", "q^4", "-1-q^2"])
     def test_other_spellings_of_q_give_the_same_output(self, run_cli, alpha):

@@ -5,7 +5,8 @@ a small alphabet, at alpha q, at alpha 2 and anyonic. Each must equal the
 plain evaluator of tests/form_parser.py (the same form, text and JSON, or
 the same error at the same token), parse back equal from its render, and
 run through `qforms reduce` to exit 0 with that render on stdout, or to
-exit 2 with one 'qforms:' line on stderr.
+exit 2 with one 'qforms:' line on stderr. The same expressions check
+parse_scalar, the reader of --alpha, against its Form round trip.
 
 Raw strings are not enumerated: almost all of them are parse errors.
 """
@@ -22,7 +23,8 @@ from form_parser import compare_with_oracle
 from qforms.calculus import CalculusConfig
 from qforms.cli import main
 from qforms.cyclotomic import Q, CycQ
-from qforms.parser import parse, render
+from qforms.forms import Form
+from qforms.parser import ParseError, parse, parse_scalar, render
 
 MAX_TOKENS = 6
 NAMES = ("x", "dx", "d2x", "q")
@@ -108,3 +110,33 @@ def test_every_small_expression(alpha):
             lines = err.getvalue().splitlines()
             assert code == 2 and out.getvalue() == "", text
             assert len(lines) == 1 and lines[0].startswith("qforms:"), text
+
+
+def round_trip_scalar(text: str) -> CycQ:
+    """parse_scalar as a Form round trip: the parsed form must equal the
+    scalar form of its constant coefficient."""
+    form = parse(text, CalculusConfig(Q))
+    constant = form.coefficient((0, 0)).coefficient(0)
+    if form != Form.scalar(constant):
+        raise ValueError(f"not a scalar: {text!r}")
+    return constant
+
+
+def outcome(function, text):
+    try:
+        value = function(text)
+    except Exception as exc:  # the type and text are compared
+        return type(exc), str(exc)
+    return CycQ, (value._a, value._b, value._d)
+
+
+SPELLINGS = (" q ", "q^4", "-1-q^2", "x-x", "0*dx", "1+x-x", "(q)", "2", "1/2", "1+q", "-1-1*q", "x", "1/0", "")
+
+
+def test_parse_scalar_matches_the_form_round_trip():
+    seen = set()
+    for text in [*expressions(MAX_TOKENS), *SPELLINGS]:
+        result = outcome(parse_scalar, text)
+        assert result == outcome(round_trip_scalar, text), text
+        seen.add(result[0])
+    assert seen == {CycQ, ValueError, ParseError}

@@ -14,12 +14,14 @@ from math import gcd
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qforms import cyclotomic, forms, parser
+import form_parser
+from qforms import cyclotomic, forms, parser, polynomial
 from qforms.calculus import CalculusConfig, derivative, q_bracket, twist, twist_power
 from qforms.differential import differential
 from qforms.checks import random_form, random_homogeneous_form, random_poly, run_suites
 from qforms.cyclotomic import ONE, Q, CycQ, q_power
 from qforms.forms import Form, FormMonomial, swap_scalar
+from qforms.parser import parse, render
 from qforms.polynomial import ModeMismatchError, Poly
 
 # the package re-exports the function differential under the module's name
@@ -919,6 +921,107 @@ class TestIntegerKernel:
             emptied += len(table) < size
         assert emptied == 2
         assert all(type(x) is int for key in table for x in key)
+
+
+def cancelling_partner(rng, u, cfg):
+    """A form of u's mode to add to u: per word of u, one draw in four
+    cancels the word whole, one cancels one degree (next to a fresh degree),
+    one repeats one term, so that a like add doubles it, and one leaves the
+    word to a random form's own terms."""
+    t = cfg.anyonic
+    terms = dict(random_fraction_form(rng, cfg).items())
+    for mon, f in u.items():
+        e, c = rng.choice(list(f.items()))
+        draw = rng.randint(0, 3)
+        if draw == 0:
+            terms[mon] = -f
+        elif draw == 1:
+            fresh = rng.randint(0, 2 if t else 6)
+            terms[mon] = Poly({fresh: random_fraction_scalar(rng), e: -c}, t)
+        elif draw == 2:
+            terms[mon] = Poly({e: c}, t)
+    return Form(terms, t)
+
+
+def termwise_sum(*signed):
+    """The value of a sum of (sign, form) pairs, added term by term in CycQ:
+    words and degrees in the order they first come, zeros and empty words
+    dropped, each scalar as its (a, b, d)."""
+    sums = {}
+    for sign, u in signed:
+        for mon, f in u.items():
+            word = sums.setdefault(tuple(mon), {})
+            for e, c in f.items():
+                word[e] = word.get(e, CycQ(0)) + (c if sign > 0 else -c)
+    value = {w: {e: (c._a, c._b, c._d) for e, c in coeffs.items() if c} for w, coeffs in sums.items()}
+    return layout({w: coeffs for w, coeffs in value.items() if coeffs})
+
+
+def layout(value):
+    """A value's words and degrees in storage order, so that == compares the order too."""
+    return [(w, list(coeffs.items())) for w, coeffs in value.items()]
+
+
+class TestAccumulatorFlag:
+    """_add_into and _add_value report whether a sum must be reduced, and
+    Form and Poly sums, differences and parsed sums skip the reduction
+    otherwise: where the flag is False, reducing would change nothing, not
+    even the order."""
+
+    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
+    def test_an_unflagged_sum_is_already_reduced(self, cfg):
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(300):
+            u = random_fraction_form(rng, cfg)
+            v = cancelling_partner(rng, u, cfg)
+            for sign in (1, -1):
+                sums = {}
+                assert not forms._add_value(sums, u._terms)  # every term is a degree's first
+                flagged = forms._add_value(sums, v._terms, sign)
+                seen[flagged] += 1
+                if not flagged:
+                    assert layout(forms._reduced(sums)) == layout(sums)
+                    seen["unflagged over d != 1"] += any(t[2] != 1 for c in sums.values() for t in c.values())
+                for w, f in u._terms.items():  # one word's map at a time, as Poly.__add__ and differential add
+                    g, coeffs = v._terms.get(w, {}), dict(f)
+                    if not polynomial._add_into(coeffs, (g if sign > 0 else polynomial._negated(g)).items()):
+                        assert list(polynomial._canonical(coeffs).items()) == list(coeffs.items())
+        assert seen[True] and seen[False] and seen["unflagged over d != 1"]
+
+    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_ANY], ids=["generic", "anyonic"])
+    def test_sums_match_the_termwise_oracle(self, cfg):
+        rng = random.Random(67)
+        t = cfg.anyonic
+        for _ in range(150):
+            u = random_fraction_form(rng, cfg)
+            v = cancelling_partner(rng, u, cfg)
+            total, difference = u + v, u - v
+            assert layout(total._terms) == termwise_sum((1, u), (1, v))
+            assert layout(difference._terms) == termwise_sum((1, u), (-1, v))
+            if total:
+                assert_canonical(total)
+            # parsed, each operand is stored in its text's order
+            left, right = parse(render(u), cfg), parse(render(v), cfg)
+            assert (left, right) == (u, v)
+            for text, sign in ((f"({render(u)}) + ({render(v)})", 1), (f"({render(u)}) - ({render(v)})", -1)):
+                assert layout(parse(text, cfg)._terms) == termwise_sum((1, left), (sign, right)), text
+            for w, f in u.items():
+                g = v.coefficient(w)
+                expected = termwise_sum((1, Form.from_poly(f)), (1, Form.from_poly(g)))
+                assert layout({(0, 0): (f + g)._terms} if f + g else {}) == expected
+                assert (f + g).truncated == t
+
+    @pytest.mark.parametrize(
+        "text, count",
+        [("x + dx + 2*d2x", 0), ("1/2*x + dx", 0), ("x - x", 1), ("1/2*x + 1/2*x", 1), ("1/2*x + 1/3*x", 1)],
+    )
+    def test_parse_reduces_a_sum_only_when_flagged(self, monkeypatch, text, count):
+        calls = []
+        reduced = parser._reduced
+        monkeypatch.setattr(parser, "_reduced", lambda sums: calls.append(sums) or reduced(sums))
+        assert parse(text, CFG_Q) == form_parser.parse(text, CFG_Q)
+        assert len(calls) == count
 
 
 def count_scalar_products(monkeypatch):
