@@ -22,8 +22,8 @@ so that the Proposition 2 check evaluates it.
 CalculusConfig is a plain immutable class with two slots, alpha and
 anyonic. The maps here keep no cache and compute on CycQs through the public
 Poly API: they are the plain oracles that the Proposition 2 check and the
-tests use, and the product kernel computes its scalars on ints in its own
-table (forms._SCALARS).
+tests use, and the product kernel computes its scalars on ints: from the
+exponent at alpha = q, in its own table (forms._SCALARS) elsewhere.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ All sampling goes through random.Random(seed), so a fixed seed gives a
 byte-identical report. Samples are evaluated sequentially in sample order.
 
 The samples are exactly the draws random.Random(seed).randint makes, in the
-same order, but taken straight from rng.getrandbits: by _below for the term
-counts and words, and by its rejection loop written out in place for each
-coefficient's scalar and degree. Either way they are the same getrandbits
-calls, so the same bits and the same generator state after.
+same order, but taken straight from rng.getrandbits by _below's rejection
+loop, written out in place for each term count, each word's dx and d2x power
+(and random_homogeneous_form's grade) and each coefficient's scalar and
+degree, with each range's bit length computed once per call. They are the
+same getrandbits calls, so the same bits and the same generator state after;
+an empty range raises, by _below, where randint raises, before drawing.
 The samplers draw straight into the int layout of Poly and Form: each draw
 (a, b, 1) is already canonical, so they drop zero draws and empty words in
 draw order, reduce nothing, build no CycQ and skip the checks of Poly and
@@ -64,14 +66,18 @@ def random_cycq(rng: random.Random, lo: int = -5, hi: int = 5) -> CycQ:
 
 def _random_coeffs(bits, truncated: bool, max_degree: int, max_terms: int) -> dict:
     """random_poly's draws as the canonical map degree -> (a, b, 1), zero
-    draws dropped in draw order; a repeated degree keeps the last. Each term
-    draws random_cycq's two scalars in -5..5, then its degree, each by
-    _below's rejection loop written out: 4-bit words until one is below 11,
-    width-bit words until one is below span."""
+    draws dropped in draw order; a repeated degree keeps the last. It draws
+    the term count below max_terms, then per term random_cycq's two scalars
+    in -5..5 and the degree below span, each by _below's rejection loop
+    written out: words of the range's bit length until one is below it."""
     span = (min(max_degree, 2) if truncated else max_degree) + 1
-    width = span.bit_length()
+    width, count_width = span.bit_length(), max_terms.bit_length()
+    count = bits(count_width) if max_terms > 0 else _below(bits, max_terms)  # an empty range raises where randint does
+    while count >= max_terms:
+        count = bits(count_width)
     coeffs: dict[int, tuple[int, int, int]] = {}
-    for _ in range(1 + _below(bits, max_terms)):
+    zero = False
+    for _ in range(count + 1):
         a = bits(4)
         while a >= 11:
             a = bits(4)
@@ -82,7 +88,9 @@ def _random_coeffs(bits, truncated: bool, max_degree: int, max_terms: int) -> di
         while e >= span:
             e = bits(width)
         coeffs[e] = (a - 5, b - 5, 1)
-    return {e: t for e, t in coeffs.items() if t[0] or t[1]}
+        if a == 5 == b:
+            zero = True
+    return {e: t for e, t in coeffs.items() if t[0] or t[1]} if zero else coeffs
 
 
 def random_poly(
@@ -103,8 +111,18 @@ def random_form(
     max_terms: int = 3,
 ) -> Form:
     bits, value = rng.getrandbits, {}
-    for _ in range(1 + _below(bits, max_terms)):
-        k, m = _below(bits, max_dx + 1), _below(bits, max_d2x + 1)
+    dx_span, d2x_span = max_dx + 1, max_d2x + 1
+    count_width, dx_width, d2x_width = max_terms.bit_length(), dx_span.bit_length(), d2x_span.bit_length()
+    count = bits(count_width) if max_terms > 0 else _below(bits, max_terms)
+    while count >= max_terms:
+        count = bits(count_width)
+    for _ in range(count + 1):
+        k = bits(dx_width) if dx_span > 0 else _below(bits, dx_span)
+        while k >= dx_span:
+            k = bits(dx_width)
+        m = bits(d2x_width) if d2x_span > 0 else _below(bits, d2x_span)
+        while m >= d2x_span:
+            m = bits(d2x_width)
         if k > 2:
             FormMonomial(k, m)  # raises its ValueError, after the same draws
         value[k, m] = _random_coeffs(bits, cfg.anyonic, max_degree, 3)
@@ -117,14 +135,22 @@ def random_homogeneous_form(
     max_degree: int = 6,
     max_d2x: int = 3,
 ) -> Form:
-    bits = rng.getrandbits
-    grade = _below(bits, 3 + 2 * max_d2x)
+    bits, grades = rng.getrandbits, 3 + 2 * max_d2x
+    width = grades.bit_length()
+    grade = bits(width) if grades > 0 else _below(bits, grades)
+    while grade >= grades:
+        grade = bits(width)
     candidates = [
         (k, (grade - k) // 2)
         for k in range(3)
         if (grade - k) % 2 == 0 and 0 <= (grade - k) // 2 <= max_d2x
     ]
-    picked = rng.sample(candidates, 1 + _below(bits, len(candidates)))
+    found = len(candidates)
+    width = found.bit_length()
+    count = bits(width) if found else _below(bits, found)
+    while count >= found:
+        count = bits(width)
+    picked = rng.sample(candidates, count + 1)
     value = {w: _random_coeffs(bits, cfg.anyonic, max_degree, 3) for w in picked}
     return _form({w: coeffs for w, coeffs in value.items() if coeffs}, cfg.anyonic)
 
@@ -138,8 +164,17 @@ def random_odd_form(
 ) -> Form:
     # odd grade forces dx power 1
     bits, value = rng.getrandbits, {}
-    for _ in range(1 + _below(bits, max_terms)):
-        value[1, _below(bits, max_d2x + 1)] = _random_coeffs(bits, cfg.anyonic, max_degree, 3)
+    d2x_span = max_d2x + 1
+    count_width, d2x_width = max_terms.bit_length(), d2x_span.bit_length()
+    count = bits(count_width) if max_terms > 0 else _below(bits, max_terms)
+    while count >= max_terms:
+        count = bits(count_width)
+    for _ in range(count + 1):
+        coeffs = _random_coeffs(bits, cfg.anyonic, max_degree, 3)  # drawn before the word, as randint's sampler did
+        m = bits(d2x_width) if d2x_span > 0 else _below(bits, d2x_span)
+        while m >= d2x_span:
+            m = bits(d2x_width)
+        value[1, m] = coeffs
     return _form({w: coeffs for w, coeffs in value.items() if coeffs}, cfg.anyonic)
 
 

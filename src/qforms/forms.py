@@ -23,8 +23,10 @@ Addition, scaling by polynomials from the left, and grading do not.
 The kernel _mul applies them in closed form, one pass per word pair: a
 pair leaves at most two words, the words dx**3 == 0 kills are skipped
 before anything is computed, and each live word is a product of the left
-coefficient with the right one times one scalar per degree, from one
-bounded table keyed by ints, shared across calls and with differential.
+coefficient with the right one times one scalar per degree. At alpha == q,
+the paper's case, that scalar is a power of q read from its exponent and
+no bracket word lives; at any other alpha it comes from one bounded table
+keyed by ints, shared across calls and with differential's derivative.
 Its loop, the engine's one multiply-accumulate loop, twists each right term
 as it reads it and adds its products with the left map into the output
 sums, building no term list. The sums are in the value layout, canonical
@@ -311,13 +313,20 @@ def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Valu
     word above, whose factor is zero at alpha == q (and at alpha == q**2
     when 3 | m).
 
-    On a term c * x**e of g, both words are one scalar from the table
-    _SCALARS: the top word takes c to c * alpha**(e*(m+k)) * q**(2mj) on
-    x**e, by (_TOP, e*(m+k), 2mj mod 3), the bracket word to c * [e]_alpha *
-    alpha**((e-1)*m) * (alpha**m - q**m) on x**(e-1), by (_BRACKET, e, m),
-    so g's constants drop; a zero scalar leaves no term. Each twisted term
-    is multiplied by f straight into its word's sums. A left word
-    k == m == 0 (left_mul, Poly.__mul__) twists nothing and reads no alpha.
+    On a term c * x**e of g, both words are one scalar: the top word takes
+    c to c * alpha**(e*(m+k)) * q**(2mj) on x**e, the bracket word to
+    c * [e]_alpha * alpha**((e-1)*m) * (alpha**m - q**m) on x**(e-1), so g's
+    constants drop. At alpha == q (at_q, on alpha's ints (0, 1, 1)) the top
+    scalar is q**((e*(m+k) + 2mj) mod 3), from _Q_TRIPLES and never zero,
+    and the bracket word is never tried. Elsewhere both come from the table
+    _SCALARS, by (_TOP, e*(m+k), 2mj mod 3) and (_BRACKET, e, m), and a zero
+    scalar leaves no term; a left word d2x**m tests its factor alpha**m !=
+    q**m, the table's top entry (m, 0), once, at the first right word with
+    j == 0 and a term of positive degree, so a right factor of constants or
+    of words under dx costs no power of alpha. Each twisted term is
+    multiplied by f straight into its word's sums; the top word is visited
+    first, then the bracket word where it lives. A left word k == m == 0
+    (left_mul, Poly.__mul__) twists nothing and reads no alpha.
 
     A product of two nonzero Eisenstein integers (d == 1) is a nonzero one,
     so the sums are returned as built unless the loop made a sum over d != 1
@@ -327,25 +336,28 @@ def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Valu
     out: Sums = {}
     reduce = False
     get, (aa, ab, ad) = _SCALARS.get, (0, 0, 1) if alpha is None else (alpha._a, alpha._b, alpha._d)
+    at_q = not aa and ab == 1 and ad == 1  # alpha == q: every scalar a power of q, and no bracket word
     for (k, m), f in left.items():
-        bracket, f = False, f.items()
-        if not k and m:  # is alpha**m, the table's top entry (m, 0), not q**m?
-            key = (_TOP, m, 0, aa, ab, ad)
-            bracket = (get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
+        f, tk = f.items(), m + k
+        bracket = None if m and not k and not at_q else False  # None: alpha**m != q**m not yet tested
         for (j, n), g in right.items():
             if k + j > 2:
                 continue
-            live = ((k + j, m + n), _TOP, m + k, 2 * m * j % 3), ((2, m - 1 + n), _BRACKET, 1, m)
-            for word, kind, t, y in live if bracket and not j else live[:1]:
+            word, y = (k + j, m + n), 2 * m * j % 3
+            kind, t = _TOP, tk
+            while True:  # the top word, then the bracket word where it lives
                 sums = out.get(word)
                 for e2, (a2, b2, d2) in g.items():
-                    if t:  # c * x**e2 times the table's scalar (kind, e2*t, y), on x**(e2 - kind)
-                        if kind and not e2:
-                            continue  # the bracket kills constants
-                        key = (kind, e2 * t, y, aa, ab, ad)
-                        sa, sb, sd = get(key) or _scalar(key)
-                        if not (sa or sb):
-                            continue
+                    if t:  # c * x**e2 times the scalar (kind, e2*t, y), on x**(e2 - kind)
+                        if at_q:  # alpha**(e2*t) * q**y, never zero
+                            sa, sb, sd = _Q_TRIPLES[(e2 * t + y) % 3]
+                        else:
+                            if kind and not e2:
+                                continue  # the bracket kills constants
+                            key = (kind, e2 * t, y, aa, ab, ad)
+                            sa, sb, sd = get(key) or _scalar(key)
+                            if not (sa or sb):
+                                continue
                         cross = b2 * sb  # cyclotomic._times's q**2 fold, inlined; nothing reduced
                         e2, a2, b2, d2 = e2 - kind, a2 * sa - cross, a2 * sb + b2 * sa - cross, d2 * sd
                     if sums is None:  # made at the first live term: a pair whose terms all die adds no word
@@ -369,16 +381,30 @@ def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Valu
                         else:
                             sums[e] = _add_unlike(acc, a, b, d)
                             reduce = True
+                if bracket is False or kind or j:
+                    break
+                if bracket is None:  # tested at the first right word with a term the bracket keeps
+                    if not any(g):
+                        break  # constants only
+                    key = (_TOP, m, 0, aa, ab, ad)  # is alpha**m, the table's top entry (m, 0), not q**m?
+                    bracket = (get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
+                    if not bracket:
+                        break
+                word, y = (2, m - 1 + n), m
+                kind, t = _BRACKET, 1
     return _reduced(out) if reduce or not all(out.values()) else out
 
 
-# The scalars of _mul and differential as canonical int triples (a, b, d),
-# keyed by ints: a kind, two exponents and alpha's own three ints, since a
-# CycQ in a key would hash through CycQ.__hash__ on every lookup. The engine's
-# only scalar memo, and bounded: a full table is emptied and refills with what
-# is used. In _mul, _TOP and _BRACKET are also the degrees their scalars lower x**e by.
+# The scalars of _mul and differential at any alpha but q, as canonical int
+# triples (a, b, d), keyed by ints: a kind, two exponents and alpha's own three
+# ints, since a CycQ in a key would hash through CycQ.__hash__ on every lookup.
+# The engine's only scalar memo, and bounded: a full table is emptied and
+# refills with what is used. In _mul, _TOP and _BRACKET are also the degrees
+# their scalars lower x**e by. At alpha == q no entry is read: a top scalar is
+# _Q_TRIPLES[exponent % 3] and [e]_q is _Q_INTEGERS[e % 3].
 _TOP, _BRACKET, _DERIVATIVE = 0, 1, 2
 _SCALARS: dict[tuple[int, ...], tuple[int, int, int]] = {}
+_Q_INTEGERS = ((0, 0, 1), (1, 0, 1), (1, 1, 1))  # [e]_q by e % 3: 0, 1, 1 + q, as 1 + q + q**2 == 0
 _CACHE_SIZE = 1024
 
 
@@ -419,14 +445,19 @@ def _entry(kind: int, x: int, alpha: tuple[int, ...]) -> tuple[int, int, int]:
 
 def _derived(coeffs: Coeffs, alpha: CycQ) -> dict[int, tuple[int, int, int]]:
     """The canonical map of differential's derivative: each term c * x**e,
-    e >= 1, times the table's scalar (_DERIVATIVE, e, 0), [e]_alpha, on
-    x**(e-1), in lowest terms unless d == 1; a zero scalar leaves no term."""
+    e >= 1, times [e]_alpha on x**(e-1), in lowest terms unless d == 1; a
+    zero scalar leaves no term. At alpha == q, [e]_q is _Q_INTEGERS[e % 3],
+    read with no table; elsewhere it is the table's (_DERIVATIVE, e, 0)."""
     get, (aa, ab, ad) = _SCALARS.get, (alpha._a, alpha._b, alpha._d)
+    at_q = not aa and ab == 1 and ad == 1  # alpha == q: [e]_q by e % 3
     out = {}
     for e, (a, b, d) in coeffs.items():
         if e:
-            key = (_DERIVATIVE, e, 0, aa, ab, ad)
-            sa, sb, sd = get(key) or _scalar(key)
+            if at_q:
+                sa, sb, sd = _Q_INTEGERS[e % 3]
+            else:
+                key = (_DERIVATIVE, e, 0, aa, ab, ad)
+                sa, sb, sd = get(key) or _scalar(key)
             if sa or sb:
                 cross = b * sb  # cyclotomic._times's q**2 fold, inlined
                 a, b, d = a * sa - cross, a * sb + b * sa - cross, d * sd

@@ -62,6 +62,10 @@ SCALAR_DRAWS = ("        a = bits(4)\n        while a >= 11:\n            a = bi
                 "        b = bits(4)\n        while b >= 11:\n            b = bits(4)\n")
 DEGREE_DRAW = ("        e = bits(width) if span > 0 else _below(bits, span)  # an empty range raises where randint does\n"
                "        while e >= span:\n            e = bits(width)\n")
+# random_odd_form's draws of one word: its coefficients, then its d2x power
+ODD_COEFFS = "        coeffs = _random_coeffs(bits, cfg.anyonic, max_degree, 3)  # drawn before the word, as randint's sampler did\n"
+ODD_WORD = ("        m = bits(d2x_width) if d2x_span > 0 else _below(bits, d2x_span)\n"
+            "        while m >= d2x_span:\n            m = bits(d2x_width)\n")
 OPERANDS = ("tests/test_cyclotomic.py::TestCoercionAndText", "tests/test_cyclotomic.py::TestAgainstFractionOracle")
 
 MUTANTS = [
@@ -172,8 +176,10 @@ MUTANTS = [
            "least = _TOO_LONG if limit == MAX_DIGITS else 10**limit", "least = _TOO_LONG",
            ("tests/test_cli.py::TestInterpreterDigitLimit",)),
     Mutant("samplers keep zero draws", "checks.py",
-           "    return {e: t for e, t in coeffs.items() if t[0] or t[1]}\n", "    return coeffs\n",
+           "    return {e: t for e, t in coeffs.items() if t[0] or t[1]} if zero else coeffs\n", "    return coeffs\n",
            ("tests/test_sampling.py",)),
+    Mutant("samplers never note a zero draw", "checks.py",
+           "        if a == 5 == b:\n            zero = True\n", "", ("tests/test_sampling.py",)),
     Mutant("random_form keeps words left empty", "checks.py",
            "_form({w: coeffs for w, coeffs in value.items() if coeffs}, cfg.anyonic)  # words left empty dropped",
            "_form(value, cfg.anyonic)", ("tests/test_sampling.py",)),
@@ -189,7 +195,13 @@ MUTANTS = [
            "        while a >= 11:\n", "        while a > 11:\n",
            ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
     Mutant("inline degree draw one bit short", "checks.py",
-           "    width = span.bit_length()\n", "    width = (span - 1).bit_length()\n",
+           "    width, count_width = span.bit_length(),", "    width, count_width = (span - 1).bit_length(),",
+           ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
+    Mutant("random_odd_form draws the word before its coefficients", "checks.py",
+           ODD_COEFFS + ODD_WORD, ODD_WORD + ODD_COEFFS,
+           ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
+    Mutant("random_form's dx draw one bit short", "checks.py",
+           "dx_span.bit_length(), d2x_span", "(dx_span - 1).bit_length(), d2x_span",
            ("tests/test_sampling.py::test_fast_sampler_draws_the_reference_stream",)),
     Mutant("random_form keeps a drawn dx**3", "checks.py",
            "        if k > 2:\n            FormMonomial(k, m)", "        if k > 3:\n            FormMonomial(k, m)",
@@ -232,12 +244,11 @@ MUTANTS = [
            ("tests/test_forms.py::TestSerialization",)),
     # the product kernel (the int kernel's mutations, on the layout)
     Mutant("kernel swap exponent m*j", "forms.py",
-           "_TOP, m + k, 2 * m * j % 3)", "_TOP, m + k, m * j % 3)", KERNEL),
+           "word, y = (k + j, m + n), 2 * m * j % 3", "word, y = (k + j, m + n), m * j % 3", KERNEL),
     Mutant("kernel bracket word one d2x too high", "forms.py",
-           "((2, m - 1 + n), _BRACKET, 1, m)", "((2, m + n), _BRACKET, 1, m)", KERNEL),
+           "word, y = (2, m - 1 + n), m", "word, y = (2, m + n), m", KERNEL),
     Mutant("kernel bracket under a right dx", "forms.py",
-           "for word, kind, t, y in live if bracket and not j else", "for word, kind, t, y in live if bracket else",
-           KERNEL),
+           "if bracket is False or kind or j:", "if bracket is False or kind:", KERNEL),
     Mutant("kernel computes a top scalar for dead words", "forms.py",
            "            if k + j > 2:\n",
            "            if k + j > 2 and (get((_TOP, m + k + 1, 0, aa, ab, ad)) or True):\n",
@@ -245,9 +256,24 @@ MUTANTS = [
     Mutant("kernel bracket degree not shifted", "forms.py",
            "e2, a2, b2, d2 = e2 - kind, a2 * sa", "e2, a2, b2, d2 = e2, a2 * sa", KERNEL),
     Mutant("kernel keeps the terms of a zero scalar", "forms.py",
-           "                        if not (sa or sb):\n                            continue\n", "", KERNEL),
+           "                            if not (sa or sb):\n                                continue\n", "", KERNEL),
     Mutant("kernel twist folds q**2 with the wrong sign", "forms.py",
            "a2 * sb + b2 * sa - cross, d2 * sd", "a2 * sb + b2 * sa + cross, d2 * sd", KERNEL),
+    Mutant("kernel never makes the bracket test", "forms.py",
+           "bracket = None if m and not k and not at_q else False", "bracket = False", KERNEL),
+    Mutant("kernel tests the bracket on a right word of constants", "forms.py",
+           "                    if not any(g):\n                        break  # constants only\n", "", KERNEL),
+    # at alpha q the kernel and _derived read each scalar from its exponent
+    Mutant("kernel q exponent without + y", "forms.py",
+           "_Q_TRIPLES[(e2 * t + y) % 3]", "_Q_TRIPLES[e2 * t % 3]", KERNEL),
+    Mutant("kernel at_q without ad == 1", "forms.py",
+           "at_q = not aa and ab == 1 and ad == 1  # alpha == q: every scalar",
+           "at_q = not aa and ab == 1  # alpha == q: every scalar", KERNEL),
+    Mutant("_derived at_q without ab == 1", "forms.py",
+           "at_q = not aa and ab == 1 and ad == 1  # alpha == q: [e]_q",
+           "at_q = not aa and ad == 1  # alpha == q: [e]_q", ("tests/test_differential.py",)),
+    Mutant("[e]_q entries 1 and 1 + q swapped", "forms.py",
+           "_Q_INTEGERS = ((0, 0, 1), (1, 0, 1), (1, 1, 1))", "_Q_INTEGERS = ((0, 0, 1), (1, 1, 1), (1, 0, 1))", KERNEL),
     Mutant("kernel bracket test at q**(m+1)", "forms.py",
            "!= _Q_TRIPLES[m % 3]", "!= _Q_TRIPLES[(m + 1) % 3]", KERNEL),
     Mutant("accumulator adds without the lcm", "polynomial.py",

@@ -569,6 +569,17 @@ class TestScalarTableOnInts:
             monkeypatch.setattr(forms, "_SCALARS", {})
             assert forms._scalar(key) == (value._a, value._b, value._d), key
 
+    def test_entries_at_q_are_the_exponent_values(self, monkeypatch):
+        # at alpha q the kernel and _derived read no table: alpha**x * q**y is
+        # q**((x + y) % 3), and [x]_q is 0, 1 or 1 + q by x % 3
+        ints = (Q._a, Q._b, Q._d)
+        for x in range(61):
+            for y in range(3):
+                monkeypatch.setattr(forms, "_SCALARS", {})
+                assert forms._scalar((forms._TOP, x, y, *ints)) == cyclotomic._Q_TRIPLES[(x + y) % 3], (x, y)
+            monkeypatch.setattr(forms, "_SCALARS", {})
+            assert forms._scalar((forms._DERIVATIVE, x, 0, *ints)) == forms._Q_INTEGERS[x % 3], x
+
     def test_the_values_vanish_in_different_places(self):
         # [x]_alpha and the bracket factor alpha**y - q**y are zero at
         # different keys for different alphas; the oracle covers them all

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -26,8 +27,13 @@ differential_module = importlib.import_module("qforms.differential")
 CFG_Q = CalculusConfig(Q)
 CFG_1 = CalculusConfig(ONE)
 CFG_ANY = CalculusConfig(Q, anyonic=True)
-ALL_CFGS = [CFG_Q, CFG_1, CalculusConfig(CycQ(2)), CalculusConfig(CycQ(1, 1)), CFG_ANY]
-CFG_IDS = ["q", "1", "2", "1+q", "anyonic"]
+# q/2 and 2q differ from q in one int each, so _derived's test for alpha == q
+# must read all three
+ALL_CFGS = [
+    CFG_Q, CFG_1, CalculusConfig(CycQ(2)), CalculusConfig(CycQ(1, 1)), CFG_ANY,
+    CalculusConfig(CycQ(0, Fraction(1, 2))), CalculusConfig(CycQ(0, 2)),
+]
+CFG_IDS = ["q", "1", "2", "1+q", "anyonic", "q/2", "2q"]
 
 
 class TestExamples:

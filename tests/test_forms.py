@@ -42,8 +42,12 @@ KERNEL_CFGS = [
     CalculusConfig(CycQ(-1, -1)),
     CalculusConfig(CycQ(0)),
     CalculusConfig(CycQ(-1)),
+    CalculusConfig(CycQ(0, Fraction(1, 2))),
+    CalculusConfig(CycQ(0, 2)),
 ]
-KERNEL_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7", "q^2", "0", "-1"]
+# q/2 and 2q differ from q in one int each, d and b, so a test for alpha == q
+# that skipped one would read them as q
+KERNEL_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7", "q^2", "0", "-1", "q/2", "2q"]
 
 
 def recursive_push_left(k, m, g, cfg):
@@ -99,10 +103,10 @@ def pairwise_mul(u, v, cfg):
     return out
 
 
-def random_kernel_form(rng, cfg, max_d2x=6):
+def random_kernel_form(rng, cfg, max_d2x=6, max_degree=6):
     """Up to four terms on words with dx**0..2 and d2x**0..max_d2x."""
     terms = {
-        (rng.randint(0, 2), rng.randint(0, max_d2x)): random_poly(rng, cfg.anyonic)
+        (rng.randint(0, 2), rng.randint(0, max_d2x)): random_poly(rng, cfg.anyonic, max_degree)
         for _ in range(rng.randint(1, 4))
     }
     return Form(terms, cfg.anyonic)
@@ -676,6 +680,23 @@ class TestFusedKernel:
         if cfg.alpha == Q * Q:
             assert seen["zero factor"]
 
+    def test_q_exponents_reach_every_residue(self):
+        # at alpha q the kernel reads each top scalar as q**((e2*t + y) % 3),
+        # t = m + k and y = 2mj % 3, with no table: degrees up to 30 and d2x
+        # powers up to 6 meet every residue under every y
+        rng = random.Random(73)
+        seen = set()
+        for _ in range(30):
+            u = random_kernel_form(rng, CFG_Q, max_degree=30)
+            v = random_kernel_form(rng, CFG_Q, max_degree=30)
+            assert u.mul(v, CFG_Q) == pairwise_mul(u, v, CFG_Q)
+            for (mon_u, _), (mon_v, g) in itertools.product(u.items(), v.items()):
+                k, m, j = mon_u.dx, mon_u.d2x, mon_v.dx
+                y = 2 * m * j % 3
+                if k + j < 3 and m + k:
+                    seen.update((y, (e * (m + k) + y) % 3) for e, _ in g.items())
+        assert seen == set(itertools.product(range(3), repeat=2))
+
     def test_dead_words_cost_no_calculus(self, monkeypatch):
         # no product, no table lookup, so no call into calculus either
         work = count_kernel_work(monkeypatch)
@@ -693,8 +714,19 @@ class TestFusedKernel:
         expected = pairwise_mul(u, v, cfg)
         work = count_kernel_work(monkeypatch)
         assert u.mul(v, cfg) == expected
-        # one top lookup tests the bracket factor alpha**4 - q**4, one scales the top word
-        assert work == {"top": 2, "misses": 2, "products": 1}
+        # one top lookup scales the top word; the bracket factor alpha**4 - q**4
+        # is never tested, as no right word without dx carries a bracket word
+        assert work == {"top": 1, "misses": 1, "products": 1}
+
+    def test_a_right_factor_of_constants_takes_no_bracket_test(self, monkeypatch):
+        # the bracket kills constants, so d2x**4 * 3*d2x never tests alpha**4
+        # != q**4; the one top lookup scales the top word by alpha**0
+        cfg = CalculusConfig(CycQ(Fraction(-3, 7), Fraction(5, 7)))
+        u, v = Form.basis(0, 4), Form({(0, 1): Poly.constant(3)})
+        expected = pairwise_mul(u, v, cfg)
+        work = count_kernel_work(monkeypatch)
+        assert u.mul(v, cfg) == expected
+        assert work == {"top": 1, "misses": 1, "products": 1}
 
     @pytest.mark.parametrize(
         "alpha, u, expected",
@@ -1081,14 +1113,18 @@ class TestScalarProductBudget:
         results = run_suites(("assoc", "leibniz", "d3"), cfg, 7, 20, 6)
         monkeypatch.undo()
         assert all(r.passed for r in results)
-        assert work["products"] and lookups(work)
+        assert work["products"]
+        if cfg.alpha == Q:  # every scalar read from its exponent: no table at all
+            assert lookups(work) == work["misses"] == 0
+        else:
+            assert lookups(work)
         assert sum(made.values()) + work["products"] + lookups(work) <= budget
 
     @pytest.mark.parametrize(
         "cfg, expected",
         [
-            (CalculusConfig(CycQ(2)), {"products": 1_003, "top": 458, "bracket": 37, "derivative": 210, "misses": 76}),
-            (CFG_ANY, {"products": 524, "top": 480, "derivative": 130, "misses": 28}),
+            (CalculusConfig(CycQ(2)), {"products": 1_003, "top": 442, "bracket": 37, "derivative": 210, "misses": 76}),
+            (CFG_ANY, {"products": 524}),  # alpha q: no table lookup, so no miss
         ],
         ids=["2", "anyonic"],
     )

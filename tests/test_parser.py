@@ -388,12 +388,7 @@ class TestPowers:
     def test_generator_powers_match_the_repeated_product(self, atom, cfg):
         # the repeated product is built once, one Form.mul per step of n
         base, power, done = form_parser.parse(atom, cfg), Form.one(cfg.anyonic), 0
-        powers = GENERATOR_POWERS
-        if atom == "d2x" and cfg is POWER_CFGS[6]:
-            # Form.mul onto d2x**m computes alpha**m afresh, over 1 ms near m = 10^4 at this
-            # alpha, so both references up to 10^4 would take 30 s; the other alphas check those n
-            powers = tuple(n for n in powers if n <= 128)
-        for n in powers:
+        for n in GENERATOR_POWERS:
             for _ in range(n - done):
                 power = power.mul(base, cfg)
             done = n

@@ -113,10 +113,12 @@ MODES = {"generic": CalculusConfig(CycQ(2)), "anyonic": CalculusConfig(Q, anyoni
 # sides of a power of two, so _below's rejection loop runs and is skipped
 CYCQ_RANGES = [(0, 0), (-2, 1), (0, 7), (-5, 5), (-1_000, 1_000)]
 # (max_degree, max_terms, max_dx, max_d2x): draws below 1, 2, 3, 4, 7, 9 and
-# 51. max_degree == -1 leaves no degree to draw, max_d2x == 0 makes
-# random_closed_even_form raise, and max_dx == 3 makes random_form raise once
-# it draws dx**3, after the draws of that word.
-GRID = list(itertools.product((-1, 0, 1, 2, 6, 50), (1, 3, 7), (0, 2, 3), (0, 3)))
+# 51. max_degree == -1 leaves no degree to draw, max_terms == 0 no term
+# count, max_dx == -1 no dx power and max_d2x == -1 no d2x power or grade
+# pick, each raising where randint does, after the draws before it;
+# max_d2x == 0 makes random_closed_even_form raise, and max_dx == 3 makes
+# random_form raise once it draws dx**3, after the draws of that word.
+GRID = list(itertools.product((-1, 0, 1, 2, 6, 50), (0, 1, 3, 7), (-1, 0, 2, 3), (-1, 0, 3)))
 
 SAMPLERS = {
     "random_cycq": lambda s, rng, cfg, p, i: s(rng, *CYCQ_RANGES[i % len(CYCQ_RANGES)]),
