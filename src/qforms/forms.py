@@ -338,13 +338,14 @@ def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Valu
     get, (aa, ab, ad) = _SCALARS.get, (0, 0, 1) if alpha is None else (alpha._a, alpha._b, alpha._d)
     at_q = not aa and ab == 1 and ad == 1  # alpha == q: every scalar a power of q, and no bracket word
     for (k, m), f in left.items():
-        f, tk = f.items(), m + k
-        bracket = None if m and not k and not at_q else False  # None: alpha**m != q**m not yet tested
+        bracket, f = None if m and not k and not at_q else False, f.items()  # None: alpha**m != q**m untested
         for (j, n), g in right.items():
             if k + j > 2:
                 continue
-            word, y = (k + j, m + n), 2 * m * j % 3
-            kind, t = _TOP, tk
+            if bracket is None and not j and any(g):  # tested at the first right word with a term it keeps:
+                key = (_TOP, m, 0, aa, ab, ad)  # is alpha**m, the table's top entry (m, 0), not q**m?
+                bracket = (get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
+            word, kind, t, y = (k + j, m + n), _TOP, m + k, 2 * m * j % 3
             while True:  # the top word, then the bracket word where it lives
                 sums = out.get(word)
                 for e2, (a2, b2, d2) in g.items():
@@ -381,17 +382,9 @@ def _mul(left: Value, right: Value, alpha: CycQ | None, truncated: bool) -> Valu
                         else:
                             sums[e] = _add_unlike(acc, a, b, d)
                             reduce = True
-                if bracket is False or kind or j:
+                if kind or j or not bracket:
                     break
-                if bracket is None:  # tested at the first right word with a term the bracket keeps
-                    if not any(g):
-                        break  # constants only
-                    key = (_TOP, m, 0, aa, ab, ad)  # is alpha**m, the table's top entry (m, 0), not q**m?
-                    bracket = (get(key) or _scalar(key)) != _Q_TRIPLES[m % 3]
-                    if not bracket:
-                        break
-                word, y = (2, m - 1 + n), m
-                kind, t = _BRACKET, 1
+                word, kind, t, y = (2, m - 1 + n), _BRACKET, 1, m
     return _reduced(out) if reduce or not all(out.values()) else out
 
 

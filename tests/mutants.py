@@ -244,11 +244,11 @@ MUTANTS = [
            ("tests/test_forms.py::TestSerialization",)),
     # the product kernel (the int kernel's mutations, on the layout)
     Mutant("kernel swap exponent m*j", "forms.py",
-           "word, y = (k + j, m + n), 2 * m * j % 3", "word, y = (k + j, m + n), m * j % 3", KERNEL),
+           "_TOP, m + k, 2 * m * j % 3\n", "_TOP, m + k, m * j % 3\n", KERNEL),
     Mutant("kernel bracket word one d2x too high", "forms.py",
-           "word, y = (2, m - 1 + n), m", "word, y = (2, m + n), m", KERNEL),
+           "(2, m - 1 + n), _BRACKET, 1, m\n", "(2, m + n), _BRACKET, 1, m\n", KERNEL),
     Mutant("kernel bracket under a right dx", "forms.py",
-           "if bracket is False or kind or j:", "if bracket is False or kind:", KERNEL),
+           "if kind or j or not bracket:", "if kind or not bracket:", KERNEL),
     Mutant("kernel computes a top scalar for dead words", "forms.py",
            "            if k + j > 2:\n",
            "            if k + j > 2 and (get((_TOP, m + k + 1, 0, aa, ab, ad)) or True):\n",
@@ -260,9 +260,9 @@ MUTANTS = [
     Mutant("kernel twist folds q**2 with the wrong sign", "forms.py",
            "a2 * sb + b2 * sa - cross, d2 * sd", "a2 * sb + b2 * sa + cross, d2 * sd", KERNEL),
     Mutant("kernel never makes the bracket test", "forms.py",
-           "bracket = None if m and not k and not at_q else False", "bracket = False", KERNEL),
+           "None if m and not k and not at_q else False, f.items()", "False, f.items()", KERNEL),
     Mutant("kernel tests the bracket on a right word of constants", "forms.py",
-           "                    if not any(g):\n                        break  # constants only\n", "", KERNEL),
+           "if bracket is None and not j and any(g):", "if bracket is None and not j:", KERNEL),
     # at alpha q the kernel and _derived read each scalar from its exponent
     Mutant("kernel q exponent without + y", "forms.py",
            "_Q_TRIPLES[(e2 * t + y) % 3]", "_Q_TRIPLES[e2 * t % 3]", KERNEL),
