@@ -4,6 +4,11 @@ The scalar field is Q(q) with q a primitive cube root of unity; coefficients
 are polynomials in one variable, optionally truncated by x**3 == 0; forms are
 spanned by dx**k * d2x**m with k <= 2 and carry a twisted noncommutative
 product under which the exterior differential satisfies d**3 == 0.
+
+The package attribute qforms.differential is the function differential, not
+its module, and import qforms.differential as d binds the function too; a
+name set on it patches nothing and raises no error. The module is
+importlib.import_module("qforms.differential").
 """
 
 from .calculus import CalculusConfig, check_homogeneity, derivative, q_bracket, q_number, twist

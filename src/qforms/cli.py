@@ -198,10 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# QFORMS_OUTPUT's key in the map that os.environ wraps and keeps in step (bytes on POSIX): a lookup
+# there raises nothing when the variable is unset, where os.environ.get raises and catches a KeyError
+_OUTPUT_KEY = os.environ.encodekey("QFORMS_OUTPUT")
+
+
 def _configure(args: SimpleNamespace | argparse.Namespace) -> tuple[CalculusConfig, str]:
     output = args.output
-    env = os.environ.get("QFORMS_OUTPUT")
-    if env:
+    raw = os.environ._data.get(_OUTPUT_KEY)
+    if raw:
+        env = os.environ.decodevalue(raw)
         if env not in ("text", "json"):
             raise _ConfigError(f"QFORMS_OUTPUT must be 'text' or 'json', not {env!r}")
         output = env  # the environment wins over the flag

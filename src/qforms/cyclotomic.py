@@ -172,7 +172,9 @@ def _lowest(a: int, b: int, d: int) -> tuple[int, int, int]:
 
 
 def _ratios(a: int, b: int, d: int) -> tuple[int, int, int, int]:
-    """CycQ.ratios of the canonical triple (a, b, d)."""
+    """CycQ.ratios of the canonical triple (a, b, d); over d == 1 both parts are whole, with no gcd."""
+    if d == 1:
+        return a, 1, b, 1
     g, h = gcd(a, d), gcd(b, d)
     return a // g, d // g, b // h, d // h
 

@@ -36,7 +36,7 @@ then does _reduced reduce them, in one pass.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterable, Mapping
+from collections.abc import ItemsView, Mapping
 from numbers import Rational
 
 from .calculus import CalculusConfig
@@ -137,7 +137,7 @@ class Form(_Sparse):
 
     def terms(self) -> list[tuple[FormMonomial, Poly]]:
         """(monomial, coefficient) pairs in canonical order."""
-        return _by_word(self.items())
+        return _by_word(self.items().mapping)
 
     def coefficient(self, mon: FormMonomial | tuple[int, int]) -> Poly:
         k, m = mon if isinstance(mon, FormMonomial) else FormMonomial(*mon)
@@ -196,13 +196,13 @@ class Form(_Sparse):
 
     def to_dict(self) -> dict:
         """JSON-ready encoding with terms and coefficients in canonical order."""
-        return {
-            "mode": "anyonic" if self._truncated else "generic",
-            "terms": [
-                {"dx": k, "d2x": m, "coeff": [[e, list(_ratios(*t))] for e, t in sorted(coeffs.items())]}
-                for (k, m), coeffs in _by_word(self._terms.items())
-            ],
-        }
+        terms = []
+        for (k, m), coeffs in _by_word(self._terms):
+            coeff = []
+            for e, t in sorted(coeffs.items()) if len(coeffs) > 1 else coeffs.items():
+                coeff.append([e, [*_ratios(*t)]])
+            terms.append({"dx": k, "d2x": m, "coeff": coeff})
+        return {"mode": "anyonic" if self._truncated else "generic", "terms": terms}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Form:
@@ -256,9 +256,11 @@ class Form(_Sparse):
 _form = Form._wrap  # the Form of a canonical value of the given mode, taken as it is
 
 
-def _by_word(pairs: Iterable[tuple[tuple[int, int], object]]) -> list:
-    """(word, coefficient) pairs in canonical order: d2x power ascending, then dx."""
-    return sorted(pairs, key=lambda item: (item[0][1], item[0][0]))
+def _by_word(terms: Mapping[tuple[int, int], object]) -> list:
+    """The (word, coefficient) pairs of terms in canonical order: d2x power ascending, then dx. One word is not sorted."""
+    if len(terms) < 2:
+        return list(terms.items())
+    return sorted(terms.items(), key=lambda item: (item[0][1], item[0][0]))
 
 
 def _add_value(sums: Sums, value: Value, sign: int = 1) -> bool:

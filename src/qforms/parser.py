@@ -31,7 +31,8 @@ coefficient polynomials (Poly.__str__) and scalar_text for scalars
 (CycQ.__str__). Each is built from one primitive, the sign and unsigned
 text of coeff * tail, where an empty tail is a bare scalar, and one join:
 ' + '/' - ' between form terms, '+'/'-' inside a coefficient. Scalars are
-written from cyclotomic._ratios, render's straight from a Form's ints.
+written from cyclotomic._ratios, render's straight from a Form's ints;
+words and degrees are sorted only where there are two or more.
 
 Limits, each raising ParseError at the offending token, are the constants
 below: literal digits, exponents and N times a base's largest x or d2x power
@@ -183,14 +184,14 @@ class _Parser:
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
         n = int(digits)
+        if name in _ATOMS:  # a generator's top x or d2x power is at most 1, so n caps its power already
+            return _generator_power(name, n, self._cfg.anyonic)
         # base^n has at most n times the base's top x and d2x powers
         top = 0
         for (_, m), poly in base.items():
             top = max(top, m, *poly)
         if n * top > MAX_EXPONENT:
             raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
-        if name in _ATOMS:
-            return _generator_power(name, n, self._cfg.anyonic)
         return _power(base, n, self._cfg, lambda price: self._charge(price, pos))
 
     def base(self) -> Value:
@@ -370,11 +371,15 @@ def render(u: Form) -> str:
     then coefficient degree); multi-term coefficients are parenthesized.
     """
     pieces: list[tuple[str, str]] = []
-    for (k, m), coeffs in _by_word(u._terms.items()):
-        if (k or m) and len(coeffs) > 1:
+    for (k, m), coeffs in _by_word(u._terms):
+        if len(coeffs) == 1:
+            pairs = coeffs.items()
+        elif k or m:
             pieces.append(("+", f"({poly_text(coeffs)})*{_word(0, k, m)}"))
             continue
-        for degree, scalar in sorted(coeffs.items()):
+        else:
+            pairs = sorted(coeffs.items())
+        for degree, scalar in pairs:
             ratios, tail = _ratios(*scalar), _word(degree, k, m)
             if tail:
                 pieces.append(_piece(ratios, tail))
@@ -403,8 +408,12 @@ def _join(pieces: list[tuple[str, str]], gap: str) -> str:
     if not pieces:
         return "0"
     sign, text = pieces[0]
-    out = ["-" + text if sign == "-" else text]
-    out.extend(f"{gap}{sign}{gap}{text}" for sign, text in pieces[1:])
+    first = "-" + text if sign == "-" else text
+    if len(pieces) == 1:
+        return first
+    out = [first]
+    for sign, text in pieces[1:]:
+        out.append(f"{gap}{sign}{gap}{text}")
     return "".join(out)
 
 
@@ -437,5 +446,11 @@ def _signed(num: int, den: int, tail: str) -> tuple[str, str]:
 
 def _word(degree: int, dx: int = 0, d2x: int = 0) -> str:
     """Text of the word x^degree * dx^dx * d2x^d2x without its zero powers; '' if all are 0."""
-    powers = (("x", degree), ("dx", dx), ("d2x", d2x))
-    return "*".join(name if n == 1 else f"{name}^{n}" for name, n in powers if n)
+    parts = []
+    if degree:
+        parts.append("x" if degree == 1 else f"x^{degree}")
+    if dx:
+        parts.append("dx" if dx == 1 else f"dx^{dx}")
+    if d2x:
+        parts.append("d2x" if d2x == 1 else f"d2x^{d2x}")
+    return "*".join(parts)

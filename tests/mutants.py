@@ -57,6 +57,8 @@ REPORTS = ("tests/test_reports.py",)
 GATE = ("tests/test_exhaustive.py::test_every_small_expression",)
 POWERS = ("tests/test_parser.py::TestPowers",)
 FLAG = ("tests/test_forms.py::TestAccumulatorFlag",)
+RENDER = ("tests/test_parser.py::TestAgainstLegacyRenderer",)
+ENVIRONMENT = ("tests/test_cli.py::TestOutputOverride",)
 # _random_coeffs's draws of one term: the scalar's two, then the degree
 SCALAR_DRAWS = ("        a = bits(4)\n        while a >= 11:\n            a = bits(4)\n"
                 "        b = bits(4)\n        while b >= 11:\n            b = bits(4)\n")
@@ -116,7 +118,7 @@ MUTANTS = [
            "key=lambda item: (item[0][1], item[0][0])", "key=lambda item: (item[0][0], item[0][1])",
            ("tests/test_parser.py::TestRender", "tests/test_forms.py::TestSerialization")),
     Mutant("to_dict keeps storage order of degrees", "forms.py",
-           "for e, t in sorted(coeffs.items())]}", "for e, t in coeffs.items()]}",
+           "for e, t in sorted(coeffs.items()) if len(coeffs) > 1 else coeffs.items():", "for e, t in coeffs.items():",
            ("tests/test_forms.py::TestSerialization",)),
     Mutant("grade of a word is k + m", "forms.py",
            "buckets.setdefault(k + 2 * m, {})", "buckets.setdefault(k + m, {})",
@@ -418,6 +420,29 @@ MUTANTS = [
            ("tests/test_exhaustive.py::test_parse_scalar_matches_the_form_round_trip",)),
     Mutant("_too_long's early exit one digit too high", "cli.py",
            "_LOWEST_LIMIT = 640\n", "_LOWEST_LIMIT = 641\n", ("tests/test_cli.py::TestInterpreterDigitLimit",)),
+    # the text and JSON writers' shortcuts: no gcd over d == 1, no sort of one item, the power 1 of a generator
+    Mutant("_ratios takes the d == 1 shortcut for every d", "cyclotomic.py",
+           "    if d == 1:\n        return a, 1, b, 1\n", "    if d > 0:\n        return a, 1, b, 1\n", RENDER),
+    Mutant("_by_word leaves two words in storage order", "forms.py",
+           "    if len(terms) < 2:\n        return list(terms.items())\n",
+           "    if len(terms) < 3:\n        return list(terms.items())\n", RENDER),
+    Mutant("to_dict sorts degrees only from three on", "forms.py",
+           "if len(coeffs) > 1 else coeffs.items():", "if len(coeffs) > 2 else coeffs.items():", RENDER),
+    Mutant("render keeps storage order of the empty word's degrees", "parser.py",
+           "            pairs = sorted(coeffs.items())\n", "            pairs = coeffs.items()\n", RENDER),
+    Mutant("_word writes x^1", "parser.py",
+           'parts.append("x" if degree == 1 else f"x^{degree}")', 'parts.append(f"x^{degree}")', RENDER),
+    Mutant("_word writes dx^1", "parser.py",
+           'parts.append("dx" if dx == 1 else f"dx^{dx}")', 'parts.append(f"dx^{dx}")', RENDER),
+    Mutant("_word writes d2x^1", "parser.py",
+           'parts.append("d2x" if d2x == 1 else f"d2x^{d2x}")', 'parts.append(f"d2x^{d2x}")', RENDER),
+    Mutant("_join drops the sign of a lone piece", "parser.py",
+           "    if len(pieces) == 1:\n        return first\n", "    if len(pieces) == 1:\n        return text\n", RENDER),
+    Mutant("QFORMS_OUTPUT never read", "cli.py",
+           "raw = os.environ._data.get(_OUTPUT_KEY)", "raw = None", ENVIRONMENT),
+    Mutant("QFORMS_OUTPUT read at the first call only", "cli.py",
+           "raw = os.environ._data.get(_OUTPUT_KEY)",
+           'raw = _configure.__dict__.setdefault("raw", os.environ._data.get(_OUTPUT_KEY))', ENVIRONMENT),
     # the closed powers of a generator
     Mutant("dx^n kept past dx**2", "parser.py",
            "return {(n, 0): {0: _ONE}} if n < 3 else {}", "return {(n, 0): {0: _ONE}}", POWERS),

@@ -210,6 +210,19 @@ class TestOutputOverride:
         assert code == 3
         assert "QFORMS_OUTPUT" in capsys.readouterr().err
 
+    def test_every_call_reads_the_environment(self, monkeypatch):
+        # one process: each main() sees the variable as it is at that call; set but empty is unset
+        json_x = '{"mode": "generic", "terms": [{"dx": 0, "d2x": 0, "coeff": [[1, [1, 1, 0, 1]]]}]}\n'
+        refused = "qforms: QFORMS_OUTPUT must be 'text' or 'json', not 'yaml'\n"
+        steps = [(None, (0, "x\n", "")), ("json", (0, json_x, "")), ("yaml", (3, "", refused)),
+                 (None, (0, "x\n", "")), ("", (0, "x\n", ""))]
+        for env, expected in steps:
+            if env is None:
+                monkeypatch.delenv("QFORMS_OUTPUT", raising=False)
+            else:
+                monkeypatch.setenv("QFORMS_OUTPUT", env)
+            assert run_isolated(["reduce", "x"]) == expected, env
+
 
 class TestFailureModes:
     @pytest.mark.parametrize("expr", ["x^", "(x", "1/0", "x%2"])

@@ -175,9 +175,14 @@ def legacy_term_piece(poly, mon):
     return legacy_product_text(coeff, word)
 
 
+def legacy_words(u):
+    """u's (monomial, coefficient) pairs, sorted here: d2x power ascending, then dx."""
+    return sorted(u.items(), key=lambda item: (item[0].d2x, item[0].dx))
+
+
 def legacy_render(u):
     pieces = []
-    for mon, poly in u.terms():
+    for mon, poly in legacy_words(u):
         if mon.dx == 0 and mon.d2x == 0:
             pieces.extend(legacy_poly_pieces(poly))
         else:
@@ -189,6 +194,16 @@ def legacy_render(u):
     for sign, text in pieces[1:]:
         rendered.append(f" {sign} {text}")
     return "".join(rendered)
+
+
+def legacy_to_dict(u):
+    """Form.to_dict written from the public views and Fractions: words in
+    canonical order, degrees ascending, each scalar as its a and b in lowest terms."""
+    terms = []
+    for mon, poly in legacy_words(u):
+        coeff = [[degree, [c.a.numerator, c.a.denominator, c.b.numerator, c.b.denominator]] for degree, c in poly.terms()]
+        terms.append({"dx": mon.dx, "d2x": mon.d2x, "coeff": coeff})
+    return {"mode": "anyonic" if u.truncated else "generic", "terms": terms}
 
 
 def legacy_form_repr(u):
@@ -794,21 +809,40 @@ class TestAgainstLegacyRenderer:
             u = random_text_form(rng, rng.random() < 0.3)
             assert render(u) == legacy_render(u)
             assert repr(u) == legacy_form_repr(u)
+            assert u.to_dict() == legacy_to_dict(u)
+            assert json.dumps(u.to_dict()) == json.dumps(legacy_to_dict(u))
+            seen.add({0: "zero", 1: "one word"}.get(len(u.items()), "several words"))
             for mon, poly in u.terms():
+                seen.add("one degree" if len(poly.terms()) == 1 else "several degrees")
                 if mon != FormMonomial(0, 0) and len(poly.terms()) > 1:
                     seen.add("multi-term coefficient on a word")
                 constant = poly.coefficient(0)
                 if mon == FormMonomial(0, 0) and constant.a and constant.b:
                     seen.add("split constant")
+                for name, power in (("dx", mon.dx), ("d2x", mon.d2x), *(("x", e) for e, _ in poly.terms())):
+                    if power:
+                        seen.add(f"{name}^1" if power == 1 else f"{name}^n")
+                for _, c in poly.terms():
+                    seen.add("d == 1" if c.a.denominator == c.b.denominator == 1 else "d != 1")
             if legacy_render(u).startswith("-"):
                 seen.add("negative leading term")
-            if u.is_zero():
-                seen.add("zero")
         assert seen == {
+            "zero",
+            "one word",
+            "several words",
+            "one degree",
+            "several degrees",
             "multi-term coefficient on a word",
             "split constant",
+            "x^1",
+            "x^n",
+            "dx^1",
+            "dx^n",
+            "d2x^1",
+            "d2x^n",
+            "d == 1",
+            "d != 1",
             "negative leading term",
-            "zero",
         }
 
     @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
@@ -820,6 +854,7 @@ class TestAgainstLegacyRenderer:
             for w in (u.mul(v, cfg), differential(u, cfg)):
                 assert render(w) == legacy_render(w)
                 assert repr(w) == legacy_form_repr(w)
+                assert json.dumps(w.to_dict()) == json.dumps(legacy_to_dict(w))
                 for _, poly in w.terms():
                     assert str(poly) == legacy_poly_str(poly)
                     for _, coeff in poly.terms():
