@@ -372,14 +372,10 @@ def render(u: Form) -> str:
     """
     pieces: list[tuple[str, str]] = []
     for (k, m), coeffs in _by_word(u._terms):
-        if len(coeffs) == 1:
-            pairs = coeffs.items()
-        elif k or m:
+        if (k or m) and len(coeffs) > 1:
             pieces.append(("+", f"({poly_text(coeffs)})*{_word(0, k, m)}"))
             continue
-        else:
-            pairs = sorted(coeffs.items())
-        for degree, scalar in pairs:
+        for degree, scalar in sorted(coeffs.items()) if len(coeffs) > 1 else coeffs.items():
             ratios, tail = _ratios(*scalar), _word(degree, k, m)
             if tail:
                 pieces.append(_piece(ratios, tail))

@@ -428,8 +428,8 @@ MUTANTS = [
            "    if len(terms) < 3:\n        return list(terms.items())\n", RENDER),
     Mutant("to_dict sorts degrees only from three on", "forms.py",
            "if len(coeffs) > 1 else coeffs.items():", "if len(coeffs) > 2 else coeffs.items():", RENDER),
-    Mutant("render keeps storage order of the empty word's degrees", "parser.py",
-           "            pairs = sorted(coeffs.items())\n", "            pairs = coeffs.items()\n", RENDER),
+    Mutant("render sorts degrees only from three on", "parser.py",
+           "in sorted(coeffs.items()) if len(coeffs) > 1 else", "in sorted(coeffs.items()) if len(coeffs) > 2 else", RENDER),
     Mutant("_word writes x^1", "parser.py",
            'parts.append("x" if degree == 1 else f"x^{degree}")', 'parts.append(f"x^{degree}")', RENDER),
     Mutant("_word writes dx^1", "parser.py",
