@@ -18,13 +18,16 @@ builds it. A sum of two or more terms adds them into one unreduced map
 (forms._add_value), which forms._reduced reduces once, and only where an add
 was over d != 1 or cancelled; a sum of terms over d == 1 that never cancel,
 like a single term, is taken as it is, negated word by word after a '-'.
-parse wraps the value in the one Form it builds. '*' is one closed formula
-where no rewriting is needed (_product), and otherwise the kernel product
-forms._mul. A power of x, dx, d2x or q is one closed formula as well
-(_generator_power), since each is already a normal-form word; any other
-base^N squares and multiplies through '*' (_power), in about 2*log2(N)
-closed or kernel steps. Either way its value is that of N left-to-right
-factors.
+parse wraps the value in the one Form it builds. A term typed in
+left-normal order, such as 3/2*q*x^2*dx*d2x^2, is already its normal form
+up to a power of q and the deaths dx**3 == 0 and, anyonic, x**3 == 0, so
+term folds its generator powers and literals into four ints, c*x**e*dx**k*
+d2x**m, and builds the term's value once. From the first step the fold does
+not take, each '*' is one closed formula where no rewriting is needed
+(_product), and otherwise the kernel product forms._mul. A power of a
+literal or a group squares and multiplies through '*' (_power), in about
+2*log2(N) closed or kernel steps. Either way a term's value is that of its
+factors multiplied from left to right.
 
 All canonical text is written here: render for forms, poly_text for
 coefficient polynomials (Poly.__str__) and scalar_text for scalars
@@ -65,13 +68,15 @@ class ParseError(Exception):
 
 MAX_EXPONENT = 10_000
 """Largest exponent token after '^', and largest x or d2x power a '^' may build."""
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 MAX_WORK = 10_000_000
 """Most work one parse may price (_price), in units of about one 64-bit limb product: 0.6-13 ns each on a
 Xeon core, 0.01-0.13 s in all. Ints past about 10^4 bits multiply by Karatsuba, below their schoolbook price,
 so (1+10^50*x)^60 is refused although it runs in under 0.01 s. A closed product by a constant of at most 64
 bits is not priced, so a chain of them scaling a large left factor runs past that: the 4 KB
-(1+x)^500*q*q*...*q parses in 0.6-1.0 s."""
+(1+x)^500*q*q*...*q parses in 0.50 s, and the 4 KB (1+x+d2x)^20*2*2*...*2 at alpha 2 in 0.48 s (median of 5,
+CPython 3.11 on a shared 2-core Xeon host)."""
 
 MAX_DEPTH = 100
 """Deepest parenthesis nesting accepted; each level costs four stack frames."""
@@ -83,14 +88,8 @@ MAX_DIGITS = 4_300
 Token = tuple[str, str, int]  # kind, text, position; no other kind has an operator's text
 
 
-# Values are never mutated, so the atoms below are shared by every parse.
 _ONE = _Q_TRIPLES[0]
-_ATOMS: dict[str, Value] = {
-    "x": {(0, 0): {1: _ONE}},
-    "q": {(0, 0): {0: _Q_TRIPLES[1]}},
-    "dx": {(1, 0): {0: _ONE}},
-    "d2x": {(0, 1): {0: _ONE}},
-}
+_ATOMS = frozenset(("x", "q", "dx", "d2x"))  # the generators' names
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -161,55 +160,107 @@ class _Parser:
             sign = 1 if text == "+" else -1
             value = self.term()
 
-    def term(self) -> Value:
-        tokens = self.tokens
-        value = self.factor()
-        while tokens[-1][1] == "*":
+    def term(self, once: bool = False) -> Value:
+        """The product of the factors, or of the next factor alone when once.
+        While each '*' is a step _product takes closed on a one-term left,
+        the product is one monomial c*x**e*dx**k*d2x**m, c an (a, b, d)
+        triple: q^n and literals multiply c, x^n adds n to e while k == m ==
+        0, dx^n multiplies c by q**(2mn) and adds n to k, and d2x^n adds n to
+        m; dx**3 and, anyonic, x**3 are 0. Its value is built once. The first
+        other factor (x after a dx or d2x, a group, a power of a literal, a
+        right literal of 64 bits or more, a zero) and every later one go
+        through _product, so errors and charges are the left-to-right
+        product's."""
+        tokens, anyonic = self.tokens, self._cfg.anyonic
+        c, e, k, m = _ONE, 0, 0, 0
+        pos = -1  # the '*' before the factor; -1 at the first
+        while True:
+            kind, text, _ = tokens[-1]
+            if kind == "name":
+                tokens.pop()
+                n = self._exponent()[0] if tokens[-1][1] == "^" else 1
+                if text == "x":
+                    if n and (k or m):  # x past a dx or d2x: the kernel rewrites it
+                        right = {(0, 0): {n: _ONE}} if n < 3 or not anyonic else {}
+                        break
+                    e += n
+                elif text == "dx":
+                    if m * n % 3:
+                        c = _times(c, _Q_TRIPLES[2 * m * n % 3])
+                    k += n
+                elif text == "d2x":
+                    m += n
+                elif n % 3:
+                    c = _times(c, _Q_TRIPLES[n % 3])
+                if k > 2 or anyonic and e > 2:  # dx**3 == 0, and x**3 == 0 anyonic
+                    right = {}
+                    break
+            elif kind == "int":
+                t = self._rational()
+                # a power, a zero, or a right literal long enough for _product to price
+                if tokens[-1][1] == "^" or not t[0] or pos >= 0 and (abs(t[0]) | t[2]) >> 64:
+                    right = self._raised({(0, 0): {0: t}} if t[0] else {})
+                    break
+                c = _times(c, t)
+            else:
+                right = self._raised(self.base())
+                break
+            if once or tokens[-1][1] != "*":
+                return {(k, m): {e: c}}
             pos = tokens.pop()[2]
-            value = _product(value, self.factor(), self._cfg, lambda price: self._charge(price, pos))
+        cfg, charge = self._cfg, self._charge
+        value = right if pos < 0 else _product({(k, m): {e: c}}, right, cfg, charge, pos)
+        while not once and tokens[-1][1] == "*":
+            pos = tokens.pop()[2]
+            value = _product(value, self.term(True), cfg, charge, pos)
         return value
 
-    def factor(self) -> Value:
+    def _exponent(self) -> tuple[int, int]:
+        """Pop a '^' and its exponent token: the exponent, at most
+        MAX_EXPONENT, and the token's position."""
         tokens = self.tokens
-        name = tokens[-1][1]  # the base's first token; only a generator's is in _ATOMS
-        base = self.base()
-        if tokens[-1][1] != "^":
-            return base
         tokens.pop()
         kind, text, pos = tokens.pop()
         if kind != "int":
             raise ParseError("exponent must be a nonnegative integer", pos)
         digits = text.lstrip("0") or "0"
         # the length test keeps int() off tokens too long for it to convert
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        if len(digits) > _EXPONENT_DIGITS or (n := int(digits)) > MAX_EXPONENT:
             raise ParseError(f"exponent exceeds the limit of {MAX_EXPONENT}", pos)
-        n = int(digits)
-        if name in _ATOMS:  # a generator's top x or d2x power is at most 1, so n caps its power already
-            return _generator_power(name, n, self._cfg.anyonic)
+        return n, pos
+
+    def _raised(self, base: Value) -> Value:
+        """base, or base^n after a '^'."""
+        if self.tokens[-1][1] != "^":
+            return base
+        n, pos = self._exponent()
         # base^n has at most n times the base's top x and d2x powers
         top = 0
         for (_, m), poly in base.items():
             top = max(top, m, *poly)
         if n * top > MAX_EXPONENT:
             raise ParseError(f"power exceeds degree {MAX_EXPONENT} in x or d2x", pos)
-        return _power(base, n, self._cfg, lambda price: self._charge(price, pos))
+        return _power(base, n, self._cfg, self._charge, pos)
+
+    def _rational(self) -> tuple[int, int, int]:
+        """The canonical triple of the literal at the next token, a/b or a."""
+        tokens = self.tokens
+        _, text, pos = tokens.pop()
+        numerator, denominator = _literal(text, pos), 1
+        if tokens[-1][1] == "/":
+            tokens.pop()
+            kind, denom_text, denom_pos = tokens.pop()
+            if kind != "int":
+                raise ParseError("expected a denominator", denom_pos)
+            denominator = _literal(denom_text, denom_pos)
+            if not denominator:
+                raise ParseError("zero denominator", denom_pos)
+        return _lowest(numerator, 0, denominator)
 
     def base(self) -> Value:
+        """A parenthesized group; term reads every other base."""
         tokens = self.tokens
         kind, text, pos = tokens.pop()
-        if kind == "int":
-            numerator, denominator = _literal(text, pos), 1
-            if tokens[-1][1] == "/":
-                tokens.pop()
-                kind, denom_text, denom_pos = tokens.pop()
-                if kind != "int":
-                    raise ParseError("expected a denominator", denom_pos)
-                denominator = _literal(denom_text, denom_pos)
-                if not denominator:
-                    raise ParseError("zero denominator", denom_pos)
-            return {(0, 0): {0: _lowest(numerator, 0, denominator)}} if numerator else {}
-        if kind == "name":
-            return _ATOMS[text]
         if kind == "op" and text == "(":
             if self._depth == MAX_DEPTH:
                 raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", pos)
@@ -273,17 +324,18 @@ def _price(left: Value, right: Value, alpha: CycQ) -> int:
     return price
 
 
-def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[int], None]) -> Value:
-    """left * right in cfg's mode, equal to the form product, and the
-    parser's one closed form: a right factor c*x**e on one word dx**j d2x**n
-    needs no rewriting when e == 0, as every twist fixes c and its
+def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[int, int], None], pos: int) -> Value:
+    """left * right in cfg's mode, equal to the form product, charged at the
+    '*' or exponent token at pos. A right factor c*x**e on one word dx**j
+    d2x**n needs no rewriting when e == 0, as every twist fixes c and its
     derivative is zero, or when the left is one term on the empty word, with
     nothing to pass. Each left term (f, k, m) then moves to f * c * x**e *
     q**(2mj) on dx**(k+j) d2x**(m+n), dropped once k + j >= 3; anyonic,
     degrees of 3 or more drop, and so does a word left empty. Any other
     product is the kernel forms._mul. Both are charged _price first, the
     first only for a c longer than 64 bits (see MAX_WORK). A zero operand
-    gives zero, unpriced, as its price would be 0."""
+    gives zero, unpriced, as its price would be 0. term folds what it can
+    first; the closed path serves the rest, such as many-term lefts."""
     if not left or not right:
         return {}
     if len(right) == 1:
@@ -292,7 +344,7 @@ def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[i
             ((e, c),) = g.items()
             if not e or len(left) == 1 and len(left.get((0, 0), ())) == 1:
                 if (abs(c[0]) | abs(c[1]) | c[2]) >> 64:
-                    charge(_price(left, right, cfg.alpha))
+                    charge(_price(left, right, cfg.alpha), pos)
                 out, anyonic = {}, cfg.anyonic
                 for (k, m), f in left.items():
                     if k + j < 3:
@@ -302,38 +354,22 @@ def _product(left: Value, right: Value, cfg: CalculusConfig, charge: Callable[[i
                         if coeffs:
                             out[k + j, m + n] = coeffs
                 return out
-    charge(_price(left, right, cfg.alpha))
+    charge(_price(left, right, cfg.alpha), pos)
     return _mul(left, right, cfg.alpha, cfg.anyonic)
 
 
-def _generator_power(name: str, n: int, anyonic: bool) -> Value:
-    """name^n for a generator 'x', 'dx', 'd2x' or 'q', in one closed formula:
-    a power of one generator is already a normal-form word, so nothing is
-    rewritten or charged. x^n is 0 anyonic from n = 3 on, dx^n from n = 3
-    on (dx**3 == 0), and q^n is q^(n mod 3), q being a cube root of unity."""
-    if not n:
-        return {(0, 0): {0: _ONE}}
-    if name == "x":
-        return {(0, 0): {n: _ONE}} if n < 3 or not anyonic else {}
-    if name == "dx":
-        return {(n, 0): {0: _ONE}} if n < 3 else {}
-    if name == "d2x":
-        return {(0, n): {0: _ONE}}
-    return {(0, 0): {0: _Q_TRIPLES[n % 3]}}
-
-
-def _power(base: Value, n: int, cfg: CalculusConfig, charge: Callable[[int], None]) -> Value:
-    """base^n for a base other than a generator (a literal or a group; see
-    _generator_power) by square-and-multiply from the top bit down: at most
+def _power(base: Value, n: int, cfg: CalculusConfig, charge: Callable[[int, int], None], pos: int) -> Value:
+    """base^n for a literal or a group (term folds the powers of a
+    generator) by square-and-multiply from the top bit down: at most
     2*log2(n) steps, each through _product, so closed where it can be and
-    charged as it prices."""
+    charged at pos as it prices."""
     if not n:
         return {(0, 0): {0: _ONE}}
     out = base
     for bit in bin(n)[3:]:
-        out = _product(out, out, cfg, charge)
+        out = _product(out, out, cfg, charge, pos)
         if bit == "1":
-            out = _product(out, base, cfg, charge)
+            out = _product(out, base, cfg, charge, pos)
     return out
 
 

@@ -56,6 +56,7 @@ BUDGET = ("tests/test_parser.py::TestWorkBudget",)
 REPORTS = ("tests/test_reports.py",)
 GATE = ("tests/test_exhaustive.py::test_every_small_expression",)
 POWERS = ("tests/test_parser.py::TestPowers",)
+FOLD = ("tests/test_parser.py::TestTermFold",)
 FLAG = ("tests/test_forms.py::TestAccumulatorFlag",)
 RENDER = ("tests/test_parser.py::TestAgainstLegacyRenderer",)
 ENVIRONMENT = ("tests/test_cli.py::TestOutputOverride",)
@@ -385,10 +386,10 @@ MUTANTS = [
            "top = max(top, m, *poly)", "top = max(top, m)", ("tests/test_parser.py::TestPowers",)),
     # the parser's work budget
     Mutant("a squaring in _power is not priced", "parser.py",
-           "        out = _product(out, out, cfg, charge)\n",
+           "        out = _product(out, out, cfg, charge, pos)\n",
            "        out = _mul(out, out, cfg.alpha, cfg.anyonic)\n", BUDGET),
     Mutant("the _product fallback is not priced", "parser.py",
-           "    charge(_price(left, right, cfg.alpha))\n    return _mul(", "    return _mul(", BUDGET),
+           "    charge(_price(left, right, cfg.alpha), pos)\n    return _mul(", "    return _mul(", BUDGET),
     Mutant("scaling by a long constant is not priced", "parser.py",
            "if (abs(c[0]) | abs(c[1]) | c[2]) >> 64:", "if False:", BUDGET),
     Mutant("closed product for a multi-term left with e > 0", "parser.py",
@@ -443,15 +444,19 @@ MUTANTS = [
     Mutant("QFORMS_OUTPUT read at the first call only", "cli.py",
            "raw = os.environ._data.get(_OUTPUT_KEY)",
            'raw = _configure.__dict__.setdefault("raw", os.environ._data.get(_OUTPUT_KEY))', ENVIRONMENT),
-    # the closed powers of a generator
-    Mutant("dx^n kept past dx**2", "parser.py",
-           "return {(n, 0): {0: _ONE}} if n < 3 else {}", "return {(n, 0): {0: _ONE}}", POWERS),
+    # the term fold: generator powers and literals read as one monomial
+    Mutant("dx^n kept past dx**2", "parser.py", "if k > 2 or", "if k > 2 and n < 3 or", POWERS),
     Mutant("anyonic x^n kept past x**2", "parser.py",
-           "{n: _ONE}} if n < 3 or not anyonic else {}", "{n: _ONE}}", POWERS),
+           "anyonic and e > 2:", "anyonic and e > 2 and n < 3:", POWERS),
     Mutant("q^n with the wrong residue", "parser.py",
            "_Q_TRIPLES[n % 3]", "_Q_TRIPLES[n % 2]", POWERS),
-    Mutant("d2x^n on the dx power", "parser.py",
-           "return {(0, n): {0: _ONE}}", "return {(n, 0): {0: _ONE}}", POWERS),
+    Mutant("d2x^n on the dx power", "parser.py", "m += n", "k += n", POWERS),
+    Mutant("fold drops the swap factor q**(2mn)", "parser.py", "if m * n % 3:", "if False:", FOLD),
+    Mutant("fold keeps dx**3", "parser.py", "if k > 2 or", "if k > 3 or", FOLD),
+    Mutant("fold keeps x**3 when anyonic", "parser.py", "anyonic and e > 2:", "anyonic and e > 3:", FOLD),
+    Mutant("fold takes x after dx without its twist", "parser.py", "if n and (k or m):", "if n and m:", FOLD),
+    Mutant("fold takes a long right literal unpriced", "parser.py",
+           " or pos >= 0 and (abs(t[0]) | t[2]) >> 64:", ":", FOLD),
 ]
 
 

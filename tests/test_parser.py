@@ -56,7 +56,7 @@ POWER_IDS = ["q", "anyonic", "2", "1+q", "1", "1+2q", "(-3+5q)/7", "-1"]
 GENERATOR_POWERS = (0, 1, 2, 3, 4, 5, 127, 128, MAX_EXPONENT - 1, MAX_EXPONENT)
 
 
-def unmetered(price):
+def unmetered(price, pos):
     """A charge that accepts every price, for _product and _power called alone."""
 
 
@@ -438,7 +438,7 @@ class TestPowers:
             monkeypatch.setattr(parser, name, counting)
         u = parse("x^128*dx^2*d2x^3", CFG_Q)
         assert u == Form({(2, 3): Poly.monomial(128)})
-        assert calls == {"_power": 0, "_product": 2}
+        assert calls == {"_power": 0, "_product": 0}  # the term fold makes no step
         assert count_form_products["products"] == 0
         assert metered == {"accepted": [], "refused": []}
 
@@ -950,20 +950,20 @@ class TestClosedForms:
         # anyonic products that truncation empties and words past dx**2 included
         cfg, a, b = case
         with mock.patch.object(parser, "_mul", side_effect=AssertionError("not closed")):
-            closed = _product(as_value(a), as_value(b), cfg, unmetered)
+            closed = _product(as_value(a), as_value(b), cfg, unmetered, 0)
         assert closed == forms._mul(as_value(a), as_value(b), cfg.alpha, cfg.anyonic)
 
     @ORACLE_SETTINGS
     @given(case=oracle_cases())
     def test_product_matches_the_form_product(self, case):
         cfg, a, b = case
-        assert _product(as_value(a), as_value(b), cfg, unmetered) == as_value(a.mul(b, cfg))
+        assert _product(as_value(a), as_value(b), cfg, unmetered, 0) == as_value(a.mul(b, cfg))
 
     @ORACLE_SETTINGS
     @given(case=oracle_cases(), n=st.integers(0, 7))
     def test_power_matches_the_repeated_product(self, case, n):
         cfg, base, _ = case
-        assert _power(as_value(base), n, cfg, unmetered) == as_value(repeated_product(base, n, cfg))
+        assert _power(as_value(base), n, cfg, unmetered, 0) == as_value(repeated_product(base, n, cfg))
 
     @WIDE_SETTINGS
     @given(case=wide_cases())
@@ -972,7 +972,7 @@ class TestClosedForms:
         # at alpha 0, 1, -1 and q**2, over mixed denominators, on anyonic
         # sums reaching x**3 and on products that cancel
         cfg, a, b = case
-        assert _product(as_value(a), as_value(b), cfg, unmetered) == as_value(pairwise_mul(a, b, cfg))
+        assert _product(as_value(a), as_value(b), cfg, unmetered, 0) == as_value(pairwise_mul(a, b, cfg))
 
     @settings(WIDE_SETTINGS, max_examples=25)
     @given(case=wide_cases(), n=st.integers(0, 4))
@@ -981,7 +981,7 @@ class TestClosedForms:
         expected = Form.one(cfg.anyonic)
         for _ in range(n):
             expected = pairwise_mul(expected, base, cfg)
-        assert _power(as_value(base), n, cfg, unmetered) == as_value(expected)
+        assert _power(as_value(base), n, cfg, unmetered, 0) == as_value(expected)
 
     @pytest.mark.parametrize(
         "text",
@@ -1002,10 +1002,10 @@ class TestClosedForms:
         ],
     )
     def test_closed_forms_make_no_form_product(self, count_form_products, text):
-        def form_product(a, b, cfg, charge):
+        def form_product(a, b, cfg, charge, pos):
             return as_value(as_form(a, cfg.anyonic).mul(as_form(b, cfg.anyonic), cfg))
 
-        def form_power(base, n, cfg, charge):
+        def form_power(base, n, cfg, charge, pos):
             return as_value(repeated_product(as_form(base, cfg.anyonic), n, cfg))
 
         for cfg in (CFG_Q, CFG_ANY, CalculusConfig(CycQ(2))):
@@ -1023,6 +1023,110 @@ class TestClosedForms:
         parse(text, CFG_Q)
         assert count_form_products["rewriting"] > 0
 
+
+
+@contextlib.contextmanager
+def no_int_text_limit():
+    """Lift the interpreter's int/str digit limit inside the block, so that
+    render can write the long scalars that twisting x**10000 makes; the
+    parser's literal limit stays MAX_DIGITS (see _digit_limit)."""
+    saved = getattr(sys, "get_int_max_str_digits", int)()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
+
+B64 = 2**64
+FOLD_EXPONENTS = ["", "^0", "^1", "^2", "^3", "^4", "^5", "^9999", "^10000", "^10001"]
+FOLD_LITERALS = ["0", "1", "7", str(B64 - 1), str(B64), "10^30", "6/4", f"{2 * B64 + 2}/2", f"{3**45}/{B64 * 4}",
+                 f"{B64 * 4}/{B64}"]
+FOLD_GROUPS = ["(1+x)", "(x+dx)", "(q*d2x)", "(2*x)^2"]
+fold_factors = st.one_of(
+    st.builds("".join, st.tuples(st.sampled_from(["x", "dx", "d2x", "q"]), st.sampled_from(FOLD_EXPONENTS))),
+    st.sampled_from(FOLD_LITERALS),
+    st.sampled_from(FOLD_GROUPS),
+)
+fold_terms = st.lists(fold_factors, min_size=1, max_size=6).map("*".join)
+
+
+@st.composite
+def fold_texts(draw):
+    """A product of 1 to 6 factors in any order, maybe after a '-', maybe plus or minus a second one."""
+    text = ("-" if draw(st.booleans()) else "") + draw(fold_terms)
+    if draw(st.booleans()):
+        text += draw(st.sampled_from("+-")) + draw(fold_terms)
+    return text
+
+
+class TestTermFold:
+    """term reads a product of generator powers and literals as one monomial
+    c*x^e*dx^k*d2x^m while each step is closed, and hands the first other
+    step to _product: the value, text, JSON and errors are the plain
+    evaluator's, and the steps and charges are those of the left-to-right
+    product."""
+
+    @pytest.mark.parametrize("cfg", POWER_CFGS, ids=POWER_IDS)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=fold_texts())
+    @example(text="d2x*x")
+    @example(text="dx*x^2")
+    @example(text="d2x^2*dx*x")
+    @example(text="2*q*x^2*d2x^2*dx*dx")
+    @example(text="x*x*x*dx")
+    @example(text="3/2*x*dx*0*d2x*x^10001")
+    @example(text="1/2*x^2*3*dx*q^2*d2x")
+    @example(text=f"x*dx*{B64}*d2x*{B64 - 1}")
+    @example(text="d2x^5*dx^2*x^2*q^4")
+    def test_products_match_the_oracle(self, cfg, text):
+        with no_int_text_limit():
+            compare_with_oracle(text, cfg)
+
+    @pytest.mark.parametrize("cfg", [CFG_Q, CFG_2], ids=["q", "2"])
+    @pytest.mark.parametrize(
+        "text",
+        ["x^3*dx^2*d2x", "q^2*dx*d2x", "2*x*x", "5*x^2*dx*d2x^2", "x^2*d2x", "x*dx", "x*d2x + dx^2",
+         "q^5*x^4*dx^2*d2x^3", "3/2*q*x^2*dx*d2x^2", "x^1500"],
+    )
+    def test_typed_terms_make_no_step(self, monkeypatch, count_form_products, metered, text, cfg):
+        # the examples of README.md and tests/test_cli.py, typed in left-normal order
+        steps = []
+        product = parser._product
+        monkeypatch.setattr(parser, "_product", lambda *args: steps.append(args) or product(*args))
+        assert parse(text, cfg) == form_parser.parse(text, cfg)
+        assert steps == [] and count_form_products["products"] == 0
+        assert metered == {"accepted": [], "refused": []}
+
+    @pytest.mark.parametrize("text", ["5*x^79*dx^2*d2x", "x^3*dx^2*d2x", "x*x*x*dx", "x*dx^2*d2x*dx*(2*q)^3*x^2"])
+    def test_anyonic_zero_terms_make_no_kernel_call(self, count_form_products, metered, text):
+        # past a zero factor each later factor is still read, and its product is zero, unpriced
+        assert parse(text, CFG_ANY).is_zero()
+        assert count_form_products["products"] == 0
+        assert metered == {"accepted": [], "refused": []}
+
+    @pytest.mark.parametrize("text", ["dx*x", "d2x*x"])
+    def test_x_past_a_word_makes_one_kernel_call(self, count_form_products, text):
+        assert parse(text, CFG_2) == form_parser.parse(text, CFG_2)
+        assert count_form_products == {"products": 1, "rewriting": 1}
+
+    @pytest.mark.parametrize("text, cfg, prices", [
+        (f"x*dx*{B64}", CFG_Q, [327]),
+        (f"3/2*d2x^2*{B64}*x", CFG_2, [327, 914]),  # the literal's price, then the kernel's
+        (f"{B64}*x*{B64 - 1}", CFG_Q, []),  # a first factor is no step; 2^64 - 1 is short
+        (f"q*x^2*{2 * B64 + 1}/2", CFG_Q, [327]),
+        (f"x*1/{B64}", CFG_ANY, [327]),
+        (f"5*x*{B64}*{B64}*dx", CFG_2, [327, 333]),
+        (f"7*{3**45}/{B64 * 4}*d2x", CFG_2, [327]),
+    ])
+    def test_long_right_literals_are_charged(self, metered, text, cfg, prices):
+        # a right literal with an int of 64 bits or more leaves the fold for
+        # _product, which prices it; the prices are those of the parser
+        # before the fold
+        assert parse(text, cfg) == form_parser.parse(text, cfg)
+        assert metered == {"accepted": prices, "refused": []}
 
 CORPUS_CFGS = [
     CFG_Q,
@@ -1141,7 +1245,7 @@ class TestSharedValues:
             assert first == second == form_parser.parse(text, cfg)
             assert render(first) == render(second)
             assert_canonical_value(parser._Parser(parser._tokenize(f"({text})"), cfg).base())
-            # a one-term parse may hold an atom's own map; nothing done with it changes the atom
+            # nothing done with one parse's value changes the other's, or the generator names
             for derived in (differential_power(first, 3, cfg), first + second, first.mul(second, cfg)):
                 assert_canonical_value(derived._terms)
             assert first.to_dict() == second.to_dict()
